@@ -42,7 +42,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # np.float64 is a float whose repr is "np.float64(...)"
     return str(value)
 
 

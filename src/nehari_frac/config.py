@@ -18,16 +18,13 @@ from .errors import ConfigError
 from .grid import GridDomain, build_grid
 from .params import ModelParams
 
-TOP_KEYS = {"params", "grid", "seeds", "tolerances", "constants", "project", "solve", "bubble_scan", "curves"}
+TOP_KEYS = {"params", "grid", "seeds", "tolerances", "project", "solve", "bubble_scan", "curves"}
 PARAMS_KEYS = {"n", "p", "s", "q", "alpha", "beta", "lambda", "mu"}
 GRID_KEYS = {"n", "m", "box_length", "collar_factor", "shape", "max_pairs"}
 TOLERANCE_KEYS = {
     "quotient_flat",
     "quotient_restarts",
     "quotient_max_iter",
-    "root_rel",
-    "manifold_rel",
-    "classify_deadband",
     "grad_rtol",
     "energy_rtol",
     "max_iter",
@@ -37,7 +34,7 @@ TOLERANCE_KEYS = {
 }
 PROJECT_KEYS = {"u", "v", "curves", "t_lo", "t_hi", "samples"}
 SOLVE_KEYS = {"compute_constants", "n_starts", "max_iter", "bubble_delta_frac", "bubble_eps_frac", "theta"}
-BUBBLE_SCAN_KEYS = {"delta", "theta", "eps_list", "lambda", "mu", "method", "center", "s_d", "s_ab_d"}
+BUBBLE_SCAN_KEYS = {"delta", "theta", "eps_list", "lambda", "mu", "method", "s_d", "s_ab_d"}
 CURVES_KEYS = {"u", "v", "seeded", "t_lo", "t_hi", "samples"}
 
 
@@ -74,7 +71,6 @@ class RunConfig:
     grid: dict
     seeds: tuple
     tolerances: dict
-    constants: Optional[dict]
     project: Optional[dict]
     solve: Optional[dict]
     bubble_scan: Optional[dict]
@@ -149,7 +145,6 @@ def load_config(path) -> RunConfig:
 
     blocks = {}
     for name, allowed in (
-        ("constants", set()),
         ("project", PROJECT_KEYS),
         ("solve", SOLVE_KEYS),
         ("bubble_scan", BUBBLE_SCAN_KEYS),
@@ -166,7 +161,6 @@ def load_config(path) -> RunConfig:
         grid=raw["grid"],
         seeds=tuple(seeds),
         tolerances=dict(tolerances),
-        constants=blocks["constants"],
         project=blocks["project"],
         solve=blocks["solve"],
         bubble_scan=blocks["bubble_scan"],

@@ -62,24 +62,64 @@ def bump_field(dom: GridDomain) -> np.ndarray:
     return np.abs(vals) + 1e-12
 
 
-def _descend(x0, value_and_grad, feasible, tol, max_iter, trace=None):
+# Why a descent stopped; only GRAD_TOL and FLAT count as convergence.
+GRAD_TOL = "grad_tol"
+FLAT = "flat"
+LINE_SEARCH_EXHAUSTED = "line_search_exhausted"
+BUDGET = "budget"
+CONVERGED_STOPS = (GRAD_TOL, FLAT)
+
+_BACKTRACKS = 60
+
+
+@dataclass(frozen=True)
+class StopRule:
+    """When descend() stops.
+
+    An accepted step whose relative decrease is at most flat_tol is flat;
+    patience flat steps in a row stop the run (flat_tol = -inf never stops
+    it).  The run also stops once |g| <= grad_rtol |g_0| (0: only at an
+    exactly zero gradient).  armijo is the sufficient-decrease constant; 0
+    accepts every step that does not increase the value.
+    """
+
+    max_iter: int
+    flat_tol: float
+    patience: int = _FLAT_PATIENCE
+    grad_rtol: float = 0.0
+    armijo: float = 0.0
+
+
+class Descent(NamedTuple):
+    x: np.ndarray
+    value: float
+    grad: np.ndarray
+    stop_reason: str
+    iterations: int
+
+
+def descend(start, project, gradient, stop: StopRule, trace=None) -> Descent:
     """Monotone projected descent with Barzilai-Borwein step proposals.
 
-    feasible() maps a raw vector to the constraint set (abs + renormalize) or
-    returns None for degenerate points; proposals are backtracked until the
-    quotient does not increase.  Returns (x, value, converged, iterations);
-    accepted values are appended to trace when given.
+    project(raw) maps a raw vector to (feasible point, value), or to None
+    for a point it cannot place; start is such a (point, value) pair.
+    gradient(x, value) is evaluated only at accepted points, right after the
+    projection that produced them.  Each proposal x - s g is halved up to 60
+    times until its projected value passes the acceptance test of stop.
+    Accepted values are appended to trace when given.
     """
-    x = feasible(x0)
-    if x is None:
-        raise ValueError("infeasible starting point")
-    val, g = value_and_grad(x)
+    x, val = start
+    g = gradient(x, val)
     if trace is not None:
         trace.append(val)
-    step = 1.0 / max(1.0, float(np.linalg.norm(g)))
+    g_norm = float(np.linalg.norm(g))
+    step = 1.0 / max(1.0, g_norm)
+    g_stop = stop.grad_rtol * g_norm
     x_prev = g_prev = None
     flat = 0
-    for it in range(max_iter):
+    for it in range(stop.max_iter):
+        if float(np.linalg.norm(g)) <= g_stop:
+            return Descent(x, val, g, GRAD_TOL, it)
         if x_prev is not None:
             dx = x - x_prev
             dg = g - g_prev
@@ -87,30 +127,54 @@ def _descend(x0, value_and_grad, feasible, tol, max_iter, trace=None):
             if denom > 0:
                 step = float(np.dot(dx, dx)) / denom
             step = min(max(step, 1e-14), 1e14)
+        gg = float(np.dot(g, g)) if stop.armijo else 0.0
         s = step
-        trial = tval = tg = None
-        for _ in range(60):
-            cand = feasible(x - s * g)
-            if cand is not None:
-                cval, cg = value_and_grad(cand)
-                if cval <= val:
-                    trial, tval, tg = cand, cval, cg
-                    break
+        for _ in range(_BACKTRACKS):
+            trial = project(x - s * g)
+            if trial is not None and trial[1] <= val - stop.armijo * s * gg:
+                break
             s *= 0.5
-        if trial is None:
-            return x, val, True, it  # no descent direction left: flat
-        drop = (val - tval) / max(abs(val), 1e-300)
+        else:
+            return Descent(x, val, g, LINE_SEARCH_EXHAUSTED, it)
+        drop = (val - trial[1]) / max(abs(val), 1e-300)
         x_prev, g_prev = x, g
-        x, val, g = trial, tval, tg
+        x, val = trial
+        g = gradient(x, val)
         if trace is not None:
             trace.append(val)
-        if drop <= tol:
+        if drop <= stop.flat_tol:
             flat += 1
-            if flat >= _FLAT_PATIENCE:
-                return x, val, True, it + 1
+            if flat >= stop.patience:
+                return Descent(x, val, g, FLAT, it + 1)
         else:
             flat = 0
-    return x, val, False, max_iter
+    return Descent(x, val, g, BUDGET, stop.max_iter)
+
+
+def _minimize_quotient(inits, project, gradient, tol, max_iter, name, as_state, trace=None):
+    """Best descent over the starting points.
+
+    Raises ConvergenceError unless some start finished, i.e. stopped for any
+    reason but the budget (an exhausted line search counts as finished).
+    """
+    stop = StopRule(max_iter=max_iter, flat_tol=tol)
+    best = run = None
+    finished = False
+    for x0 in inits:
+        start = project(x0)
+        if start is None:
+            raise ValueError(f"{name}: infeasible starting point")
+        run_trace = [] if trace is not None else None
+        run = descend(start, project, gradient, stop, trace=run_trace)
+        if trace is not None:
+            trace.append(run_trace)
+        finished = finished or run.stop_reason != BUDGET
+        if best is None or run.value < best.value:
+            best = run
+    if not finished:
+        raise ConvergenceError(f"{name} descent did not flatten within the iteration budget",
+                               last_iterate=as_state(run.x))
+    return best.value, as_state(best.x)
 
 
 def compute_S(
@@ -135,19 +199,17 @@ def compute_S(
     pstar = params.p_star
     cell = dom.h ** dom.dim
 
-    def feasible(x):
+    def project(x):
         x = np.abs(x)
         den = lr_norm(dom, x, pstar)
         if den == 0.0 or not np.isfinite(den):
             return None
-        return x / den
-
-    def value_and_grad(x):
+        x = x / den
         # denominator is 1 on the constraint set
-        val = seminorm_p(dom, x) ** p
-        g_num = p * plap_gradient(dom, x)
-        g_den = p * cell * signed_pow(x, pstar - 1.0)
-        return val, g_num - val * g_den
+        return x, seminorm_p(dom, x) ** p
+
+    def gradient(x, val):
+        return p * plap_gradient(dom, x) - val * (p * cell * signed_pow(x, pstar - 1.0))
 
     seq = np.random.SeedSequence(seed)
     inits = [as_values(x).copy() for x in extra_inits]
@@ -155,23 +217,7 @@ def compute_S(
     for child in seq.spawn(max(restarts - 1, 0)):
         rng = np.random.default_rng(child)
         inits.append(np.abs(rng.standard_normal(dom.n_interior)) + 1e-6)
-
-    best = None
-    any_converged = False
-    last = None
-    for x0 in inits:
-        run_trace = [] if trace is not None else None
-        x, val, converged, _ = _descend(x0, value_and_grad, feasible, tol, max_iter, trace=run_trace)
-        if trace is not None:
-            trace.append(run_trace)
-        any_converged = any_converged or converged
-        last = x
-        if best is None or val < best[0]:
-            best = (val, x)
-    if not any_converged:
-        raise ConvergenceError("Rayleigh descent did not flatten within the iteration budget",
-                               last_iterate=Field(last))
-    return best[0], Field(best[1])
+    return _minimize_quotient(inits, project, gradient, tol, max_iter, "Rayleigh", Field, trace=trace)
 
 
 def compute_S_alpha_beta(
@@ -195,23 +241,24 @@ def compute_S_alpha_beta(
     cell = dom.h ** dom.dim
     n = dom.n_interior
 
-    def feasible(x):
+    def project(x):
         x = np.abs(x)
         u, v = x[:n], x[n:]
         coupling = cell * float(np.sum(u ** a * v ** b))
         if coupling <= 0.0 or not np.isfinite(coupling):
             return None
-        return x * coupling ** (-1.0 / ab)
-
-    def value_and_grad(x):
+        x = x * coupling ** (-1.0 / ab)
         u, v = x[:n], x[n:]
-        val = seminorm_p(dom, u) ** p + seminorm_p(dom, v) ** p
+        return x, seminorm_p(dom, u) ** p + seminorm_p(dom, v) ** p
+
+    def gradient(x, val):
+        u, v = x[:n], x[n:]
         g_num_u = p * plap_gradient(dom, u)
         g_num_v = p * plap_gradient(dom, v)
         # coupling integral is 1 on the constraint set
         g_den_u = (p / ab) * cell * a * signed_pow(u, a - 1.0) * np.abs(v) ** b
         g_den_v = (p / ab) * cell * b * np.abs(u) ** a * signed_pow(v, b - 1.0)
-        return val, np.concatenate([g_num_u - val * g_den_u, g_num_v - val * g_den_v])
+        return np.concatenate([g_num_u - val * g_den_u, g_num_v - val * g_den_v])
 
     seq = np.random.SeedSequence(seed)
     ratio = (a / b) ** (1.0 / p)
@@ -224,23 +271,10 @@ def compute_S_alpha_beta(
     for child in seq.spawn(max(restarts - 1, 0)):
         rng = np.random.default_rng(child)
         inits.append(np.abs(rng.standard_normal(2 * n)) + 1e-6)
-
-    best = None
-    any_converged = False
-    last = None
-    for x0 in inits:
-        if feasible(x0) is None:
-            raise ValueError("starting pair has a vanishing coupling integral")
-        x, val, converged, _ = _descend(x0, value_and_grad, feasible, tol, max_iter)
-        any_converged = any_converged or converged
-        last = x
-        if best is None or val < best[0]:
-            best = (val, x)
-    if not any_converged:
-        raise ConvergenceError("coupled quotient descent did not flatten within the iteration budget",
-                               last_iterate=FieldPair(Field(last[:n]), Field(last[n:])))
-    val, x = best
-    return val, FieldPair(Field(x[:n]), Field(x[n:]))
+    return _minimize_quotient(
+        inits, project, gradient, tol, max_iter, "coupled quotient",
+        lambda x: FieldPair(Field(x[:n]), Field(x[n:])),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,24 +36,49 @@ class EnergyBreakdown:
         }
 
 
-def _integrals(params: ModelParams, dom: GridDomain, u: np.ndarray, v: np.ndarray):
-    """Lattice integrals: concave sum(lam|u|^q + mu|v|^q) and coupling sum|u|^a |v|^b."""
+@dataclass(frozen=True)
+class ReducedTriple:
+    """Ray coefficients (P, B, D) of a state: J along the ray t (u, v) is
+    (t^p/p) P - (t^q/q) B - (t^(a+b)/(a+b)) D."""
+
+    P: float
+    B: float
+    D: float
+
+    def scale_second(self) -> float:
+        """Magnitude scale for phi''(1) built from term sizes; used for dead-bands."""
+        return self.P + self.B + self.D
+
+    def scaled(self, t: float, params: ModelParams) -> "ReducedTriple":
+        """Coefficients of the state t (u, v)."""
+        return ReducedTriple(self.P * t ** params.p, self.B * t ** params.q, self.D * t ** params.ab)
+
+    @property
+    def constraint(self) -> float:
+        """The Nehari constraint P - B - D."""
+        return self.P - self.B - self.D
+
+    def on_manifold(self, tol: float) -> bool:
+        """Membership test |P - B - D| <= tol P."""
+        return abs(self.constraint) <= tol * self.P
+
+
+def ray_triple(params: ModelParams, dom: GridDomain, u, v) -> ReducedTriple:
+    """Lattice sums P = ||(u,v)||^p, B = sum(lam|u|^q + mu|v|^q), D = 2 sum|u|^a|v|^b
+    of two Fields or value arrays."""
+    P = seminorm_p(dom, u) ** params.p + seminorm_p(dom, v) ** params.p
     cell = dom.h ** dom.dim
-    au = np.abs(u)
-    av = np.abs(v)
-    concave = cell * float(np.sum(params.lam * au ** params.q + params.mu * av ** params.q))
-    coupling = cell * float(np.sum(au ** params.alpha * av ** params.beta))
-    return concave, coupling
+    au = np.abs(as_values(u))
+    av = np.abs(as_values(v))
+    B = cell * float(np.sum(params.lam * au ** params.q + params.mu * av ** params.q))
+    D = 2.0 * cell * float(np.sum(au ** params.alpha * av ** params.beta))
+    return ReducedTriple(P, B, D)
 
 
 def energy(params: ModelParams, dom: GridDomain, pair: FieldPair) -> EnergyBreakdown:
     """Evaluate J with its three named terms."""
-    u = as_values(pair.u)
-    v = as_values(pair.v)
-    grad = (seminorm_p(dom, u) ** params.p + seminorm_p(dom, v) ** params.p) / params.p
-    concave, coupling = _integrals(params, dom, u, v)
-    concave /= params.q
-    coupling *= 2.0 / params.ab
+    t = ray_triple(params, dom, pair.u, pair.v)
+    grad, concave, coupling = t.P / params.p, t.B / params.q, t.D / params.ab
     return EnergyBreakdown(grad, concave, coupling, grad - concave - coupling)
 
 
@@ -109,19 +134,12 @@ def nehari_constraint(params: ModelParams, dom: GridDomain, pair: FieldPair) -> 
     Zero exactly on the discrete Nehari manifold (the zero pair is excluded
     from membership although the value vanishes there too).
     """
-    u = as_values(pair.u)
-    v = as_values(pair.v)
-    norm_p = seminorm_p(dom, u) ** params.p + seminorm_p(dom, v) ** params.p
-    concave, coupling = _integrals(params, dom, u, v)
-    return norm_p - concave - 2.0 * coupling
+    return ray_triple(params, dom, pair.u, pair.v).constraint
 
 
 def manifold_energy_identity(params: ModelParams, dom: GridDomain, pair: FieldPair) -> float:
     """J rewritten for on-manifold states:
     ((1/p)-(1/(a+b))) ||(u,v)||^p - ((1/q)-(1/(a+b))) sum(lam|u|^q + mu|v|^q)."""
-    u = as_values(pair.u)
-    v = as_values(pair.v)
-    norm_p = seminorm_p(dom, u) ** params.p + seminorm_p(dom, v) ** params.p
-    concave, _ = _integrals(params, dom, u, v)
+    t = ray_triple(params, dom, pair.u, pair.v)
     ab = params.ab
-    return (1.0 / params.p - 1.0 / ab) * norm_p - (1.0 / params.q - 1.0 / ab) * concave
+    return (1.0 / params.p - 1.0 / ab) * t.P - (1.0 / params.q - 1.0 / ab) * t.B

@@ -17,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
+from .energy import ReducedTriple, constraint_gradient_arrays, ray_triple
 from .errors import DegenerateDirectionError, NehariFracError, ZeroPairError
-from .grid import FieldPair, GridDomain, as_values, seminorm_p, signed_pow
+from .grid import Field, FieldPair, GridDomain, as_values
 from .params import ModelParams
 
 ROOT_RTOL = 1e-12
@@ -36,19 +37,6 @@ PLUS_ONLY = "plus_only"
 MINUS_ONLY = "minus_only"
 ABOVE_THRESHOLD = "above_threshold"
 NO_ROOTS = "no_roots"
-
-
-@dataclass(frozen=True)
-class ReducedTriple:
-    """Ray coefficients (P, B, D) of a nonzero state."""
-
-    P: float
-    B: float
-    D: float
-
-    def scale_second(self) -> float:
-        """Magnitude scale for phi''(1) built from term sizes; used for dead-bands."""
-        return self.P + self.B + self.D
 
 
 @dataclass(frozen=True)
@@ -81,17 +69,9 @@ class FiberingReport:
 
 def reduce_pair(params: ModelParams, dom: GridDomain, pair: FieldPair) -> ReducedTriple:
     """Lattice sums for (P, B, D); rejects the zero pair."""
-    u = as_values(pair.u)
-    v = as_values(pair.v)
-    if not (np.any(u) or np.any(v)):
+    if not (np.any(as_values(pair.u)) or np.any(as_values(pair.v))):
         raise ZeroPairError("zero pair has no fibering")
-    P = seminorm_p(dom, u) ** params.p + seminorm_p(dom, v) ** params.p
-    cell = dom.h ** dom.dim
-    au = np.abs(u)
-    av = np.abs(v)
-    B = cell * float(np.sum(params.lam * au ** params.q + params.mu * av ** params.q))
-    D = 2.0 * cell * float(np.sum(au ** params.alpha * av ** params.beta))
-    return ReducedTriple(P, B, D)
+    return ray_triple(params, dom, pair.u, pair.v)
 
 
 def _check_t(t: float):
@@ -202,7 +182,7 @@ def project(params: ModelParams, dom: GridDomain, pair: FieldPair) -> FiberingRe
     the above-threshold outcome that mirrors a failed smallness condition.
     """
     triple = reduce_pair(params, dom, pair)
-    return project_triple(triple, params, classification=classify(params, dom, pair))
+    return project_triple(triple, params, classification=classify_triple(triple, params))
 
 
 def project_triple(triple: ReducedTriple, params: ModelParams, classification: str = OFF_MANIFOLD) -> FiberingReport:
@@ -261,16 +241,17 @@ def project_triple(triple: ReducedTriple, params: ModelParams, classification: s
 
 
 def scale_pair(pair: FieldPair, t: float) -> FieldPair:
-    from .grid import Field
-
     return FieldPair(Field(t * as_values(pair.u)), Field(t * as_values(pair.v)))
 
 
 def classify(params: ModelParams, dom: GridDomain, pair: FieldPair, tol: float = CLASSIFY_DEADBAND) -> str:
     """Trichotomy by sign of phi''(1) with a dead-band, after a membership check."""
-    triple = reduce_pair(params, dom, pair)
-    constraint = triple.P - triple.B - triple.D
-    if abs(constraint) > tol * triple.P:
+    return classify_triple(reduce_pair(params, dom, pair), params, tol)
+
+
+def classify_triple(triple: ReducedTriple, params: ModelParams, tol: float = CLASSIFY_DEADBAND) -> str:
+    """classify() on precomputed (P, B, D)."""
+    if not triple.on_manifold(tol):
         return OFF_MANIFOLD
     second = phi_second(triple, params, 1.0)
     band = tol * triple.scale_second()
@@ -302,10 +283,9 @@ def phi_second_consistency(
     the four forms use the constraint P = B + D.
     """
     triple = reduce_pair(params, dom, pair)
-    constraint = triple.P - triple.B - triple.D
-    if abs(constraint) > tol * triple.P:
+    if not triple.on_manifold(tol):
         raise NehariFracError(
-            f"pair is off the manifold (relative constraint {abs(constraint) / triple.P:.3e}); "
+            f"pair is off the manifold (relative constraint {abs(triple.constraint) / triple.P:.3e}); "
             "the equivalent second-derivative forms require membership"
         )
     exprs = phi_second_expressions(triple, params)
@@ -326,17 +306,20 @@ def xi_prime(params: ModelParams, dom: GridDomain, z: FieldPair, omega: FieldPai
 
         <xi'(0), omega> = DQ(z)[omega] / [(p-q) P - (a+b-q) D],
 
-    with DQ(z)[omega] = p A(u,w1) + p A(v,w2) - K(z,omega)
-                        - 2 sum(alpha |u|^(a-2) u |v|^b w1 + beta |u|^a |v|^(b-2) v w2)
+    with DQ(z)[omega] the constraint gradient (constraint_gradient_arrays)
+    paired with omega:
+
+        DQ(z)[omega] = p A(u,w1) + p A(v,w2) - K(z,omega)
+                       - 2 sum(alpha |u|^(a-2) u |v|^b w1 + beta |u|^a |v|^(b-2) v w2)
+
     and K(z,omega) = q sum(lam |u|^(q-2) u w1 + mu |v|^(q-2) v w2).  The sign
     is fixed by the re-projection derivative itself: for omega = z the scale
     map is xi(eps z) = 1/(1-eps), so <xi'(0), z> = +1.
     """
     triple = reduce_pair(params, dom, z)
-    constraint = triple.P - triple.B - triple.D
-    if abs(constraint) > tol * triple.P:
+    if not triple.on_manifold(tol):
         raise NehariFracError(
-            f"xi_prime needs an on-manifold state (relative constraint {abs(constraint) / triple.P:.3e})"
+            f"xi_prime needs an on-manifold state (relative constraint {abs(triple.constraint) / triple.P:.3e})"
         )
     p, q, ab = params.p, params.q, params.ab
     denom = (p - q) * triple.P - (ab - q) * triple.D
@@ -345,25 +328,8 @@ def xi_prime(params: ModelParams, dom: GridDomain, z: FieldPair, omega: FieldPai
             "N0-degenerate direction: the implicit-map denominator is numerically zero"
         )
 
-    u = as_values(z.u)
-    v = as_values(z.v)
-    w1 = as_values(omega.u)
-    w2 = as_values(omega.v)
-    from .grid import plap_gradient
-
-    cell = dom.h ** dom.dim
-    numer = p * (float(np.dot(plap_gradient(dom, u), w1)) + float(np.dot(plap_gradient(dom, v), w2)))
-    numer -= q * cell * float(
-        np.sum(params.lam * signed_pow(u, q - 1.0) * w1 + params.mu * signed_pow(v, q - 1.0) * w2)
-    )
-    au = np.abs(u)
-    av = np.abs(v)
-    numer -= 2.0 * cell * float(
-        np.sum(
-            params.alpha * signed_pow(u, params.alpha - 1.0) * av ** params.beta * w1
-            + params.beta * au ** params.alpha * signed_pow(v, params.beta - 1.0) * w2
-        )
-    )
+    qu, qv = constraint_gradient_arrays(params, dom, as_values(z.u), as_values(z.v))
+    numer = float(np.dot(qu, as_values(omega.u)) + np.dot(qv, as_values(omega.v)))
     return numer / denom
 
 

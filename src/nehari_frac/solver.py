@@ -1,12 +1,13 @@
 """Branch minimization, the scalar sublinear problem, and run diagnostics.
 
-The two solutions are found by projected descent: a full-gradient step in the
-product space followed by re-projection onto the requested fibering root
-(lower root for the minimum branch, upper root for the maximum branch).
-Because the Nehari constraint annihilates the state itself, re-projection is
-first-order neutral and plain Armijo acceptance applies.  All energies are
-labeled best-found: multi-start descent certifies local minimality plus
-restart evidence, not global optimality.
+The two solutions are found by projected Barzilai-Borwein descent
+(constants.descend): a full-gradient step in the product space, then the
+absolute value, then re-projection onto the requested fibering root (lower
+root for the minimum branch, upper root for the maximum branch).  Because the
+Nehari constraint annihilates the state itself, re-projection is first-order
+neutral and plain Armijo acceptance applies.  All energies are labeled
+best-found: multi-start descent certifies local minimality plus restart
+evidence, not global optimality.
 """
 from __future__ import annotations
 
@@ -17,21 +18,25 @@ from typing import Optional
 import numpy as np
 
 from .bubbles import bubble_field
-from .constants import bump_field, c0, c_infty, d0_bound
-from .energy import constraint_gradient_arrays, gradient_arrays
-from .errors import BranchLostError, ConvergenceError
+from .constants import CONVERGED_STOPS, StopRule, bump_field, c0, c_infty, d0_bound, descend
+from .energy import ReducedTriple, constraint_gradient_arrays, gradient_arrays, ray_triple
+from .errors import BranchLostError, ConvergenceError, SupportError
 from .fibering import (
     MINUS_ONLY,
     NMINUS,
     NPLUS,
     PLUS_ONLY,
     TWO_ROOTS,
-    ReducedTriple,
     classify,
+    phi,
     project_triple,
 )
 from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, plap_gradient, seminorm_p, signed_pow
 from .params import ModelParams
+
+
+BRANCH_FLAT_PATIENCE = 8
+SCALAR_MAX_ITER = 20000          # BB budget of the scalar solve without Newton polish
 
 
 @dataclass(frozen=True)
@@ -39,10 +44,7 @@ class SolveOptions:
     max_iter: int = 4000
     grad_rtol: float = 1e-9          # stop when |grad| falls this far below its initial size
     energy_rtol: float = 1e-13       # accepted-step relative decrease considered flat
-    flat_patience: int = 8
     armijo: float = 1e-4
-    backtrack: float = 0.5
-    step0: float = 1.0
     n_starts: int = 4
     seed: int = 0
     bubble_delta_frac: float = 0.25  # delta as a fraction of the box length
@@ -50,8 +52,6 @@ class SolveOptions:
     theta: float = 2.0
     distinct_tol: float = 1e-6
     semitrivial_tol: float = 1e-8
-    scalar_max_iter: int = 20000
-    scalar_newton: bool = True
 
 
 @dataclass
@@ -61,7 +61,7 @@ class SolutionReport:
     residual: float                  # tangential (constrained) gradient norm
     grad_norm: float                 # full gradient norm
     iterations: int
-    converged: bool
+    stop_reason: str                 # constants.GRAD_TOL, FLAT, LINE_SEARCH_EXHAUSTED or BUDGET
     semitrivial: bool
     classification: str
     iterate_norm_max: float          # boundedness certificate for the iterates
@@ -69,6 +69,10 @@ class SolutionReport:
     pair: FieldPair
     seed_index: int = 0
     checks: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in CONVERGED_STOPS
 
     def field_hash(self) -> str:
         blob = self.pair.u.values.tobytes() + self.pair.v.values.tobytes()
@@ -82,6 +86,7 @@ class SolutionReport:
             "grad_norm": self.grad_norm,
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "semitrivial": self.semitrivial,
             "classification": self.classification,
             "iterate_norm_max": self.iterate_norm_max,
@@ -90,16 +95,6 @@ class SolutionReport:
             "field_hash": self.field_hash(),
             "checks": dict(self.checks),
         }
-
-
-def _triple_of(params: ModelParams, dom: GridDomain, u: np.ndarray, v: np.ndarray) -> ReducedTriple:
-    P = seminorm_p(dom, u) ** params.p + seminorm_p(dom, v) ** params.p
-    cell = dom.h ** dom.dim
-    au = np.abs(u)
-    av = np.abs(v)
-    B = cell * float(np.sum(params.lam * au ** params.q + params.mu * av ** params.q))
-    D = 2.0 * cell * float(np.sum(au ** params.alpha * av ** params.beta))
-    return ReducedTriple(P, B, D)
 
 
 def _branch_root(triple: ReducedTriple, params: ModelParams, branch: str) -> Optional[float]:
@@ -111,12 +106,6 @@ def _branch_root(triple: ReducedTriple, params: ModelParams, branch: str) -> Opt
     return rep.t2 if rep.outcome in (TWO_ROOTS, MINUS_ONLY) else None
 
 
-def _ray_energy(triple: ReducedTriple, params: ModelParams) -> float:
-    return (
-        triple.P / params.p - triple.B / params.q - triple.D / params.ab
-    )
-
-
 def minimize_on_branch(
     params: ModelParams,
     dom: GridDomain,
@@ -125,104 +114,70 @@ def minimize_on_branch(
     opts: SolveOptions = SolveOptions(),
     seed_index: int = 0,
 ) -> SolutionReport:
-    """Projected descent of J restricted to one Nehari branch.
+    """Projected Barzilai-Borwein descent of J restricted to one Nehari branch.
 
-    Steps that lose the requested root are rejected by the backtracking line
-    search; the run only aborts when the starting state itself cannot be
-    projected.  Accepted energies are nonincreasing by construction.
+    Each proposal is replaced by its absolute value, which never raises the
+    branch energy, and scaled onto the requested root, so iterates stay
+    nonnegative.  Proposals that lose the root are halved by the line search;
+    the run only aborts when the starting state itself cannot be projected.
+    Accepted energies are nonincreasing by construction.
     """
     if branch not in (NPLUS, NMINUS):
         raise ValueError(f"unknown branch {branch!r}")
     if params.lam <= 0 or params.mu <= 0:
         raise ValueError("parameters must be positive")
+    n = dom.n_interior
+    last_P = norm_max = 0.0  # P of the latest projected point; max norm over accepted points
 
-    u = as_values(init.u).copy()
-    v = as_values(init.v).copy()
-    triple = _triple_of(params, dom, u, v)
-    t = _branch_root(triple, params, branch)
-    if t is None:
+    def project(w):
+        nonlocal last_P
+        a = np.abs(w)
+        triple = ray_triple(params, dom, a[:n], a[n:])
+        t = _branch_root(triple, params, branch)
+        if t is None:
+            return None
+        triple = triple.scaled(t, params)
+        last_P = triple.P
+        return t * a, phi(triple, params, 1.0)
+
+    def gradient(x, value):
+        nonlocal norm_max
+        norm_max = max(norm_max, last_P ** (1.0 / params.p))
+        return np.concatenate(gradient_arrays(params, dom, x[:n], x[n:]))
+
+    start = project(np.concatenate([as_values(init.u), as_values(init.v)]))
+    if start is None:
         raise BranchLostError(
             "left the two-root regime: the requested root does not exist at the "
             "starting state; use smaller lambda and mu"
         )
-    u *= t
-    v *= t
-    triple = ReducedTriple(triple.P * t ** params.p, triple.B * t ** params.q, triple.D * t ** params.ab)
-    J = _ray_energy(triple, params)
+    stop = StopRule(
+        max_iter=opts.max_iter, flat_tol=opts.energy_rtol, patience=BRANCH_FLAT_PATIENCE,
+        grad_rtol=opts.grad_rtol, armijo=opts.armijo,
+    )
+    trace = []
+    run = descend(start, project, gradient, stop, trace=trace)
 
-    step = opts.step0
-    norm_max = triple.P ** (1.0 / params.p)
-    energy_min = J
-    grad_scale = None
-    res = grad_norm = np.inf
-    flat = 0
-    converged = False
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        gu, gv = gradient_arrays(params, dom, u, v)
-        qu, qv = constraint_gradient_arrays(params, dom, u, v)
-        gdotq = float(np.dot(gu, qu) + np.dot(gv, qv))
-        qn2 = float(np.dot(qu, qu) + np.dot(qv, qv))
-        coef = gdotq / qn2 if qn2 > 0 else 0.0
-        ru = gu - coef * qu
-        rv = gv - coef * qv
-        res = float(np.sqrt(np.dot(ru, ru) + np.dot(rv, rv)))
-        gn2 = float(np.dot(gu, gu) + np.dot(gv, gv))
-        grad_norm = float(np.sqrt(gn2))
-        if grad_scale is None:
-            grad_scale = max(grad_norm, 1e-300)
-        if grad_norm <= opts.grad_rtol * grad_scale:
-            converged = True
-            break
-
-        s = step
-        accepted = False
-        for _ in range(60):
-            wu = u - s * gu
-            wv = v - s * gv
-            trial = _triple_of(params, dom, wu, wv)
-            tb = _branch_root(trial, params, branch) if trial.P > 0 else None
-            if tb is not None:
-                scaled = ReducedTriple(
-                    trial.P * tb ** params.p, trial.B * tb ** params.q, trial.D * tb ** params.ab
-                )
-                Jc = _ray_energy(scaled, params)
-                if Jc <= J - opts.armijo * s * gn2:
-                    u, v = tb * wu, tb * wv
-                    drop = (J - Jc) / max(abs(J), 1e-300)
-                    J, triple = Jc, scaled
-                    accepted = True
-                    break
-            s *= opts.backtrack
-        if not accepted:
-            converged = True  # line search exhausted: first-order flat
-            break
-        step = min(s * 2.0, 1e12)
-        norm_max = max(norm_max, triple.P ** (1.0 / params.p))
-        energy_min = min(energy_min, J)
-        if drop <= opts.energy_rtol:
-            flat += 1
-            if flat >= opts.flat_patience:
-                converged = True
-                break
-        else:
-            flat = 0
-
+    u, v = run.x[:n], run.x[n:]
+    # tangential residual: the gradient minus its part along the constraint gradient
+    q = np.concatenate(constraint_gradient_arrays(params, dom, u, v))
+    qn2 = float(np.dot(q, q))
+    coef = float(np.dot(run.grad, q)) / qn2 if qn2 > 0 else 0.0
     pair = FieldPair(Field(u), Field(v))
     lq_u = lr_norm(dom, u, params.q)
     lq_v = lr_norm(dom, v, params.q)
     semitrivial = min(lq_u, lq_v) <= opts.semitrivial_tol * (lq_u + lq_v)
     return SolutionReport(
         branch=branch,
-        energy=J,
-        residual=res,
-        grad_norm=grad_norm,
-        iterations=it,
-        converged=converged,
+        energy=run.value,
+        residual=float(np.linalg.norm(run.grad - coef * q)),
+        grad_norm=float(np.linalg.norm(run.grad)),
+        iterations=run.iterations,
+        stop_reason=run.stop_reason,
         semitrivial=semitrivial,
         classification=classify(params, dom, pair),
         iterate_norm_max=norm_max,
-        energy_min_trace=energy_min,
+        energy_min_trace=min(trace),
         pair=pair,
         seed_index=seed_index,
     )
@@ -257,7 +212,7 @@ def _starts_for_branch(params: ModelParams, dom: GridDomain, branch: str, opts: 
                     Field(params.beta ** (1.0 / params.p) * ub),
                 )
             )
-        except Exception:
+        except SupportError:
             pass  # bubble support may not fit exotic grids; random starts remain
     starts.append(FieldPair(Field(bump.copy()), Field(bump.copy())))
     seq = np.random.SeedSequence(opts.seed, spawn_key=(0 if branch == NPLUS else 1,))
@@ -350,13 +305,15 @@ def solve_two(
 # Scalar sublinear problem
 # ---------------------------------------------------------------------------
 
-def _scalar_energy_grad(params: ModelParams, dom: GridDomain, lam: float, u: np.ndarray):
+def _scalar_energy(params: ModelParams, dom: GridDomain, lam: float, u: np.ndarray) -> float:
     cell = dom.h ** dom.dim
-    val = seminorm_p(dom, u) ** params.p / params.p - (lam / params.q) * cell * float(
+    return seminorm_p(dom, u) ** params.p / params.p - (lam / params.q) * cell * float(
         np.sum(np.abs(u) ** params.q)
     )
-    g = plap_gradient(dom, u) - lam * cell * signed_pow(u, params.q - 1.0)
-    return val, g
+
+
+def _scalar_gradient(params: ModelParams, dom: GridDomain, lam: float, u: np.ndarray) -> np.ndarray:
+    return plap_gradient(dom, u) - lam * dom.h ** dom.dim * signed_pow(u, params.q - 1.0)
 
 
 def _scalar_hessian(params: ModelParams, dom: GridDomain, lam: float, u: np.ndarray) -> np.ndarray:
@@ -376,11 +333,12 @@ def _scalar_hessian(params: ModelParams, dom: GridDomain, lam: float, u: np.ndar
     return H
 
 
-def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float, opts: SolveOptions = SolveOptions()):
+def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float):
     """Minimize (1/p)[u]^p - (lam/q) sum|u|^q; returns (Field, energy).
 
-    Descent starts from the smooth bump at its exact ray minimum and is
-    polished with damped Newton steps for p >= 2, so the stationarity
+    Barzilai-Borwein descent (constants.descend, unconstrained) starts from
+    the smooth bump at its exact ray minimum and is polished with damped
+    Newton steps for p >= 2, so the stationarity
     identity [u]^p = lam sum|u|^q holds to near machine precision.
     """
     if lam <= 0:
@@ -393,37 +351,23 @@ def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float, opt
     ray = (lam * qint / seminorm_p(dom, w0) ** p) ** (1.0 / (p - q))
     u = ray * w0
 
-    val, g = _scalar_energy_grad(params, dom, lam, u)
-    scale0 = max(float(np.linalg.norm(g)), lam * cell * float(np.sum(np.abs(u) ** (q - 1.0))), 1e-300)
-    newton_available = opts.scalar_newton and p >= 2 and dom.n_interior <= 6000
+    def project(x):
+        return x, _scalar_energy(params, dom, lam, x)
+
+    def gradient(x, _value):
+        return _scalar_gradient(params, dom, lam, x)
+
+    g_norm = float(np.linalg.norm(_scalar_gradient(params, dom, lam, u)))
+    scale0 = max(g_norm, lam * cell * float(np.sum(np.abs(u) ** (q - 1.0))), 1e-300)
+    newton_available = p >= 2 and dom.n_interior <= 6000
     bb_tol = 1e-6 * scale0 if newton_available else 1e-12 * scale0
-    bb_budget = 3000 if newton_available else opts.scalar_max_iter
-    step = 1.0
-    u_prev = g_prev = None
-    for it in range(bb_budget):
-        gn = float(np.linalg.norm(g))
-        if gn <= bb_tol:
-            break
-        if u_prev is not None:
-            dx = u - u_prev
-            dg = g - g_prev
-            denom = float(np.dot(dx, dg))
-            if denom > 0:
-                step = float(np.dot(dx, dx)) / denom
-            step = min(max(step, 1e-16), 1e16)
-        s = step
-        accepted = False
-        for _ in range(60):
-            trial = u - s * g
-            tval, tg = _scalar_energy_grad(params, dom, lam, trial)
-            if tval <= val:
-                u_prev, g_prev = u, g
-                u, val, g = trial, tval, tg
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            break
+    stop = StopRule(
+        max_iter=3000 if newton_available else SCALAR_MAX_ITER,
+        flat_tol=-np.inf,
+        grad_rtol=bb_tol / max(g_norm, 1e-300),
+    )
+    run = descend(project(u), project, gradient, stop)
+    u, val, g = run.x, run.value, run.grad
 
     if newton_available and np.all(u != 0.0):
         for _ in range(60):
@@ -440,7 +384,8 @@ def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float, opt
             for _ in range(40):
                 trial = u + s * d
                 if np.all(trial != 0.0):
-                    tval, tg = _scalar_energy_grad(params, dom, lam, trial)
+                    tval = _scalar_energy(params, dom, lam, trial)
+                    tg = _scalar_gradient(params, dom, lam, trial)
                     if tval < val or (tval == val and float(np.linalg.norm(tg)) < gn):
                         u, val, g = trial, tval, tg
                         improved = True

@@ -1,9 +1,14 @@
+import csv
+import dataclasses
+import io
 import json
+import re
 
 import numpy as np
 import pytest
 
 import nehari_frac as nf
+from nehari_frac import bubbles
 from nehari_frac.cli import BUBBLE_HEADER, main, verify_output_dir
 from nehari_frac.config import load_config
 from nehari_frac.errors import ConfigError
@@ -34,15 +39,26 @@ def write_config(tmp_path, extra=None, name="cfg.json", **overrides):
 # ---------------------------------------------------------------------------
 
 def test_unknown_top_level_key(tmp_path):
-    path = write_config(tmp_path, extra={"grids": {}})
-    with pytest.raises(ConfigError, match="unknown top-level key 'grids'"):
-        load_config(path)
+    # "constants" was an accepted block that no command read
+    for key in ("grids", "constants"):
+        path = write_config(tmp_path, extra={key: {}})
+        with pytest.raises(ConfigError, match=f"unknown top-level key '{key}'"):
+            load_config(path)
 
 
 def test_unknown_key_is_line_anchored(tmp_path):
-    path = write_config(tmp_path, grid={"shap": "box"})
-    with pytest.raises(ConfigError, match=r"cfg\.json:\d+: unknown key 'shap'"):
-        load_config(path)
+    # the last four were accepted keys that nothing read
+    cases = (
+        ("grid", "shap", "box"),
+        ("tolerances", "root_rel", 1e-12),
+        ("tolerances", "manifold_rel", 1e-8),
+        ("tolerances", "classify_deadband", 1e-8),
+        ("bubble_scan", "center", [0.5, 0.5]),
+    )
+    for block, key, value in cases:
+        path = write_config(tmp_path, **{block: {key: value}})
+        with pytest.raises(ConfigError, match=rf"cfg\.json:\d+: unknown key '{key}'"):
+            load_config(path)
 
 
 def test_missing_grid_block(tmp_path):
@@ -198,6 +214,37 @@ def test_bubble_scan_csv_schema_and_determinism(tmp_path):
     assert row[7].startswith("supercritical-q")
     assert row[9] in ("true", "false")
     assert verify_output_dir(out1)
+
+
+def test_bubble_scan_float_cells_are_plain_literals(tmp_path, monkeypatch):
+    # the quadrature route returns numpy scalars for excess and deficit; the
+    # lattice route is made to do the same so the check runs in seconds
+    lattice_scan = bubbles.norm_estimate_scan
+
+    def numpy_valued_scan(*args, **kwargs):
+        result = lattice_scan(*args, **kwargs)
+        rows = tuple(
+            dataclasses.replace(r, excess=np.float64(r.excess), deficit=np.float64(r.deficit))
+            for r in result.rows
+        )
+        return dataclasses.replace(result, rows=rows)
+
+    monkeypatch.setattr(bubbles, "norm_estimate_scan", numpy_valued_scan)
+    cfg = write_config(tmp_path, extra={
+        "bubble_scan": {
+            "delta": 0.25, "theta": 2.0, "eps_list": [0.0625, 0.03125],
+            "lambda": 6.0, "mu": 6.0, "method": "lattice",
+            "s_d": 8.8347, "s_ab_d": 17.6693,
+        },
+    })
+    out = tmp_path / "b"
+    assert main(["bubble-scan", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    literal = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
+    rows = list(csv.DictReader(io.StringIO((out / "bubble_scan.csv").read_text())))
+    assert rows
+    for row in rows:
+        for name in ("eps", "seminorm_p_pow", "lpstar_pow", "excess", "deficit", "t_star", "sup_full", "c_infty"):
+            assert literal.fullmatch(row[name]), (name, row[name])
 
 
 def test_curves_seeded_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -6,9 +7,14 @@ import pytest
 
 import nehari_frac as nf
 from nehari_frac.constants import (
+    BUDGET,
+    GRAD_TOL,
+    LINE_SEARCH_EXHAUSTED,
+    StopRule,
     c0_via_chat,
     coupled_quotient,
     coupling_ratio_g,
+    descend,
     rayleigh_quotient,
 )
 
@@ -286,6 +292,42 @@ def test_constants_report_fields(dom12):
     assert report.c_infty == pytest.approx(
         nf.c_infty(params, report.S_ab_d, report.C0, 0.5, 0.5), rel=1e-14
     )
+
+
+def _square(x):
+    """Projection for unconstrained descent of |x|^2."""
+    return x, float(np.dot(x, x))
+
+
+def test_descend_reports_line_search_exhaustion():
+    """A value that rises with every evaluation stops the line search."""
+    calls = itertools.count()
+
+    def rising(x):
+        return x, float(next(calls))
+
+    def gradient(x, value):
+        return 2.0 * x
+
+    x0 = np.array([1.0, -2.0])
+    run = descend(rising(x0), rising, gradient, StopRule(max_iter=50, flat_tol=1e-12))
+    assert run.stop_reason == LINE_SEARCH_EXHAUSTED
+    assert run.iterations == 0
+    assert next(calls) == 61  # the start and 60 rejected proposals
+    assert np.array_equal(run.x, x0)
+
+
+def test_descend_stops_on_gradient_and_budget():
+    def gradient(x, value):
+        return 2.0 * x
+
+    start = _square(np.array([3.0, 4.0]))
+    stop = StopRule(max_iter=50, flat_tol=-np.inf, grad_rtol=1e-8, armijo=1e-4)
+    run = descend(start, _square, gradient, stop)
+    assert run.stop_reason == GRAD_TOL
+    assert np.linalg.norm(run.grad) <= 1e-8 * 10.0
+    run = descend(start, _square, gradient, StopRule(max_iter=0, flat_tol=1e-12))
+    assert (run.stop_reason, run.iterations) == (BUDGET, 0)
 
 
 def test_compute_S_nonconvergence_attaches_iterate():

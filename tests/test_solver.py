@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import nehari_frac as nf
-from nehari_frac.errors import BranchLostError, ConvergenceError
+from nehari_frac import solver
+from nehari_frac.constants import BUDGET, CONVERGED_STOPS
+from nehari_frac.errors import BranchLostError, ConvergenceError, SupportError
 from nehari_frac.fibering import NMINUS, NPLUS
 from nehari_frac.solver import pair_distance
 
@@ -46,6 +48,44 @@ def test_minimize_on_branch_nminus_above_d0(setup12):
     d0 = nf.d0_bound(params, s_d, dom.volume, params.lam, params.mu)
     assert d0.smallness_ok
     assert rep.energy >= d0.value > 0
+
+
+def test_minimize_on_branch_reports_budget_stop(setup12):
+    params, dom, _, _ = setup12
+    init = random_pair(dom, np.random.default_rng(5), positive=True)
+    rep = nf.minimize_on_branch(params, dom, NPLUS, init, nf.SolveOptions(max_iter=1))
+    assert rep.stop_reason == BUDGET
+    assert rep.converged is False
+    assert rep.iterations == 1
+    d = rep.to_dict()
+    assert d["stop_reason"] == BUDGET and d["converged"] is False
+
+
+def test_minimize_on_branch_converged_matches_stop_reason(setup12):
+    params, dom, _, _ = setup12
+    init = random_pair(dom, np.random.default_rng(6), positive=True)
+    rep = nf.minimize_on_branch(params, dom, NMINUS, init, nf.SolveOptions(max_iter=1500))
+    assert rep.converged == (rep.stop_reason in CONVERGED_STOPS)
+    assert np.all(rep.pair.u.values >= 0) and np.all(rep.pair.v.values >= 0)
+
+
+def test_starts_skip_only_unfitting_bubbles(setup12, monkeypatch):
+    params, dom, _, _ = setup12
+    opts = nf.SolveOptions(n_starts=2)
+    with_bubble = solver._starts_for_branch(params, dom, NMINUS, opts)
+
+    def unfitting(*args, **kwargs):
+        raise SupportError("support ball does not fit")
+
+    monkeypatch.setattr(solver, "bubble_field", unfitting)
+    assert len(solver._starts_for_branch(params, dom, NMINUS, opts)) == len(with_bubble) - 1
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bubble construction bug")
+
+    monkeypatch.setattr(solver, "bubble_field", broken)
+    with pytest.raises(RuntimeError, match="bubble construction bug"):
+        solver._starts_for_branch(params, dom, NMINUS, opts)
 
 
 def test_minimize_on_branch_rejects_zero_weights(setup12):
