@@ -8,17 +8,14 @@ sidecar meta JSON; each run writes a manifest with the SHA-256 of every
 produced file, re-checkable with verify_output_dir().
 
 Exit codes: 0 success (for solve: all cross-checks pass), 1 internal or
-numerical failure, 2 user or configuration error.  NEHARI_FRAC_THREADS caps
-internal parallelism (default 1; scans parallelize across independent jobs).
+numerical failure, 2 user or configuration error.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +25,6 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, NehariFracError, ZeroPairError
 from .fieldio import load_field, save_field
 from .grid import Field, FieldPair
-
-
-def thread_count() -> int:
-    raw = os.environ.get("NEHARI_FRAC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _fmt(value) -> str:
@@ -173,6 +162,10 @@ def cmd_project(cfg: RunConfig, out: Path, seed_override, quiet: bool, u_path=No
     return 0
 
 
+_SOLVE_BLOCK_OPTIONS = ("max_iter", "n_starts", "bubble_delta_frac", "bubble_eps_frac", "theta")
+_TOLERANCE_OPTIONS = ("grad_rtol", "energy_rtol", "distinct_tol", "semitrivial_tol")
+
+
 def cmd_solve(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
     params = cfg.params
     if params.lam <= 0 or params.mu <= 0:
@@ -180,17 +173,12 @@ def cmd_solve(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
     dom = cfg.build_domain()
     seed = _primary_seed(cfg, seed_override)
     block = cfg.solve or {}
+    # only the keys the config sets; every default lives in SolveOptions
+    defaults = solver.SolveOptions()
+    given = {key: block[key] for key in _SOLVE_BLOCK_OPTIONS if key in block}
+    given.update({key: cfg.tolerances[key] for key in _TOLERANCE_OPTIONS if key in cfg.tolerances})
     opts = solver.SolveOptions(
-        max_iter=int(block.get("max_iter", cfg.tolerance("max_iter", 4000))),
-        grad_rtol=cfg.tolerance("grad_rtol", 1e-9),
-        energy_rtol=cfg.tolerance("energy_rtol", 1e-13),
-        n_starts=int(block.get("n_starts", cfg.tolerance("n_starts", 4))),
-        seed=seed,
-        bubble_delta_frac=float(block.get("bubble_delta_frac", 0.25)),
-        bubble_eps_frac=float(block.get("bubble_eps_frac", 0.25)),
-        theta=float(block.get("theta", 2.0)),
-        distinct_tol=cfg.tolerance("distinct_tol", 1e-6),
-        semitrivial_tol=cfg.tolerance("semitrivial_tol", 1e-8),
+        seed=seed, **{key: type(getattr(defaults, key))(value) for key, value in given.items()}
     )
     s_d = s_ab_d = None
     pair_min = None
@@ -255,19 +243,8 @@ def cmd_bubble_scan(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> in
     else:
         s_d, _, s_ab_d, _ = consts.compute_S_coupled(dom, params, seed=seed, **_quotient_kwargs(cfg))
 
-    def run_norm():
-        return bubbles.norm_estimate_scan(dom, params, delta, theta, eps_list, s_ref=s_d, method=method)
-
-    def run_sup():
-        return bubbles.sup_energy_scan(dom, params, delta, theta, eps_list, lam, mu, s_d, s_ab_d)
-
-    if thread_count() > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            norm_future = pool.submit(run_norm)
-            sup_future = pool.submit(run_sup)
-            norm, sup = norm_future.result(), sup_future.result()
-    else:
-        norm, sup = run_norm(), run_sup()
+    norm = bubbles.norm_estimate_scan(dom, params, delta, theta, eps_list, s_ref=s_d, method=method)
+    sup = bubbles.sup_energy_scan(dom, params, delta, theta, eps_list, lam, mu, s_d, s_ab_d)
 
     sup_by_eps = {r.eps: r for r in sup}
     rows = []

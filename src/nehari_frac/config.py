@@ -27,8 +27,6 @@ TOLERANCE_KEYS = {
     "quotient_max_iter",
     "grad_rtol",
     "energy_rtol",
-    "max_iter",
-    "n_starts",
     "distinct_tol",
     "semitrivial_tol",
 }

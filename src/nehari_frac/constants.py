@@ -98,20 +98,19 @@ class Descent(NamedTuple):
     iterations: int
 
 
-def descend(start, project, gradient, stop: StopRule, trace=None) -> Descent:
+def descend(start, evaluate, stop: StopRule, on_accept=None) -> Descent:
     """Monotone projected descent with Barzilai-Borwein step proposals.
 
-    project(raw) maps a raw vector to (feasible point, value), or to None
-    for a point it cannot place; start is such a (point, value) pair.
-    gradient(x, value) is evaluated only at accepted points, right after the
-    projection that produced them.  Each proposal x - s g is halved up to 60
-    times until its projected value passes the acceptance test of stop.
-    Accepted values are appended to trace when given.
+    evaluate(raw) maps a raw vector to (feasible point, value, gradient), or
+    to None for a point it cannot place; start is such a triple.  Every trial
+    is evaluated in full, so an accepted trial already carries its gradient.
+    Each proposal x - s g is halved up to 60 times until its value passes the
+    acceptance test of stop.  on_accept(x, value) is called for the start
+    and for each accepted point, right after that point's evaluation.
     """
-    x, val = start
-    g = gradient(x, val)
-    if trace is not None:
-        trace.append(val)
+    x, val, g = start
+    if on_accept is not None:
+        on_accept(x, val)
     g_norm = float(np.linalg.norm(g))
     step = 1.0 / max(1.0, g_norm)
     g_stop = stop.grad_rtol * g_norm
@@ -130,7 +129,7 @@ def descend(start, project, gradient, stop: StopRule, trace=None) -> Descent:
         gg = float(np.dot(g, g)) if stop.armijo else 0.0
         s = step
         for _ in range(_BACKTRACKS):
-            trial = project(x - s * g)
+            trial = evaluate(x - s * g)
             if trial is not None and trial[1] <= val - stop.armijo * s * gg:
                 break
             s *= 0.5
@@ -138,10 +137,9 @@ def descend(start, project, gradient, stop: StopRule, trace=None) -> Descent:
             return Descent(x, val, g, LINE_SEARCH_EXHAUSTED, it)
         drop = (val - trial[1]) / max(abs(val), 1e-300)
         x_prev, g_prev = x, g
-        x, val = trial
-        g = gradient(x, val)
-        if trace is not None:
-            trace.append(val)
+        x, val, g = trial
+        if on_accept is not None:
+            on_accept(x, val)
         if drop <= stop.flat_tol:
             flat += 1
             if flat >= stop.patience:
@@ -151,23 +149,25 @@ def descend(start, project, gradient, stop: StopRule, trace=None) -> Descent:
     return Descent(x, val, g, BUDGET, stop.max_iter)
 
 
-def _minimize_quotient(inits, project, gradient, tol, max_iter, name, as_state, trace=None):
+def _minimize_quotient(inits, evaluate, tol, max_iter, name, as_state, trace=None):
     """Best descent over the starting points.
 
     Raises ConvergenceError unless some start finished, i.e. stopped for any
     reason but the budget (an exhausted line search counts as finished).
+    Each run's accepted values are appended to trace as one list when given.
     """
     stop = StopRule(max_iter=max_iter, flat_tol=tol)
     best = run = None
     finished = False
     for x0 in inits:
-        start = project(x0)
+        start = evaluate(x0)
         if start is None:
             raise ValueError(f"{name}: infeasible starting point")
-        run_trace = [] if trace is not None else None
-        run = descend(start, project, gradient, stop, trace=run_trace)
+        values = []
+        on_accept = None if trace is None else lambda x, value: values.append(value)
+        run = descend(start, evaluate, stop, on_accept=on_accept)
         if trace is not None:
-            trace.append(run_trace)
+            trace.append(values)
         finished = finished or run.stop_reason != BUDGET
         if best is None or run.value < best.value:
             best = run
@@ -199,17 +199,16 @@ def compute_S(
     pstar = params.p_star
     cell = dom.h ** dom.dim
 
-    def project(x):
+    def evaluate(x):
         x = np.abs(x)
         den = lr_norm(dom, x, pstar)
         if den == 0.0 or not np.isfinite(den):
             return None
         x = x / den
         # denominator is 1 on the constraint set
-        return x, seminorm_p(dom, x) ** p
-
-    def gradient(x, val):
-        return p * plap_gradient(dom, x) - val * (p * cell * signed_pow(x, pstar - 1.0))
+        k = plap_gradient(dom, x)
+        val = float(np.dot(x, k))
+        return x, val, p * k - val * (p * cell * signed_pow(x, pstar - 1.0))
 
     seq = np.random.SeedSequence(seed)
     inits = [as_values(x).copy() for x in extra_inits]
@@ -217,7 +216,7 @@ def compute_S(
     for child in seq.spawn(max(restarts - 1, 0)):
         rng = np.random.default_rng(child)
         inits.append(np.abs(rng.standard_normal(dom.n_interior)) + 1e-6)
-    return _minimize_quotient(inits, project, gradient, tol, max_iter, "Rayleigh", Field, trace=trace)
+    return _minimize_quotient(inits, evaluate, tol, max_iter, "Rayleigh", Field, trace=trace)
 
 
 def compute_S_alpha_beta(
@@ -241,7 +240,7 @@ def compute_S_alpha_beta(
     cell = dom.h ** dom.dim
     n = dom.n_interior
 
-    def project(x):
+    def evaluate(x):
         x = np.abs(x)
         u, v = x[:n], x[n:]
         coupling = cell * float(np.sum(u ** a * v ** b))
@@ -249,16 +248,12 @@ def compute_S_alpha_beta(
             return None
         x = x * coupling ** (-1.0 / ab)
         u, v = x[:n], x[n:]
-        return x, seminorm_p(dom, u) ** p + seminorm_p(dom, v) ** p
-
-    def gradient(x, val):
-        u, v = x[:n], x[n:]
-        g_num_u = p * plap_gradient(dom, u)
-        g_num_v = p * plap_gradient(dom, v)
+        ku, kv = plap_gradient(dom, u), plap_gradient(dom, v)
+        val = float(np.dot(u, ku)) + float(np.dot(v, kv))
         # coupling integral is 1 on the constraint set
         g_den_u = (p / ab) * cell * a * signed_pow(u, a - 1.0) * np.abs(v) ** b
         g_den_v = (p / ab) * cell * b * np.abs(u) ** a * signed_pow(v, b - 1.0)
-        return np.concatenate([g_num_u - val * g_den_u, g_num_v - val * g_den_v])
+        return x, val, np.concatenate([p * ku - val * g_den_u, p * kv - val * g_den_v])
 
     seq = np.random.SeedSequence(seed)
     ratio = (a / b) ** (1.0 / p)
@@ -272,7 +267,7 @@ def compute_S_alpha_beta(
         rng = np.random.default_rng(child)
         inits.append(np.abs(rng.standard_normal(2 * n)) + 1e-6)
     return _minimize_quotient(
-        inits, project, gradient, tol, max_iter, "coupled quotient",
+        inits, evaluate, tol, max_iter, "coupled quotient",
         lambda x: FieldPair(Field(x[:n]), Field(x[n:])),
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, FieldPair, GridDomain, as_values, plap_gradient, seminorm_p, signed_pow
+from .grid import Field, FieldPair, GridDomain, as_values, plap_gradient, signed_pow
 from .params import ModelParams
 
 
@@ -63,13 +63,19 @@ class ReducedTriple:
         return abs(self.constraint) <= tol * self.P
 
 
-def ray_triple(params: ModelParams, dom: GridDomain, u, v) -> ReducedTriple:
+def ray_triple(params: ModelParams, dom: GridDomain, u, v, kernels=None) -> ReducedTriple:
     """Lattice sums P = ||(u,v)||^p, B = sum(lam|u|^q + mu|v|^q), D = 2 sum|u|^a|v|^b
-    of two Fields or value arrays."""
-    P = seminorm_p(dom, u) ** params.p + seminorm_p(dom, v) ** params.p
+    of two Fields or value arrays.
+
+    P is u . plap_gradient(u) + v . plap_gradient(v); kernels may pass in
+    those two vectors to save their pair-list passes.
+    """
+    u, v = as_values(u), as_values(v)
+    ku, kv = kernels if kernels is not None else (plap_gradient(dom, u), plap_gradient(dom, v))
+    P = float(np.dot(u, ku)) + float(np.dot(v, kv))
     cell = dom.h ** dom.dim
-    au = np.abs(as_values(u))
-    av = np.abs(as_values(v))
+    au = np.abs(u)
+    av = np.abs(v)
     B = cell * float(np.sum(params.lam * au ** params.q + params.mu * av ** params.q))
     D = 2.0 * cell * float(np.sum(au ** params.alpha * av ** params.beta))
     return ReducedTriple(P, B, D)
@@ -82,17 +88,16 @@ def energy(params: ModelParams, dom: GridDomain, pair: FieldPair) -> EnergyBreak
     return EnergyBreakdown(grad, concave, coupling, grad - concave - coupling)
 
 
-def gradient_arrays(params: ModelParams, dom: GridDomain, u: np.ndarray, v: np.ndarray):
-    """(dJ/du, dJ/dv) on raw value arrays."""
+def gradient_arrays(params: ModelParams, dom: GridDomain, u: np.ndarray, v: np.ndarray, kernels=None):
+    """(dJ/du, dJ/dv) on raw value arrays; kernels as in ray_triple."""
     cell = dom.h ** dom.dim
     ab = params.ab
     au = np.abs(u)
     av = np.abs(v)
-    gu = plap_gradient(dom, u)
-    gu -= cell * params.lam * signed_pow(u, params.q - 1.0)
+    ku, kv = kernels if kernels is not None else (plap_gradient(dom, u), plap_gradient(dom, v))
+    gu = ku - cell * params.lam * signed_pow(u, params.q - 1.0)
     gu -= cell * (2.0 * params.alpha / ab) * signed_pow(u, params.alpha - 1.0) * av ** params.beta
-    gv = plap_gradient(dom, v)
-    gv -= cell * params.mu * signed_pow(v, params.q - 1.0)
+    gv = kv - cell * params.mu * signed_pow(v, params.q - 1.0)
     gv -= cell * (2.0 * params.beta / ab) * au ** params.alpha * signed_pow(v, params.beta - 1.0)
     return gu, gv
 

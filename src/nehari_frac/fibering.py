@@ -25,7 +25,6 @@ from .params import ModelParams
 ROOT_RTOL = 1e-12
 MANIFOLD_RTOL = 1e-8
 CLASSIFY_DEADBAND = 1e-8
-MAX_DOUBLINGS = 200
 
 NPLUS = "Nplus"
 NMINUS = "Nminus"
@@ -123,16 +122,6 @@ def t_max(triple: ReducedTriple, params: ModelParams) -> float:
     return ((ab - params.q) * triple.B / ((ab - params.p) * triple.P)) ** (1.0 / (params.p - params.q))
 
 
-def _phi_prime_scale(triple: ReducedTriple, params: ModelParams, t: float) -> float:
-    """Sum of phi'(t) term magnitudes; the natural relative scale at t."""
-    ab = params.ab
-    return (
-        t ** (params.p - 1) * triple.P
-        + t ** (params.q - 1) * triple.B
-        + t ** (ab - 1) * triple.D
-    )
-
-
 def _root_bisect(triple: ReducedTriple, params: ModelParams, lo: float, hi: float, rtol: float = ROOT_RTOL) -> float:
     """Bisection for phi' = 0 in [lo, hi] (sign change required), Newton-polished.
 
@@ -218,25 +207,10 @@ def project_triple(triple: ReducedTriple, params: ModelParams, classification: s
     if not triple.D < psi_tm:
         return report(ABOVE_THRESHOLD, tm=tm, psi_tm=psi_tm)
 
-    # lower root: phi' < 0 near 0 (concave term dominates), > 0 at t_max
-    lo = tm
-    for _ in range(MAX_DOUBLINGS):
-        lo *= 0.5
-        if phi_prime(triple, params, lo) < 0:
-            break
-    else:
-        raise NehariFracError("failed to bracket the lower root")
-    t1 = _root_bisect(triple, params, lo, tm)
-
-    # upper root: phi' -> -infinity since a+b > p
-    hi = tm
-    for _ in range(MAX_DOUBLINGS):
-        hi *= 2.0
-        if phi_prime(triple, params, hi) < 0:
-            break
-    else:
-        raise NehariFracError("failed to bracket the upper root after doublings")
-    t2 = _root_bisect(triple, params, tm, hi)
+    # phi' < 0 below (B/P)^(1/(p-q)) and above (P/D)^(1/(a+b-p)); at those
+    # points two of its three terms cancel exactly, so the brackets step past them
+    t1 = _root_bisect(triple, params, 0.5 * (triple.B / triple.P) ** (1.0 / (p - q)), tm)
+    t2 = _root_bisect(triple, params, tm, 2.0 * (triple.P / triple.D) ** (1.0 / (ab - p)))
     return report(TWO_ROOTS, tm=tm, t1=t1, t2=t2, psi_tm=psi_tm)
 
 

@@ -65,7 +65,6 @@ class SolutionReport:
     semitrivial: bool
     classification: str
     iterate_norm_max: float          # boundedness certificate for the iterates
-    energy_min_trace: float          # coercivity certificate: min J along iterates
     pair: FieldPair
     seed_index: int = 0
     checks: dict = field(default_factory=dict)
@@ -90,7 +89,6 @@ class SolutionReport:
             "semitrivial": self.semitrivial,
             "classification": self.classification,
             "iterate_norm_max": self.iterate_norm_max,
-            "energy_min_trace": self.energy_min_trace,
             "seed_index": self.seed_index,
             "field_hash": self.field_hash(),
             "checks": dict(self.checks),
@@ -127,25 +125,29 @@ def minimize_on_branch(
     if params.lam <= 0 or params.mu <= 0:
         raise ValueError("parameters must be positive")
     n = dom.n_interior
-    last_P = norm_max = 0.0  # P of the latest projected point; max norm over accepted points
+    last_P = norm_max = 0.0  # P of the latest evaluated point; max norm over accepted points
 
-    def project(w):
+    def evaluate(w):
         nonlocal last_P
         a = np.abs(w)
-        triple = ray_triple(params, dom, a[:n], a[n:])
+        kernels = (plap_gradient(dom, a[:n]), plap_gradient(dom, a[n:]))
+        triple = ray_triple(params, dom, a[:n], a[n:], kernels=kernels)
         t = _branch_root(triple, params, branch)
         if t is None:
             return None
         triple = triple.scaled(t, params)
         last_P = triple.P
-        return t * a, phi(triple, params, 1.0)
+        x = t * a
+        # plap_gradient(t a) = t^(p-1) plap_gradient(a): no second pass at x
+        tp = t ** (params.p - 1.0)
+        grad = gradient_arrays(params, dom, x[:n], x[n:], kernels=(tp * kernels[0], tp * kernels[1]))
+        return x, phi(triple, params, 1.0), np.concatenate(grad)
 
-    def gradient(x, value):
+    def accepted(x, value):
         nonlocal norm_max
         norm_max = max(norm_max, last_P ** (1.0 / params.p))
-        return np.concatenate(gradient_arrays(params, dom, x[:n], x[n:]))
 
-    start = project(np.concatenate([as_values(init.u), as_values(init.v)]))
+    start = evaluate(np.concatenate([as_values(init.u), as_values(init.v)]))
     if start is None:
         raise BranchLostError(
             "left the two-root regime: the requested root does not exist at the "
@@ -155,8 +157,7 @@ def minimize_on_branch(
         max_iter=opts.max_iter, flat_tol=opts.energy_rtol, patience=BRANCH_FLAT_PATIENCE,
         grad_rtol=opts.grad_rtol, armijo=opts.armijo,
     )
-    trace = []
-    run = descend(start, project, gradient, stop, trace=trace)
+    run = descend(start, evaluate, stop, on_accept=accepted)
 
     u, v = run.x[:n], run.x[n:]
     # tangential residual: the gradient minus its part along the constraint gradient
@@ -177,7 +178,6 @@ def minimize_on_branch(
         semitrivial=semitrivial,
         classification=classify(params, dom, pair),
         iterate_norm_max=norm_max,
-        energy_min_trace=min(trace),
         pair=pair,
         seed_index=seed_index,
     )
@@ -305,17 +305,6 @@ def solve_two(
 # Scalar sublinear problem
 # ---------------------------------------------------------------------------
 
-def _scalar_energy(params: ModelParams, dom: GridDomain, lam: float, u: np.ndarray) -> float:
-    cell = dom.h ** dom.dim
-    return seminorm_p(dom, u) ** params.p / params.p - (lam / params.q) * cell * float(
-        np.sum(np.abs(u) ** params.q)
-    )
-
-
-def _scalar_gradient(params: ModelParams, dom: GridDomain, lam: float, u: np.ndarray) -> np.ndarray:
-    return plap_gradient(dom, u) - lam * dom.h ** dom.dim * signed_pow(u, params.q - 1.0)
-
-
 def _scalar_hessian(params: ModelParams, dom: GridDomain, lam: float, u: np.ndarray) -> np.ndarray:
     """Dense second variation; valid for p >= 2 and states without zeros."""
     p, q = params.p, params.q
@@ -351,13 +340,13 @@ def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float):
     ray = (lam * qint / seminorm_p(dom, w0) ** p) ** (1.0 / (p - q))
     u = ray * w0
 
-    def project(x):
-        return x, _scalar_energy(params, dom, lam, x)
+    def evaluate(x):
+        k = plap_gradient(dom, x)
+        value = float(np.dot(x, k)) / p - (lam / q) * cell * float(np.sum(np.abs(x) ** q))
+        return x, value, k - lam * cell * signed_pow(x, q - 1.0)
 
-    def gradient(x, _value):
-        return _scalar_gradient(params, dom, lam, x)
-
-    g_norm = float(np.linalg.norm(_scalar_gradient(params, dom, lam, u)))
+    start = evaluate(u)
+    g_norm = float(np.linalg.norm(start[2]))
     scale0 = max(g_norm, lam * cell * float(np.sum(np.abs(u) ** (q - 1.0))), 1e-300)
     newton_available = p >= 2 and dom.n_interior <= 6000
     bb_tol = 1e-6 * scale0 if newton_available else 1e-12 * scale0
@@ -366,7 +355,7 @@ def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float):
         flat_tol=-np.inf,
         grad_rtol=bb_tol / max(g_norm, 1e-300),
     )
-    run = descend(project(u), project, gradient, stop)
+    run = descend(start, evaluate, stop)
     u, val, g = run.x, run.value, run.grad
 
     if newton_available and np.all(u != 0.0):
@@ -384,8 +373,7 @@ def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float):
             for _ in range(40):
                 trial = u + s * d
                 if np.all(trial != 0.0):
-                    tval = _scalar_energy(params, dom, lam, trial)
-                    tg = _scalar_gradient(params, dom, lam, trial)
+                    _, tval, tg = evaluate(trial)
                     if tval < val or (tval == val and float(np.linalg.norm(tg)) < gn):
                         u, val, g = trial, tval, tg
                         improved = True

@@ -47,13 +47,16 @@ def test_unknown_top_level_key(tmp_path):
 
 
 def test_unknown_key_is_line_anchored(tmp_path):
-    # the last four were accepted keys that nothing read
+    # root_rel, manifold_rel, classify_deadband and center were accepted keys
+    # that nothing read; tolerances.max_iter and .n_starts duplicated solve.*
     cases = (
         ("grid", "shap", "box"),
         ("tolerances", "root_rel", 1e-12),
         ("tolerances", "manifold_rel", 1e-8),
         ("tolerances", "classify_deadband", 1e-8),
         ("bubble_scan", "center", [0.5, 0.5]),
+        ("tolerances", "max_iter", 4000),
+        ("tolerances", "n_starts", 4),
     )
     for block, key, value in cases:
         path = write_config(tmp_path, **{block: {key: value}})

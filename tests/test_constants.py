@@ -295,8 +295,8 @@ def test_constants_report_fields(dom12):
 
 
 def _square(x):
-    """Projection for unconstrained descent of |x|^2."""
-    return x, float(np.dot(x, x))
+    """Evaluation for unconstrained descent of |x|^2."""
+    return x, float(np.dot(x, x)), 2.0 * x
 
 
 def test_descend_reports_line_search_exhaustion():
@@ -304,13 +304,10 @@ def test_descend_reports_line_search_exhaustion():
     calls = itertools.count()
 
     def rising(x):
-        return x, float(next(calls))
-
-    def gradient(x, value):
-        return 2.0 * x
+        return x, float(next(calls)), 2.0 * x
 
     x0 = np.array([1.0, -2.0])
-    run = descend(rising(x0), rising, gradient, StopRule(max_iter=50, flat_tol=1e-12))
+    run = descend(rising(x0), rising, StopRule(max_iter=50, flat_tol=1e-12))
     assert run.stop_reason == LINE_SEARCH_EXHAUSTED
     assert run.iterations == 0
     assert next(calls) == 61  # the start and 60 rejected proposals
@@ -318,15 +315,16 @@ def test_descend_reports_line_search_exhaustion():
 
 
 def test_descend_stops_on_gradient_and_budget():
-    def gradient(x, value):
-        return 2.0 * x
-
     start = _square(np.array([3.0, 4.0]))
     stop = StopRule(max_iter=50, flat_tol=-np.inf, grad_rtol=1e-8, armijo=1e-4)
-    run = descend(start, _square, gradient, stop)
+    accepted = []
+    run = descend(start, _square, stop, on_accept=lambda x, value: accepted.append(value))
     assert run.stop_reason == GRAD_TOL
+    # the start and every accepted point, in order
+    assert len(accepted) == run.iterations + 1
+    assert (accepted[0], accepted[-1]) == (start[1], run.value)
     assert np.linalg.norm(run.grad) <= 1e-8 * 10.0
-    run = descend(start, _square, gradient, StopRule(max_iter=0, flat_tol=1e-12))
+    run = descend(start, _square, StopRule(max_iter=0, flat_tol=1e-12))
     assert (run.stop_reason, run.iterations) == (BUDGET, 0)
 
 

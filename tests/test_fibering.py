@@ -22,7 +22,7 @@ from nehari_frac.fibering import (
     scale_pair,
 )
 
-from conftest import balanced_params, random_pair
+from conftest import DESK, balanced_params, random_pair
 
 TOY = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.5, alpha=2.0, beta=2.0, lam=1.0, mu=1.0)
 
@@ -190,6 +190,20 @@ def test_projection_roots_against_brentq():
     r2 = optimize.brentq(f, tm, 1e6, xtol=1e-15, rtol=1e-15)
     assert rep.t1 == pytest.approx(r1, rel=1e-11)
     assert rep.t2 == pytest.approx(r2, rel=1e-11)
+
+
+def test_projection_brackets_roots_across_scales():
+    # t_max ~ 2e-50 and t2 ~ 1.8e11 on the first ray, so bracketing by
+    # doubling from t_max runs out of steps; the second ray has B/P = 1e-20
+    desk = nf.ModelParams(**DESK, lam=1.0, mu=1.0)
+    for t in (ReducedTriple(1.0, 1e-10, 1e-15), ReducedTriple(1.0, 1e-20, 1e-15)):
+        rep = project_triple(t, desk)
+        assert rep.outcome == TWO_ROOTS
+        assert 0 < rep.t1 < rep.t_max < rep.t2
+        assert nf.phi_second(t, desk, rep.t1) > 0 > nf.phi_second(t, desk, rep.t2)
+        for root in (rep.t1, rep.t2):
+            # the P term is the size of the two terms that balance at each root
+            assert abs(nf.phi_prime(t, desk, root)) <= 1e-10 * root ** (desk.p - 1) * t.P
 
 
 def test_projection_pure_convex_ray():

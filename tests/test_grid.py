@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nehari_frac as nf
+from nehari_frac.energy import gradient_arrays, ray_triple
 from nehari_frac.errors import GridTooLargeError
 from nehari_frac.grid import plap_gradient, signed_pow
 
@@ -130,6 +131,44 @@ def test_a_form_matches_seminorm_power(seed):
     dom = nf.build_grid(2, 5, 1.0, 1.0, p)
     u = random_field(dom, np.random.default_rng(seed)).values
     assert nf.a_form(dom, u, u) == pytest.approx(nf.seminorm_p(dom, u) ** p.p, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", ["box", "ball"])
+@pytest.mark.parametrize("p_exp", [1.5, 2.0, 3.0])
+def test_kernel_against_brute_force_pair_sum(p_exp, shape):
+    """seminorm_p, a_form and plap_gradient against a double sum over every
+    sampled node, interior and collar, with the fields extended by zero."""
+    params = nf.ModelParams(n=2, p=p_exp, s=0.3, q=1.2, alpha=2.0, beta=2.0, lam=0.7, mu=0.4)
+    dom = nf.build_grid(2, 5 if shape == "box" else 6, 1.0, 1.0, params, shape=shape)
+    rng = np.random.default_rng(17)
+    u = random_field(dom, rng).values
+    phi = random_field(dom, rng).values
+    n = dom.n_interior
+
+    nodes = np.vstack([dom.interior, dom.collar])
+    dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    w = dom.h ** 4 / dist ** (2 + p_exp * 0.3)
+    U = np.concatenate([u, np.zeros(dom.n_collar)])
+    Phi = np.concatenate([phi, np.zeros(dom.n_collar)])
+    dU = U[:, None] - U[None, :]
+    flux = w * np.sign(dU) * np.abs(dU) ** (p_exp - 1.0)
+    # each unordered pair appears twice in the full double sum
+    assert nf.seminorm_p(dom, u) ** p_exp == pytest.approx(0.5 * np.sum(w * np.abs(dU) ** p_exp), rel=1e-12)
+    assert nf.a_form(dom, u, phi) == pytest.approx(0.5 * np.sum(flux * (Phi[:, None] - Phi[None, :])), rel=1e-12)
+    expected = np.sum(flux, axis=1)[:n]
+    assert np.max(np.abs(plap_gradient(dom, u) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    # the kernels= route of the ray reduction and the gradient, also rescaled
+    a, b = np.abs(u), np.abs(phi)
+    kernels = (plap_gradient(dom, a), plap_gradient(dom, b))
+    assert ray_triple(params, dom, a, b, kernels=kernels) == ray_triple(params, dom, a, b)
+    for t in (1.0, 0.37, 2.9):
+        tp = t ** (p_exp - 1.0)
+        scaled = gradient_arrays(params, dom, t * a, t * b, kernels=(tp * kernels[0], tp * kernels[1]))
+        direct = gradient_arrays(params, dom, t * a, t * b)
+        for g_scaled, g_direct, k in zip(scaled, direct, kernels):
+            assert np.max(np.abs(g_scaled - g_direct)) <= 1e-12 * tp * np.max(np.abs(k))
 
 
 def test_a_form_homogeneity_in_first_argument():

@@ -32,7 +32,6 @@ def test_minimize_on_branch_nplus(setup12):
     assert rep.branch == NPLUS
     assert rep.energy < 0                      # minimum branch level is negative
     assert rep.classification == NPLUS
-    assert rep.energy_min_trace == rep.energy  # accepted steps are monotone
     assert np.isfinite(rep.iterate_norm_max)
     constraint = nf.nehari_constraint(params, dom, rep.pair)
     assert abs(constraint) <= 1e-8 * nf.pair_norm(dom, rep.pair) ** params.p
