@@ -7,24 +7,25 @@ reduces to a planar (r, rho) integral against the angular kernel
 
     Phi(r, rho) = integral over the unit sphere of |r e - rho w|^(-(n+ps)),
 
-which is elementary for n = 1 and n = 3 and a Gauss hypergeometric value for
-n = 2; near the diagonal the hypergeometric argument is replaced by its
-connection-formula asymptotics with the gap computed exactly, because 1 - m
-underflows in double precision there.  Values follow the package convention
-that counts each unordered point pair once (half the ordered double
-integral).
+which is elementary for n = 1 and n = 3 and, for n = 2, the Gauss
+hypergeometric value F(nu, 1/2; 1; 1 - e) with nu = (2 + ps)/2 and the exact
+squared relative gap e = ((r - rho)/(r + rho))^2: scipy's hyp2f1 for e > 1/2,
+the two 50-term series of the connection formula DLMF 15.8.4 for e <= 1/2,
+and 2 E(1 - e)/(pi e) with the complete elliptic integral E at ps = 1, where
+those series have a pole.  Values follow the package convention that counts
+each unordered point pair once (half the ordered double integral).
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import gamma, hyp2f1
+from scipy.special import ellipe, gamma, hyp2f1
 
 from .params import ModelParams
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_EM_SWITCH = 1e-6  # relative squared gap below which the connection formula is used
+_SERIES_TERMS = 50  # per series of the connection formula, for e <= 1/2
 
 
 def sphere_surface(n: int) -> float:
@@ -52,22 +53,33 @@ def angular_kernel(n: int, ps: float, r, rho):
         raise ValueError("radial quadrature supports n in {1, 2, 3}")
 
     nu = (2.0 + ps) / 2.0
-    kappa = nu - 0.5
-    em = ((r - rho) / (r + rho)) ** 2  # exact 1 - m, no cancellation
-    out = np.empty(np.broadcast(r, rho).shape)
-    em = np.broadcast_to(em, out.shape)
-    far = em > _EM_SWITCH
-    if np.any(far):
-        out[far] = hyp2f1(nu, 0.5, 1.0, 1.0 - em[far])
-    if np.any(~far):
-        e = em[~far]
-        # F(nu, 1/2; 1; 1-e) ~ leading connection-formula terms for e -> 0
-        lead = gamma(kappa) / (gamma(nu) * gamma(0.5)) * e ** (-kappa)
-        lead *= 1.0 + (1.0 - nu) * 0.5 / (1.0 - kappa) * e
-        sub = gamma(-kappa) / (gamma(1.0 - nu) * gamma(0.5))
-        out[~far] = lead + sub
-    scale = np.broadcast_to((r + rho) ** (-(2.0 + ps)), out.shape)
-    return 2.0 * np.pi * scale * out
+    e = np.broadcast_to(((r - rho) / (r + rho)) ** 2, np.broadcast(r, rho).shape)
+    out = np.empty(e.shape)
+    near = e <= 0.5
+    out[~near] = hyp2f1(nu, 0.5, 1.0, 1.0 - e[~near])
+    e = e[near]
+    if abs(nu - 1.5) < 1e-9:
+        # Euler's transformation; the band keeps a ps that rounds near 1 off
+        # the series, whose terms cancel to an error of ~6e-17 / |nu - 3/2|
+        out[near] = 2.0 * ellipe(1.0 - e) / (np.pi * e)
+    else:
+        # both series converge like 2^-k for e <= 1/2
+        c1 = gamma(0.5 - nu) / (gamma(1.0 - nu) * gamma(0.5))
+        c2 = gamma(nu - 0.5) / (gamma(nu) * gamma(0.5))
+        out[near] = c1 * _series(nu, 0.5, nu + 0.5, e) + c2 * e ** (0.5 - nu) * _series(
+            1.0 - nu, 0.5, 1.5 - nu, e
+        )
+    return 2.0 * np.pi * (r + rho) ** (-(2.0 + ps)) * out
+
+
+def _series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """F(a, b; c; z) by its first _SERIES_TERMS terms, in Horner form."""
+    acc = np.ones_like(z)
+    for k in range(_SERIES_TERMS - 1, -1, -1):
+        acc *= z
+        acc *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        acc += 1.0
+    return acc
 
 
 def _panels(edges: np.ndarray):
@@ -134,27 +146,13 @@ def gagliardo_pow_quad(
     r_nodes, r_weights = _panels(edges)
     u_nodes = np.asarray(func(r_nodes), dtype=np.float64)
 
-    flat_r = []
-    flat_rho = []
-    flat_w = []
-    flat_ur = []
-    for r, wr, ur in zip(r_nodes, r_weights, u_nodes):
-        for lo, hi in ((0.0, r), (r, support_r)):
-            span = hi - lo
-            if span <= 0.0:
-                continue
-            gedges = _radial_edges(span * 1e-10, span, gap_per_decade)
-            gap, gw = _panels(gedges)
-            rho = r - gap if hi == r else r + gap
-            keep = rho > 0.0
-            flat_r.append(np.full(np.count_nonzero(keep), r))
-            flat_rho.append(rho[keep])
-            flat_w.append(wr * gw[keep])
-            flat_ur.append(np.full(np.count_nonzero(keep), ur))
-    fr = np.concatenate(flat_r)
-    frho = np.concatenate(flat_rho)
-    fw = np.concatenate(flat_w)
-    fur = np.concatenate(flat_ur)
+    # one unit gap rule, scaled onto (0, r) and (r, support_r) of every outer node
+    gap, gw = _panels(_radial_edges(1e-10, 1.0, gap_per_decade))
+    span = np.stack([-r_nodes, support_r - r_nodes], axis=1)[:, :, None]  # signed
+    frho = (r_nodes[:, None, None] + span * gap).ravel()
+    fw = (r_weights[:, None, None] * np.abs(span) * gw).ravel()
+    fr = np.repeat(r_nodes, 2 * gap.size)
+    fur = np.repeat(u_nodes, 2 * gap.size)
 
     du = np.abs(fur - np.asarray(func(frho), dtype=np.float64)) ** p
     phi = angular_kernel(n, ps, fr, frho)
@@ -165,12 +163,7 @@ def gagliardo_pow_quad(
     tedges = _radial_edges(support_r, r_out, 8)
     tedges = tedges[tedges >= support_r]
     trho, tw = _panels(tedges)
-    tail_per_r = np.array(
-        [
-            float(np.sum(tw * angular_kernel(n, ps, r, trho) * trho ** (n - 1)))
-            for r in r_nodes
-        ]
-    )
+    tail_per_r = angular_kernel(n, ps, r_nodes[:, None], trho) @ (tw * trho ** (n - 1))
     tail_per_r += surf / ps * r_out ** (-ps)
     exterior = float(np.sum(r_weights * np.abs(u_nodes) ** p * r_nodes ** (n - 1) * tail_per_r))
 

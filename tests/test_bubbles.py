@@ -215,7 +215,6 @@ def test_norm_scan_lattice_rows(dom12):
     assert res.sem_reference == pytest.approx(8.83 ** (CRIT.n / (CRIT.p * CRIT.s)))
 
 
-@pytest.mark.slow
 def test_norm_scan_quadrature_trends(dom12):
     delta = 0.25
     eps_list = [delta / 4, delta / 8, delta / 16, delta / 32]

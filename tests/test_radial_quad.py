@@ -1,9 +1,17 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 import nehari_frac as nf
-from nehari_frac.radial_quad import angular_kernel, gagliardo_pow_quad, lr_power_quad, sphere_surface
+from nehari_frac.radial_quad import (
+    _panels,
+    _radial_edges,
+    angular_kernel,
+    gagliardo_pow_quad,
+    lr_power_quad,
+    sphere_surface,
+)
 
 
 def bump(r):
@@ -30,15 +38,39 @@ def test_angular_kernel_n2_against_quad(r, rho):
 
 
 def test_angular_kernel_n2_near_diagonal_asymptotics():
-    # the connection-formula branch must join the hypergeometric branch smoothly
+    # close to the diagonal (e ~ 1e-6) the connection-formula series must
+    # decrease with the gap and bracket a direct quadrature in between
     ps = 0.8
-    left = float(angular_kernel(2, ps, 1.0, 1.0 + 1.9e-3))   # just below the switch
-    right = float(angular_kernel(2, ps, 1.0, 1.0 + 2.1e-3))  # just above the switch
+    left = float(angular_kernel(2, ps, 1.0, 1.0 + 1.9e-3))
+    right = float(angular_kernel(2, ps, 1.0, 1.0 + 2.1e-3))
     mid = integrate.quad(
         lambda t: (1.0 + (1.0 + 2e-3) ** 2 - 2 * (1 + 2e-3) * np.cos(t)) ** (-(2 + ps) / 2),
         0.0, 2 * np.pi, points=[0.0], limit=800,
     )[0]
     assert left > mid > right
+
+
+# e = ((r - rho) / (r + rho))^2 = 1/2 at rho = 3 -+ 2 sqrt(2) for r = 1: the
+# switch between the connection-formula series and hyp2f1
+_E_HALF = (3.0 - 2.0 * np.sqrt(2.0), 3.0 + 2.0 * np.sqrt(2.0))
+
+
+# 1 -+ 1e-15 lie in the band around ps = 1 that takes the elliptic form
+@pytest.mark.parametrize("ps", [0.2, 0.8, 0.999, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.001, 1.6, 1.98])
+def test_angular_kernel_n2_against_mpmath(ps):
+    gaps = np.geomspace(1e-12, 0.9, 25)
+    rho = np.concatenate([
+        1.0 - gaps, 1.0 + gaps, np.geomspace(2.0, 1e3, 10),
+        [b * (1.0 + f) for b in _E_HALF for f in (-1e-12, -1e-3, 1e-3, 1e-12)],
+    ])
+    got = angular_kernel(2, ps, 1.0, rho)
+    with mpmath.workdps(40):
+        nu = (2 + mpmath.mpf(ps)) / 2
+        for x, val in zip(rho, got):
+            x = mpmath.mpf(x)
+            e = ((1 - x) / (1 + x)) ** 2
+            ref = 2 * mpmath.pi * (1 + x) ** (-2 * nu) * mpmath.hyp2f1(nu, 0.5, 1, 1 - e)
+            assert abs(val - ref) <= 1e-13 * ref, (ps, float(x))
 
 
 def test_angular_kernel_n1_and_n3_closed_forms():
@@ -62,12 +94,12 @@ def test_lr_power_quad_closed_form():
     assert val == pytest.approx(np.pi, rel=1e-5)
 
 
-def test_gagliardo_quadrature_against_fourier():
+def _fourier_check(s):
     """Gold-standard check for p = 2: the Gagliardo energy equals a known
     multiple of the |xi|^(2s) Fourier mass, and the transform of the test
     bump is closed-form."""
-    params = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.8, alpha=5 / 3, beta=5 / 3)
-    s, n = params.s, 2
+    params = nf.ModelParams(n=2, p=2.0, s=s, q=1.8, alpha=5 / 3, beta=5 / 3)
+    n = 2
     val = gagliardo_pow_quad(params, bump, 1.0, 0.5)
     C = 4.0 ** s * special.gamma(n / 2 + s) / (np.pi ** (n / 2) * abs(special.gamma(-s)))
 
@@ -80,6 +112,15 @@ def test_gagliardo_quadrature_against_fourier():
     assert val == pytest.approx(ordered / 2.0, rel=1e-5)
 
 
+def test_gagliardo_quadrature_against_fourier():
+    _fourier_check(0.4)
+
+
+def test_gagliardo_quadrature_against_fourier_ps_one():
+    # p s = 1 puts the kernel on its elliptic-integral branch
+    _fourier_check(0.5)
+
+
 def test_gagliardo_quadrature_scale_invariance():
     # the critical seminorm of u(x/eps) * eps^(-(n-ps)/p) is eps-independent
     params = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.8, alpha=5 / 3, beta=5 / 3)
@@ -89,3 +130,36 @@ def test_gagliardo_quadrature_scale_invariance():
     scaled = lambda r: eps ** (-decay) * bump(np.asarray(r) / eps)
     val = gagliardo_pow_quad(params, scaled, eps, 0.5 * eps)
     assert val == pytest.approx(base, rel=1e-6)
+
+
+def _gagliardo_per_node(params, func, support_r, core_scale, breakpoints=(),
+                        per_decade=12, gap_per_decade=6, tail_factor=64.0):
+    """Reference assembly: a gap rule built separately for each outer node
+    and segment, and one kernel call per outer node for the exterior."""
+    n, p, ps = params.n, params.p, params.p * params.s
+    surf = sphere_surface(n)
+    r_nodes, r_weights = _panels(_radial_edges(min(core_scale, support_r) * 1e-3, support_r,
+                                               per_decade, breakpoints))
+    u_nodes = np.asarray(func(r_nodes), dtype=np.float64)
+    interior = 0.0
+    for r, wr, ur in zip(r_nodes, r_weights, u_nodes):
+        for lo, hi in ((0.0, r), (r, support_r)):
+            span = hi - lo
+            gap, gw = _panels(_radial_edges(span * 1e-10, span, gap_per_decade))
+            rho = r - gap if hi == r else r + gap
+            du = np.abs(ur - np.asarray(func(rho), dtype=np.float64)) ** p
+            interior += wr * np.sum(gw * du * angular_kernel(n, ps, r, rho) * (r * rho) ** (n - 1))
+    r_out = tail_factor * support_r
+    tedges = _radial_edges(support_r, r_out, 8)
+    trho, tw = _panels(tedges[tedges >= support_r])
+    tail = np.array([np.sum(tw * angular_kernel(n, ps, r, trho) * trho ** (n - 1)) for r in r_nodes])
+    tail += surf / ps * r_out ** (-ps)
+    exterior = np.sum(r_weights * np.abs(u_nodes) ** p * r_nodes ** (n - 1) * tail)
+    return surf * (interior + 2.0 * exterior) / 2.0
+
+
+@pytest.mark.parametrize("n,p,s", [(1, 2.0, 0.4), (2, 2.0, 0.4), (2, 3.0, 0.1), (3, 1.5, 0.6)])
+def test_gagliardo_vectorised_assembly_against_per_node_loop(n, p, s):
+    params = nf.ModelParams(n=n, p=p, s=s, q=1.2, alpha=p, beta=p)
+    args = (params, bump, 1.0, 0.5, (0.3,))
+    assert gagliardo_pow_quad(*args) == pytest.approx(_gagliardo_per_node(*args), rel=1e-12)
