@@ -13,13 +13,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .energy import ReducedTriple, ray_triple
 from .errors import SupportError
-from .fibering import (
-    ABOVE_THRESHOLD,
-    ReducedTriple,
-    phi,
-    project_triple,
-)
+from .fibering import ABOVE_THRESHOLD, phi, project_triple
 from .grid import Field, GridDomain, lr_norm, seminorm_p
 from .params import ModelParams
 
@@ -110,10 +106,6 @@ class BubbleProfile:
     @property
     def kind(self) -> str:
         return self.profile.kind
-
-    def samples(self, radii) -> np.ndarray:
-        """Radial table of the truncated profile u_eps_delta."""
-        return bubble_value(self, np.asarray(radii, dtype=np.float64))
 
 
 def make_bubble(profile: RadialProfile, epsilon: float, delta: float, theta: float) -> BubbleProfile:
@@ -461,7 +453,6 @@ def sup_energy_scan(
         raise ValueError("lam and mu must be nonnegative")
 
     p, q = params.p, params.q
-    a, b = params.alpha, params.beta
     ab = params.ab
     n, s = params.n, params.s
     cell = dom.h ** dom.dim
@@ -469,27 +460,24 @@ def sup_energy_scan(
     c0_value = c0_fun(params, s_d, dom.volume)
     c_inf = c_infty_fun(params, s_ab_d, c0_value, lam, mu)
     label = q_regime_label(params)
+    weighted = params.with_weights(lam, mu)
 
     rows = []
     for e in sorted(eps_list, reverse=True):
         u = bubble_field(dom, params, e, delta, theta, center=center_arr, profile=profile)
         uv = u.values
-        sem_pow = seminorm_p(dom, u) ** p
-        P0 = ab * sem_pow  # ||(a^(1/p) u, b^(1/p) u)||^p = (a + b) [u]^p
-        coupling0 = cell * float(np.sum(np.abs(uv) ** ab)) * a ** (a / p) * b ** (b / p)
-        D0 = 2.0 * coupling0
-        B0 = lam * a ** (q / p) + mu * b ** (q / p)
-        B0 *= cell * float(np.sum(np.abs(uv) ** q))
-        triple = ReducedTriple(P0, B0, D0)
+        triple = ray_triple(weighted, dom, params.alpha ** (1.0 / p) * uv, params.beta ** (1.0 / p) * uv)
+        P0, B0, D0 = triple.P, triple.B, triple.D
+        coupling_only = ReducedTriple(P0, 0.0, D0)
 
         t_star = (P0 / D0) ** (1.0 / (ab - p))
         h_at_tstar = (1.0 / p - 1.0 / ab) * P0 ** (ab / (ab - p)) / D0 ** (p / (ab - p))
 
         def h_of_t(t):
-            return (t ** p / p) * P0 - (t ** ab / ab) * D0
+            return phi(coupling_only, params, t)
 
         coarse = np.geomspace(t_star / 8.0, 8.0 * t_star, 241)
-        k = int(np.argmax(h_of_t(coarse)))
+        k = int(np.argmax([h_of_t(t) for t in coarse]))
         lo = coarse[max(k - 1, 0)]
         hi = coarse[min(k + 1, coarse.size - 1)]
         t_grid = _golden_max(h_of_t, lo, hi, rtol=1e-11)
@@ -497,7 +485,8 @@ def sup_energy_scan(
         h_expanded = None
         if params.critical:
             lp_pow = cell * float(np.sum(np.abs(uv) ** params.p_star))
-            quotient = sem_pow / lp_pow ** (p / params.p_star)
+            # P0 = (a + b) [u]^p
+            quotient = (P0 / ab) / lp_pow ** (p / params.p_star)
             h_expanded = (
                 (s / n)
                 * 2.0 ** (-(n - p * s) / (p * s))

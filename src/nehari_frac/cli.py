@@ -238,7 +238,9 @@ def cmd_bubble_scan(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> in
     mu = float(block.get("mu", params.mu))
     method = block.get("method", "lattice")
 
-    if "s_d" in block and "s_ab_d" in block:
+    if ("s_d" in block) != ("s_ab_d" in block):
+        raise ConfigError("bubble_scan needs both s_d and s_ab_d, or neither")
+    if "s_d" in block:
         s_d, s_ab_d = float(block["s_d"]), float(block["s_ab_d"])
     else:
         s_d, _, s_ab_d, _ = consts.compute_S_coupled(dom, params, seed=seed, **_quotient_kwargs(cfg))

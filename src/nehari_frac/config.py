@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
-from .grid import GridDomain, build_grid
+from .grid import DEFAULT_MAX_PAIRS, GridDomain, build_grid
 from .params import ModelParams
 
 TOP_KEYS = {"params", "grid", "seeds", "tolerances", "project", "solve", "bubble_scan", "curves"}
@@ -90,7 +90,7 @@ class RunConfig:
             collar_factor=g.get("collar_factor", 1.0),
             params=self.params,
             shape=g.get("shape", "box"),
-            max_pairs=int(g.get("max_pairs", 200_000_000)),
+            max_pairs=int(g.get("max_pairs", DEFAULT_MAX_PAIRS)),
         )
 
     def tolerance(self, key: str, default):
@@ -140,6 +140,8 @@ def load_config(path) -> RunConfig:
     for key, value in tolerances.items():
         if not isinstance(value, (int, float)):
             raise ConfigError(f"{_anchor(path, text, key)}: tolerance {key!r} must be numeric")
+    if tolerances.get("quotient_restarts", 1) < 1:
+        raise ConfigError(f"{_anchor(path, text, 'quotient_restarts')}: quotient_restarts must be at least 1")
 
     blocks = {}
     for name, allowed in (

@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .energy import ray_triple, triple_gradients
 from .errors import ConvergenceError
 from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, plap_gradient, seminorm_p, signed_pow
 from .params import ModelParams
@@ -39,14 +40,11 @@ def rayleigh_quotient(dom: GridDomain, params: ModelParams, u) -> float:
 
 
 def coupled_quotient(dom: GridDomain, params: ModelParams, pair: FieldPair) -> float:
-    """||(u,v)||^p / (sum |u|^a |v|^b)^(p/(a+b)); scale-invariant."""
-    u = as_values(pair.u)
-    v = as_values(pair.v)
-    coupling = dom.h ** dom.dim * float(np.sum(np.abs(u) ** params.alpha * np.abs(v) ** params.beta))
-    if coupling == 0.0:
+    """||(u,v)||^p / (sum |u|^a |v|^b)^(p/(a+b)), i.e. P / (D/2)^(p/(a+b)); scale-invariant."""
+    triple = ray_triple(params, dom, pair.u, pair.v)
+    if triple.D == 0.0:
         raise ValueError("coupled quotient undefined: coupling integral vanishes")
-    num = seminorm_p(dom, u) ** params.p + seminorm_p(dom, v) ** params.p
-    return num / coupling ** (params.p / params.ab)
+    return triple.P / (triple.D / 2.0) ** (params.p / params.ab)
 
 
 def bump_field(dom: GridDomain) -> np.ndarray:
@@ -156,6 +154,8 @@ def _minimize_quotient(inits, evaluate, tol, max_iter, name, as_state, trace=Non
     reason but the budget (an exhausted line search counts as finished).
     Each run's accepted values are appended to trace as one list when given.
     """
+    if not inits:
+        raise ValueError(f"{name}: no starting points")
     stop = StopRule(max_iter=max_iter, flat_tol=tol)
     best = run = None
     finished = False
@@ -190,10 +190,10 @@ def compute_S(
     """Minimize the discrete Rayleigh quotient; returns (S_d, minimizer).
 
     Normalized projected gradient descent on the unit-L^{p*} constraint with
-    BB step proposals and seeded multiplicative restarts (a smooth bump plus
-    restarts-1 random positive fields, plus any caller-supplied starting
-    fields).  The minimizer is reported nonnegative: replacing u by |u|
-    never increases the quotient.
+    BB step proposals from the caller-supplied starting fields plus restarts
+    seeded starts (a smooth bump, then restarts-1 random positive fields;
+    restarts=0 runs the caller's starts only).  The minimizer is reported
+    nonnegative: replacing u by |u| never increases the quotient.
     """
     p = params.p
     pstar = params.p_star
@@ -212,7 +212,8 @@ def compute_S(
 
     seq = np.random.SeedSequence(seed)
     inits = [as_values(x).copy() for x in extra_inits]
-    inits.append(bump_field(dom))
+    if restarts >= 1:
+        inits.append(bump_field(dom))
     for child in seq.spawn(max(restarts - 1, 0)):
         rng = np.random.default_rng(child)
         inits.append(np.abs(rng.standard_normal(dom.n_interior)) + 1e-6)
@@ -233,36 +234,36 @@ def compute_S_alpha_beta(
     Starting points must have a nonvanishing coupling integral.  When the
     scalar minimizer is supplied, the pair (s w, t w) with s/t = (a/b)^(1/p)
     is used as the leading start; that ratio is the exact optimum of the
-    connection identity between the two quotients.
+    connection identity between the two quotients.  restarts counts the
+    seeded starts as in compute_S.
     """
-    p, a, b = params.p, params.alpha, params.beta
+    p = params.p
     ab = params.ab
-    cell = dom.h ** dom.dim
     n = dom.n_interior
 
     def evaluate(x):
         x = np.abs(x)
-        u, v = x[:n], x[n:]
-        coupling = cell * float(np.sum(u ** a * v ** b))
-        if coupling <= 0.0 or not np.isfinite(coupling):
+        kernels = (plap_gradient(dom, x[:n]), plap_gradient(dom, x[n:]))
+        triple = ray_triple(params, dom, x[:n], x[n:], kernels=kernels)
+        if not 0.0 < triple.D < np.inf:
             return None
-        x = x * coupling ** (-1.0 / ab)
-        u, v = x[:n], x[n:]
-        ku, kv = plap_gradient(dom, u), plap_gradient(dom, v)
-        val = float(np.dot(u, ku)) + float(np.dot(v, kv))
-        # coupling integral is 1 on the constraint set
-        g_den_u = (p / ab) * cell * a * signed_pow(u, a - 1.0) * np.abs(v) ** b
-        g_den_v = (p / ab) * cell * b * np.abs(u) ** a * signed_pow(v, b - 1.0)
-        return x, val, np.concatenate([p * ku - val * g_den_u, p * kv - val * g_den_v])
+        # rescale onto the constraint set D/2 = 1; the kernels scale by c^(p-1)
+        c = (triple.D / 2.0) ** (-1.0 / ab)
+        x = c * x
+        cp = c ** (p - 1.0)
+        val = c ** p * triple.P
+        dP, _, dD = triple_gradients(params, dom, x[:n], x[n:], kernels=(cp * kernels[0], cp * kernels[1]))
+        return x, val, dP - val * (p / ab) * (dD / 2.0)
 
     seq = np.random.SeedSequence(seed)
-    ratio = (a / b) ** (1.0 / p)
+    ratio = (params.alpha / params.beta) ** (1.0 / p)
     inits = []
     if s_minimizer is not None:
         w = as_values(s_minimizer)
         inits.append(np.concatenate([ratio * w, w]))
-    bump = bump_field(dom)
-    inits.append(np.concatenate([ratio * bump, bump]))
+    if restarts >= 1:
+        bump = bump_field(dom)
+        inits.append(np.concatenate([ratio * bump, bump]))
     for child in seq.spawn(max(restarts - 1, 0)):
         rng = np.random.default_rng(child)
         inits.append(np.abs(rng.standard_normal(2 * n)) + 1e-6)
@@ -386,27 +387,19 @@ def holder_bound_check(params: ModelParams, dom: GridDomain, pair: FieldPair, s_
     sigma^((p-q)/p) ||(u,v)||^q with the discrete S; nonnegative up to roundoff."""
     p, q = params.p, params.q
     ab = params.ab
-    u = as_values(pair.u)
-    v = as_values(pair.v)
-    cell = dom.h ** dom.dim
-    lhs = cell * float(np.sum(params.lam * np.abs(u) ** q + params.mu * np.abs(v) ** q))
-    norm = (seminorm_p(dom, u) ** p + seminorm_p(dom, v) ** p) ** (1.0 / p)
+    triple = ray_triple(params, dom, pair.u, pair.v)
+    norm = triple.P ** (1.0 / p)
     sigma = params.lam ** (p / (p - q)) + params.mu ** (p / (p - q))
     rhs = s_value ** (-q / p) * dom.volume ** ((ab - q) / ab) * sigma ** ((p - q) / p) * norm ** q
-    return rhs - lhs
+    return rhs - triple.B
 
 
 def young_bound_check(params: ModelParams, dom: GridDomain, pair: FieldPair, s_value: float) -> float:
     """Slack of 2 sum|u|^a|v|^b <= 2 S^(-(a+b)/p) ||(u,v)||^(a+b) with the discrete S."""
-    p = params.p
     ab = params.ab
-    u = as_values(pair.u)
-    v = as_values(pair.v)
-    cell = dom.h ** dom.dim
-    lhs = 2.0 * cell * float(np.sum(np.abs(u) ** params.alpha * np.abs(v) ** params.beta))
-    norm_p = seminorm_p(dom, u) ** p + seminorm_p(dom, v) ** p
-    rhs = 2.0 * s_value ** (-ab / p) * norm_p ** (ab / p)
-    return rhs - lhs
+    triple = ray_triple(params, dom, pair.u, pair.v)
+    rhs = 2.0 * s_value ** (-ab / params.p) * triple.P ** (ab / params.p)
+    return rhs - triple.D
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +499,27 @@ def compute_S_coupled(
     s_ab_d, pair_min = compute_S_alpha_beta(
         dom, params, seed=seed + 1, tol=tol, restarts=restarts, max_iter=max_iter, s_minimizer=s_min
     )
-    back = compute_S(
-        dom, params, seed=seed, tol=tol, restarts=1, max_iter=max_iter,
-        extra_inits=(pair_min.v,),
-    )
+    back = _extra_start(compute_S, rayleigh_quotient, dom, params, seed=seed, tol=tol,
+                        max_iter=max_iter, extra_inits=(pair_min.v,))
     if back[0] < s_d:
         s_d, s_min = back
-        s_ab_d2, pair_min2 = compute_S_alpha_beta(
-            dom, params, seed=seed + 1, tol=tol, restarts=1, max_iter=max_iter, s_minimizer=s_min
-        )
+        s_ab_d2, pair_min2 = _extra_start(compute_S_alpha_beta, coupled_quotient, dom, params, seed=seed + 1,
+                                          tol=tol, max_iter=max_iter, s_minimizer=s_min)
         if s_ab_d2 < s_ab_d:
             s_ab_d, pair_min = s_ab_d2, pair_min2
     return s_d, s_min, s_ab_d, pair_min
+
+
+def _extra_start(solve, quotient, dom: GridDomain, params: ModelParams, **kwargs):
+    """solve from the caller's start alone (restarts=0) as (value, minimizer).
+
+    The seeded starts have already run, and some of them finished, so a run
+    that hits its budget is still a candidate, valued by quotient.
+    """
+    try:
+        return solve(dom, params, restarts=0, **kwargs)
+    except ConvergenceError as exc:
+        return quotient(dom, params, exc.last_iterate), exc.last_iterate
 
 
 def compute_constants_report(

@@ -88,32 +88,35 @@ def energy(params: ModelParams, dom: GridDomain, pair: FieldPair) -> EnergyBreak
     return EnergyBreakdown(grad, concave, coupling, grad - concave - coupling)
 
 
-def gradient_arrays(params: ModelParams, dom: GridDomain, u: np.ndarray, v: np.ndarray, kernels=None):
-    """(dJ/du, dJ/dv) on raw value arrays; kernels as in ray_triple."""
-    cell = dom.h ** dom.dim
-    ab = params.ab
-    au = np.abs(u)
-    av = np.abs(v)
+def triple_gradients(params: ModelParams, dom: GridDomain, u, v, kernels=None):
+    """Gradients (dP, dB, dD) of the ray coefficients of ray_triple over the
+    stacked state (u, v); kernels as in ray_triple."""
+    u, v = as_values(u), as_values(v)
     ku, kv = kernels if kernels is not None else (plap_gradient(dom, u), plap_gradient(dom, v))
-    gu = ku - cell * params.lam * signed_pow(u, params.q - 1.0)
-    gu -= cell * (2.0 * params.alpha / ab) * signed_pow(u, params.alpha - 1.0) * av ** params.beta
-    gv = kv - cell * params.mu * signed_pow(v, params.q - 1.0)
-    gv -= cell * (2.0 * params.beta / ab) * au ** params.alpha * signed_pow(v, params.beta - 1.0)
-    return gu, gv
+    cell = dom.h ** dom.dim
+    a, b = params.alpha, params.beta
+    dP = params.p * np.concatenate([ku, kv])
+    dB = cell * params.q * np.concatenate(
+        [params.lam * signed_pow(u, params.q - 1.0), params.mu * signed_pow(v, params.q - 1.0)]
+    )
+    dD = 2.0 * cell * np.concatenate(
+        [a * signed_pow(u, a - 1.0) * np.abs(v) ** b, b * np.abs(u) ** a * signed_pow(v, b - 1.0)]
+    )
+    return dP, dB, dD
+
+
+def gradient_arrays(params: ModelParams, dom: GridDomain, u: np.ndarray, v: np.ndarray, kernels=None):
+    """(dJ/du, dJ/dv) on raw value arrays, dP/p - dB/q - dD/(a+b); kernels as in ray_triple."""
+    dP, dB, dD = triple_gradients(params, dom, u, v, kernels)
+    g = dP / params.p - dB / params.q - dD / params.ab
+    return g[: g.size // 2], g[g.size // 2:]
 
 
 def constraint_gradient_arrays(params: ModelParams, dom: GridDomain, u: np.ndarray, v: np.ndarray):
-    """Gradient of the Nehari constraint Q on raw value arrays."""
-    cell = dom.h ** dom.dim
-    au = np.abs(u)
-    av = np.abs(v)
-    qu = params.p * plap_gradient(dom, u)
-    qu -= cell * params.q * params.lam * signed_pow(u, params.q - 1.0)
-    qu -= cell * 2.0 * params.alpha * signed_pow(u, params.alpha - 1.0) * av ** params.beta
-    qv = params.p * plap_gradient(dom, v)
-    qv -= cell * params.q * params.mu * signed_pow(v, params.q - 1.0)
-    qv -= cell * 2.0 * params.beta * au ** params.alpha * signed_pow(v, params.beta - 1.0)
-    return qu, qv
+    """Gradient of the Nehari constraint Q = P - B - D on raw value arrays."""
+    dP, dB, dD = triple_gradients(params, dom, u, v)
+    q = dP - dB - dD
+    return q[: q.size // 2], q[q.size // 2:]
 
 
 def gradient_pair(params: ModelParams, dom: GridDomain, pair: FieldPair):

@@ -30,8 +30,9 @@ from .fibering import (
     classify,
     phi,
     project_triple,
+    t_max,
 )
-from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, plap_gradient, seminorm_p, signed_pow
+from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, pair_norm, plap_gradient, seminorm_p, signed_pow
 from .params import ModelParams
 
 
@@ -224,8 +225,8 @@ def _starts_for_branch(params: ModelParams, dom: GridDomain, branch: str, opts: 
 def pair_distance(dom: GridDomain, a: FieldPair, b: FieldPair, r: Optional[float] = None) -> float:
     """Relative lattice L^p distance between pairs normalized to unit product norm."""
     p = dom.p if r is None else r
-    na = (seminorm_p(dom, a.u) ** dom.p + seminorm_p(dom, a.v) ** dom.p) ** (1.0 / dom.p)
-    nb = (seminorm_p(dom, b.u) ** dom.p + seminorm_p(dom, b.v) ** dom.p) ** (1.0 / dom.p)
+    na = pair_norm(dom, a)
+    nb = pair_norm(dom, b)
     if na == 0.0 or nb == 0.0:
         return float(na != nb)
     du = as_values(a.u) / na - as_values(b.u) / nb
@@ -408,19 +409,16 @@ def semitrivial_tmax_check(
         raise ValueError("semitrivial check needs lam > 0 and mu > 0")
     p, q = params.p, params.q
     ab = params.ab
-    cell = dom.h ** dom.dim
-    u1 = as_values(u1)
-    w = as_values(w)
-    pu = seminorm_p(dom, u1) ** p
-    pw = seminorm_p(dom, w) ** p
-    qu = params.lam * cell * float(np.sum(np.abs(u1) ** q))
-    qw = params.mu * cell * float(np.sum(np.abs(w) ** q))
-    r1 = abs(pu - qu) / pu
-    r2 = abs(pw - qw) / pw
+    zero = np.zeros(dom.n_interior)
+    # one component at a time: D = 0, so the constraint is P - B
+    tu = ray_triple(params, dom, u1, zero)
+    tw = ray_triple(params, dom, zero, w)
+    r1 = abs(tu.constraint) / tu.P
+    r2 = abs(tw.constraint) / tw.P
     if max(r1, r2) > stationarity_rtol:
         raise ConvergenceError(
             f"inputs are not stationary enough (relative residuals {r1:.3e}, {r2:.3e})"
         )
-    t_max = ((ab - q) * (qu + qw) / ((ab - p) * (pu + pw))) ** (1.0 / (p - q))
+    tm = t_max(ReducedTriple(tu.P + tw.P, tu.B + tw.B, 0.0), params)
     predicted = ((ab - q) / (ab - p)) ** (1.0 / (p - q))
-    return abs(t_max - predicted) / predicted
+    return abs(tm - predicted) / predicted

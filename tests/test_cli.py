@@ -64,6 +64,16 @@ def test_unknown_key_is_line_anchored(tmp_path):
             load_config(path)
 
 
+def test_quotient_restarts_below_one_rejected(tmp_path, capsys):
+    # compute_S(restarts=0) runs only caller-supplied starts, and the CLI supplies none
+    for restarts in (0, -3):
+        path = write_config(tmp_path, tolerances={"quotient_restarts": restarts})
+        with pytest.raises(ConfigError, match=r"cfg\.json:\d+: quotient_restarts must be at least 1"):
+            load_config(path)
+        assert main(["constants", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "quotient_restarts" in capsys.readouterr().err
+
+
 def test_missing_grid_block(tmp_path):
     doc = json.loads(json.dumps(BASE))
     del doc["grid"]
@@ -194,6 +204,18 @@ def test_bubble_scan_rejects_bad_eps(tmp_path, capsys):
     code = main(["bubble-scan", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
     assert code == 2
     assert "0.2" in capsys.readouterr().err
+
+
+def test_bubble_scan_needs_both_supplied_constants(tmp_path, capsys):
+    # a lone constant must fail, not be replaced by recomputed ones
+    for given in ({"s_d": 1.2345}, {"s_ab_d": 2.469}):
+        cfg = write_config(tmp_path, extra={
+            "bubble_scan": {"delta": 0.25, "theta": 2.0, "eps_list": [0.0625], **given},
+        })
+        code = main(["bubble-scan", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert "both s_d and s_ab_d" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "bubble_scan.meta.json").exists()
 
 
 def test_bubble_scan_csv_schema_and_determinism(tmp_path):

@@ -191,6 +191,47 @@ def test_compute_S_descent_is_monotone_and_beats_probes():
     assert s_d <= min(probes)
 
 
+def test_compute_S_coupled_runs_each_start_once(dom12, monkeypatch):
+    """The back-solve and its follow-up run only their new starts; the bump
+    starts ran in the first two solves already."""
+    from nehari_frac import constants
+
+    restarts = 3
+    s_d0, _ = nf.compute_S(dom12, CRIT, seed=0, restarts=restarts)
+    real, starts = constants.descend, []
+
+    def recording(start, *args, **kwargs):
+        starts.append(start[0].tobytes())
+        return real(start, *args, **kwargs)
+
+    monkeypatch.setattr(constants, "descend", recording)
+    s_d, _, _, _ = nf.compute_S_coupled(dom12, CRIT, seed=0, restarts=restarts)
+    assert len(starts) == 2 * restarts + 2 + (s_d < s_d0)
+    assert len(set(starts)) == len(starts)
+    with pytest.raises(ValueError, match="no starting points"):
+        nf.compute_S(dom12, CRIT, restarts=0)
+
+
+def test_compute_S_coupled_back_solve_over_budget_is_a_candidate(dom12, monkeypatch):
+    """The seeded starts have finished, so a back-solve start that hits its
+    budget is valued by its quotient instead of raising ConvergenceError."""
+    from nehari_frac import constants
+
+    restarts = 2
+    real, calls = constants.descend, []
+
+    def budget_on_back_solve(start, evaluate, stop, on_accept=None):
+        calls.append(start)
+        if len(calls) == 2 * restarts + 2:  # after restarts scalar and restarts + 1 pair starts
+            return constants.Descent(*start, BUDGET, stop.max_iter)
+        return real(start, evaluate, stop, on_accept=on_accept)
+
+    monkeypatch.setattr(constants, "descend", budget_on_back_solve)
+    s_d, s_min, _, _ = nf.compute_S_coupled(dom12, CRIT, seed=0, restarts=restarts)
+    assert len(calls) >= 2 * restarts + 2
+    assert s_d == pytest.approx(rayleigh_quotient(dom12, CRIT, s_min), rel=1e-12)
+
+
 def test_compute_S_alpha_beta_rejects_disjoint_supports(dom12):
     params = CRIT
     n = dom12.n_interior

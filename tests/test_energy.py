@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nehari_frac as nf
-from nehari_frac.energy import gradient_pair, manifold_energy_identity
+from nehari_frac.energy import constraint_gradient_arrays, gradient_pair, manifold_energy_identity
 from nehari_frac.fibering import scale_pair
 
 from conftest import DESK, random_pair
@@ -93,6 +93,17 @@ def test_gradient_check_central_differences(seed):
     fd = (at(h) - at(-h)) / (2 * h)
     fv = nf.first_variation(params, dom, pair, test)
     assert abs(fv - fd) / max(1.0, abs(fv)) <= 1e-6
+
+    def q_at(eps):
+        return nf.nehari_constraint(params, dom, nf.FieldPair(
+            nf.Field(pair.u.values + eps * test.u.values),
+            nf.Field(pair.v.values + eps * test.v.values),
+        ))
+
+    qu, qv = constraint_gradient_arrays(params, dom, pair.u.values, pair.v.values)
+    qd = float(np.dot(qu, test.u.values) + np.dot(qv, test.v.values))
+    fd = (q_at(h) - q_at(-h)) / (2 * h)
+    assert abs(qd - fd) / max(1.0, abs(qd)) <= 1e-6
 
 
 def test_gradient_vector_matches_basis_variations(params, dom):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nehari_frac as nf
-from nehari_frac.energy import gradient_arrays, ray_triple
+from nehari_frac.energy import gradient_arrays, ray_triple, triple_gradients
 from nehari_frac.errors import GridTooLargeError
 from nehari_frac.grid import plap_gradient, signed_pow
 
@@ -169,6 +169,11 @@ def test_kernel_against_brute_force_pair_sum(p_exp, shape):
         direct = gradient_arrays(params, dom, t * a, t * b)
         for g_scaled, g_direct, k in zip(scaled, direct, kernels):
             assert np.max(np.abs(g_scaled - g_direct)) <= 1e-12 * tp * np.max(np.abs(k))
+        scaled = triple_gradients(params, dom, t * a, t * b, kernels=(tp * kernels[0], tp * kernels[1]))
+        direct = triple_gradients(params, dom, t * a, t * b)
+        k_max = max(np.max(np.abs(k)) for k in kernels)
+        for g_scaled, g_direct in zip(scaled, direct):
+            assert np.max(np.abs(g_scaled - g_direct)) <= 1e-12 * p_exp * tp * k_max
 
 
 def test_a_form_homogeneity_in_first_argument():
