@@ -23,7 +23,8 @@ def main():
 
     params0 = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.8, alpha=5 / 3, beta=5 / 3)
     dom = nf.build_grid(2, args.m, 1.0, 1.0, params0)
-    print(f"grid: m={args.m}, {dom.n_interior} interior nodes, {dom.n_pairs} pairs")
+    route = "FFT convolution" if dom.kernel_hat is not None else f"pair list, {dom.n_pairs} pairs"
+    print(f"grid: m={args.m}, {dom.n_interior} interior nodes, kernel pass by {route}")
 
     s_d, s_min, s_ab, pair_min = nf.compute_S_coupled(dom, params0, seed=args.seed)
     lam1 = nf.lambda1(params0, s_d, dom.volume)

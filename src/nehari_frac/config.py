@@ -4,7 +4,9 @@ A single JSON file drives every CLI command.  Unknown keys are rejected
 (naming the offending line when it can be located in the source text), the
 model parameters are validated before any computation, and the canonical
 serialization of the parsed document is hashed so outputs can be tied to the
-exact configuration that produced them.
+exact configuration that produced them.  `grid.max_pairs` caps the explicit
+interior pair list, which only p != 2 builds; at p = 2 the key is accepted
+and has no effect.
 """
 from __future__ import annotations
 

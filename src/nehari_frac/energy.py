@@ -68,7 +68,7 @@ def ray_triple(params: ModelParams, dom: GridDomain, u, v, kernels=None) -> Redu
     of two Fields or value arrays.
 
     P is u . plap_gradient(u) + v . plap_gradient(v); kernels may pass in
-    those two vectors to save their pair-list passes.
+    those two vectors to save their kernel passes.
     """
     u, v = as_values(u), as_values(v)
     ku, kv = kernels if kernels is not None else (plap_gradient(dom, u), plap_gradient(dom, v))

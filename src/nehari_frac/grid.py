@@ -4,10 +4,11 @@ The continuum object is the Gagliardo seminorm over Q = R^2n minus
 (complement x complement); here Omega is sampled by an interior lattice and
 its complement by a finite collar on which every field vanishes.  Pair
 weights are the midpoint-rule kernel h^2n / |x_i - x_j|^(n + p s) with the
-diagonal excluded.  Interior-interior pairs are stored explicitly (unordered,
-once); interior-collar pairs are aggregated per interior node into a single
-zero-extension weight, which is exact because collar values are pinned to
-zero.  The kernel normalization constant is fixed to 1; every identity used
+diagonal excluded.  Interior-collar pairs are aggregated per interior node
+into a single zero-extension weight (exact, because collar values are pinned
+to zero) by one lattice convolution.  At p = 2 a kernel pass is one FFT
+convolution; for p != 2 it sums over the stored unordered interior pairs.
+The kernel normalization constant is fixed to 1; every identity used
 downstream is invariant under that choice.
 """
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import GridTooLargeError
 from .params import ModelParams
 
 DEFAULT_MAX_PAIRS = 200_000_000
-_CHUNK = 4_000_000  # target element count for temporary distance blocks
 
 
 def signed_pow(x, r):
@@ -49,11 +49,14 @@ class GridDomain:
     h: float
     interior: np.ndarray        # (N, dim) node coordinates
     collar: np.ndarray          # (M, dim) node coordinates, fields vanish here
-    pair_i: np.ndarray          # (K,) int32, interior-interior pairs, pair_i < pair_j
-    pair_j: np.ndarray          # (K,) int32
-    pair_w: np.ndarray          # (K,) float64 kernel weights
+    pair_i: np.ndarray | None   # (K,) intp (no cast per pass), pair_i < pair_j; None at p = 2
+    pair_j: np.ndarray | None   # (K,) intp
+    pair_w: np.ndarray | None   # (K,) float64 kernel weights
     collar_w: np.ndarray        # (N,) float64, sum of kernel weights into the collar
     volume: float
+    kernel_hat: np.ndarray | None = None    # p = 2: rfftn of the kernel on the (2m,)*dim lattice
+    kernel_index: np.ndarray | None = None  # p = 2: flat position of each interior node there
+    diag: np.ndarray | None = None          # p = 2: collar_w + K * 1_interior
 
     @property
     def n_interior(self) -> int:
@@ -65,7 +68,7 @@ class GridDomain:
 
     @property
     def n_pairs(self) -> int:
-        return self.pair_w.shape[0]
+        return 0 if self.pair_w is None else self.pair_w.shape[0]
 
     def describe(self) -> dict:
         """Construction metadata; enough to rebuild the domain."""
@@ -146,22 +149,26 @@ def _pair_weights(coords: np.ndarray, kernel_exp: float, h: float, dim: int):
     ii, jj = np.triu_indices(n, k=1)
     d = np.linalg.norm(coords[ii] - coords[jj], axis=1)
     w = h ** (2 * dim) / d ** kernel_exp
-    return ii.astype(np.int32), jj.astype(np.int32), w
+    return ii, jj, w
 
 
-def _collar_weights(interior: np.ndarray, collar: np.ndarray, kernel_exp: float, h: float, dim: int) -> np.ndarray:
-    """Aggregated kernel weight from each interior node into the whole collar."""
-    n = interior.shape[0]
-    out = np.zeros(n)
-    if collar.shape[0] == 0:
-        return out
-    rows = max(1, _CHUNK // collar.shape[0])
-    scale = h ** (2 * dim)
-    for start in range(0, n, rows):
-        block = interior[start:start + rows]
-        d = np.linalg.norm(block[:, None, :] - collar[None, :, :], axis=2)
-        out[start:start + rows] = scale * np.sum(d ** (-kernel_exp), axis=1)
-    return out
+def pair_list(dom: GridDomain):
+    """(pair_i, pair_j, pair_w) over the unordered interior pairs, built on demand."""
+    return _pair_weights(dom.interior, dom.dim + dom.p * dom.s, dom.h, dom.dim)
+
+
+def _kernel_hat(shape: tuple, h: float, kernel_exp: float) -> np.ndarray:
+    """rfftn of the kernel h^2dim / |k h|^kernel_exp (0 at k = 0) on the
+    periodic lattice `shape`; a product with it is the linear convolution
+    wherever every offset in play is below half the period on each axis."""
+    k = np.sqrt(sum(np.minimum(a, size - a) ** 2.0 for a, size in zip(np.indices(shape), shape)))
+    k.flat[0] = np.inf  # no self pair
+    return np.fft.rfftn(h ** (2 * len(shape)) / (h * k) ** kernel_exp, axes=tuple(range(len(shape))))
+
+
+def _convolve(kernel_hat: np.ndarray, field: np.ndarray) -> np.ndarray:
+    axes = tuple(range(field.ndim))
+    return np.fft.irfftn(np.fft.rfftn(field, axes=axes) * kernel_hat, s=field.shape, axes=axes)
 
 
 def build_grid(
@@ -206,14 +213,28 @@ def build_grid(
 
     n_int = interior.shape[0]
     n_pairs = n_int * (n_int - 1) // 2
-    if n_pairs > max_pairs:
+    if params.p != 2.0 and n_pairs > max_pairs:
         raise GridTooLargeError(
             f"grid too large: {n_pairs} interior pairs exceed the cap of {max_pairs}"
         )
 
     kernel_exp = n + params.p * params.s
-    pi, pj, pw = _pair_weights(interior, kernel_exp, h, n)
-    cw = _collar_weights(interior, collar, kernel_exp, h, n)
+    # sampled-box index of each interior node; offsets from there into the
+    # sampled box reach m + width per axis, so period 2 (m + width + 1) is wrap-free
+    sampled = (m + 2 + 2 * width,) * n
+    at = np.nonzero(inside.reshape(sampled))
+    field = np.zeros((2 * (m + width + 1),) * n)
+    field[tuple(map(slice, sampled))] = ~inside.reshape(sampled)
+    hat = _kernel_hat(field.shape, h, kernel_exp)
+    cw = _convolve(hat, field)[at]
+
+    fft = {}
+    if params.p == 2.0:
+        field[tuple(map(slice, sampled))] = inside.reshape(sampled)
+        box = (2 * m,) * n  # interior offsets reach m - 1
+        fft = {"kernel_hat": _kernel_hat(box, h, kernel_exp), "diag": cw + _convolve(hat, field)[at],
+               "kernel_index": np.ravel_multi_index(tuple(a - 1 - width for a in at), box)}
+    pi, pj, pw = (None,) * 3 if fft else _pair_weights(interior, kernel_exp, h, n)
 
     return GridDomain(
         dim=n,
@@ -231,6 +252,7 @@ def build_grid(
         pair_w=pw,
         collar_w=cw,
         volume=h ** n * n_int,
+        **fft,
     )
 
 
@@ -262,9 +284,16 @@ def a_form(dom: GridDomain, u, phi) -> float:
 
 
 def plap_gradient(dom: GridDomain, u) -> np.ndarray:
-    """Vector of A(u, e_k) over canonical basis fields e_k, assembled in one pass."""
+    """Vector of A(u, e_k) over canonical basis fields e_k, assembled in one pass.
+
+    At p = 2 it is diag * u - K * u, one FFT convolution whose rounding error
+    is of order eps * |diag * u| rather than eps times the result."""
     v = as_values(u)
     _check_len(dom, v)
+    if dom.kernel_hat is not None:
+        field = np.zeros((2 * dom.m,) * dom.dim)
+        field.flat[dom.kernel_index] = v
+        return dom.diag * v - _convolve(dom.kernel_hat, field).flat[dom.kernel_index]
     du = v[dom.pair_i] - v[dom.pair_j]
     c = dom.pair_w * signed_pow(du, dom.p - 1.0)
     g = np.bincount(dom.pair_i, weights=c, minlength=dom.n_interior)

@@ -37,7 +37,7 @@ from .params import ModelParams
 
 
 BRANCH_FLAT_PATIENCE = 8
-SCALAR_MAX_ITER = 20000          # BB budget of the scalar solve without Newton polish
+SCALAR_MAX_ITER = 20000          # BB budget of the scalar solve without Newton polish (p != 2)
 
 
 @dataclass(frozen=True)
@@ -306,30 +306,34 @@ def solve_two(
 # Scalar sublinear problem
 # ---------------------------------------------------------------------------
 
-def _scalar_hessian(params: ModelParams, dom: GridDomain, lam: float, u: np.ndarray) -> np.ndarray:
-    """Dense second variation; valid for p >= 2 and states without zeros."""
-    p, q = params.p, params.q
-    n = dom.n_interior
-    du = u[dom.pair_i] - u[dom.pair_j]
-    wse = (p - 1.0) * dom.pair_w * np.abs(du) ** (p - 2.0)
-    H = np.zeros((n, n))
-    np.add.at(H, (dom.pair_i, dom.pair_i), wse)
-    np.add.at(H, (dom.pair_j, dom.pair_j), wse)
-    np.add.at(H, (dom.pair_i, dom.pair_j), -wse)
-    np.add.at(H, (dom.pair_j, dom.pair_i), -wse)
-    H[np.diag_indices(n)] += (p - 1.0) * dom.collar_w * np.abs(u) ** (p - 2.0)
-    cell = dom.h ** dom.dim
-    H[np.diag_indices(n)] -= lam * cell * (q - 1.0) * np.abs(u) ** (q - 2.0)
-    return H
+def _newton_cg(hess, g: np.ndarray, rtol: float = 1e-14) -> np.ndarray:
+    """Conjugate gradients for hess(d) = -g, stopped at relative residual
+    rtol or on a direction of nonpositive curvature (then the iterate so far,
+    or -g when there is none)."""
+    d, r, step = np.zeros_like(g), -g, -g
+    rr = float(np.dot(g, g))
+    for _ in range(g.size):
+        hs = hess(step)
+        curv = float(np.dot(step, hs))
+        if curv <= 0.0:
+            return d if d.any() else -g
+        d = d + (rr / curv) * step
+        r = r - (rr / curv) * hs
+        rr, rr_old = float(np.dot(r, r)), rr
+        if rr <= rtol ** 2 * float(np.dot(g, g)):
+            break
+        step = r + (rr / rr_old) * step
+    return d
 
 
 def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float):
     """Minimize (1/p)[u]^p - (lam/q) sum|u|^q; returns (Field, energy).
 
     Barzilai-Borwein descent (constants.descend, unconstrained) starts from
-    the smooth bump at its exact ray minimum and is polished with damped
-    Newton steps for p >= 2, so the stationarity
-    identity [u]^p = lam sum|u|^q holds to near machine precision.
+    the smooth bump at its exact ray minimum; at p = 2 it is polished with
+    damped Newton steps, solved by conjugate gradients on plap_gradient, so
+    the stationarity identity [u]^p = lam sum|u|^q holds to near machine
+    precision.
     """
     if lam <= 0:
         raise ValueError("the scalar sublinear problem needs lam > 0")
@@ -349,38 +353,35 @@ def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float):
     start = evaluate(u)
     g_norm = float(np.linalg.norm(start[2]))
     scale0 = max(g_norm, lam * cell * float(np.sum(np.abs(u) ** (q - 1.0))), 1e-300)
-    newton_available = p >= 2 and dom.n_interior <= 6000
-    bb_tol = 1e-6 * scale0 if newton_available else 1e-12 * scale0
+    newton = p == 2.0
     stop = StopRule(
-        max_iter=3000 if newton_available else SCALAR_MAX_ITER,
+        max_iter=3000 if newton else SCALAR_MAX_ITER,
         flat_tol=-np.inf,
-        grad_rtol=bb_tol / max(g_norm, 1e-300),
+        grad_rtol=(1e-6 if newton else 1e-12) * scale0 / max(g_norm, 1e-300),
     )
     run = descend(start, evaluate, stop)
     u, val, g = run.x, run.value, run.grad
 
-    if newton_available and np.all(u != 0.0):
+    if newton and np.all(u != 0.0):
         for _ in range(60):
             gn = float(np.linalg.norm(g))
             if gn <= 1e-15 * scale0:
                 break
-            H = _scalar_hessian(params, dom, lam, u)
-            try:
-                d = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                break
-            improved = False
+            curv = lam * cell * (q - 1.0) * np.abs(u) ** (q - 2.0)
+            d = _newton_cg(lambda x: plap_gradient(dom, x) - curv * x, g)
+            # near the minimum an energy difference below the rounding of the
+            # energy's two terms has no sign; the gradient norm decides there
+            noise = 1e-13 * (abs(val) + 2.0 * (lam / q) * cell * float(np.sum(np.abs(u) ** q)))
             s = 1.0
             for _ in range(40):
                 trial = u + s * d
                 if np.all(trial != 0.0):
                     _, tval, tg = evaluate(trial)
-                    if tval < val or (tval == val and float(np.linalg.norm(tg)) < gn):
+                    if tval < val or (tval <= val + noise and float(np.linalg.norm(tg)) < gn):
                         u, val, g = trial, tval, tg
-                        improved = True
                         break
                 s *= 0.5
-            if not improved:
+            else:
                 break
 
     gn = float(np.linalg.norm(g))

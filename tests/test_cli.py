@@ -2,7 +2,11 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,3 +301,19 @@ def test_verify_detects_tampering(tmp_path):
     assert verify_output_dir(out)
     (out / "curves.csv").write_text("tampered\n")
     assert not verify_output_dir(out)
+
+
+def test_solve_loads_no_scipy(tmp_path):
+    """The solve path imports numpy alone; scipy costs set-up time and memory."""
+    path = write_config(tmp_path, grid={"m": 8})
+    code = (
+        "import sys\n"
+        "import nehari_frac.cli as cli\n"
+        f"rc = cli.main(['solve', '--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}, '--quiet'])\n"
+        "print(rc, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(nf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == "0 []"

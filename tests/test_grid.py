@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nehari_frac as nf
+from nehari_frac.constants import bump_field
 from nehari_frac.energy import gradient_arrays, ray_triple, triple_gradients
 from nehari_frac.errors import GridTooLargeError
-from nehari_frac.grid import plap_gradient, signed_pow
+from nehari_frac.grid import pair_list, plap_gradient, signed_pow
 
 from conftest import DESK, random_field
 
@@ -20,8 +21,9 @@ def test_1d_two_node_weight():
     assert dom.n_interior == 2
     h = 1.0 / 3.0
     assert dom.h == pytest.approx(h)
-    assert dom.n_pairs == 1
-    assert dom.pair_w[0] == pytest.approx(h ** (1.0 - 0.6), rel=1e-14)
+    _, _, pair_w = pair_list(dom)
+    assert pair_w.shape[0] == 1
+    assert pair_w[0] == pytest.approx(h ** (1.0 - 0.6), rel=1e-14)
     # collar spans distance 1 on both sides of the box
     assert dom.collar.min() == pytest.approx(-1.0)
     assert dom.collar.max() == pytest.approx(2.0)
@@ -39,24 +41,86 @@ def test_1d_kernel_exponent_example():
     p = nf.ModelParams(n=1, p=2.0, s=0.4, q=1.5, alpha=2.0, beta=2.0)
     dom = nf.build_grid(1, 3, 1.0, 1.0, p)
     h = 0.25
-    adjacent = dom.pair_w[np.isclose(
-        np.abs(dom.interior[dom.pair_i, 0] - dom.interior[dom.pair_j, 0]), h)]
+    pair_i, pair_j, pair_w = pair_list(dom)
+    adjacent = pair_w[np.isclose(
+        np.abs(dom.interior[pair_i, 0] - dom.interior[pair_j, 0]), h)]
     assert np.allclose(adjacent, h ** 0.2, rtol=1e-14)
 
 
 def test_pairs_are_unordered_and_positive():
     p = nf.ModelParams(**DESK)
     dom = nf.build_grid(2, 5, 1.0, 1.0, p)
-    assert np.all(dom.pair_i < dom.pair_j)  # stored once, no self-pairs
-    assert np.all(dom.pair_w > 0)
-    keys = dom.pair_i.astype(np.int64) * dom.n_interior + dom.pair_j
-    assert len(np.unique(keys)) == dom.n_pairs
+    pair_i, pair_j, pair_w = pair_list(dom)
+    assert np.all(pair_i < pair_j)  # stored once, no self-pairs
+    assert np.all(pair_w > 0)
+    keys = pair_i.astype(np.int64) * dom.n_interior + pair_j
+    assert len(np.unique(keys)) == pair_w.shape[0]
 
 
 def test_grid_too_large():
-    p = nf.ModelParams(**DESK)
+    # max_pairs caps the pair list, which only p != 2 builds
+    p = nf.ModelParams(n=2, p=3.0, s=0.1, q=2.5, alpha=30.0 / 17.0, beta=30.0 / 17.0)
     with pytest.raises(GridTooLargeError, match="grid too large"):
         nf.build_grid(2, 40, 1.0, 1.0, p, max_pairs=1000)
+
+
+def test_p2_grid_ignores_pair_cap():
+    p = nf.ModelParams(**DESK)
+    dom = nf.build_grid(2, 40, 1.0, 1.0, p, max_pairs=1000)
+    assert dom.n_interior == 1600 and dom.n_pairs == 0
+    assert dom.pair_i is None and dom.pair_j is None and dom.pair_w is None
+
+
+def _collar_weights_loop(interior, collar, kernel_exp, h, dim, chunk=4_000_000):
+    """Aggregated kernel weight from each interior node into the whole collar,
+    by blocks of explicit distances: the loop the lattice convolution
+    replaced, kept as the reference."""
+    n = interior.shape[0]
+    out = np.zeros(n)
+    if collar.shape[0] == 0:
+        return out
+    rows = max(1, chunk // collar.shape[0])
+    scale = h ** (2 * dim)
+    for start in range(0, n, rows):
+        block = interior[start:start + rows]
+        d = np.linalg.norm(block[:, None, :] - collar[None, :, :], axis=2)
+        out[start:start + rows] = scale * np.sum(d ** (-kernel_exp), axis=1)
+    return out
+
+
+# (n, m, collar_factor); every case runs in both shapes
+_LATTICES = [(1, 9, 1.0), (1, 9, 2.0), (2, 9, 1.0), (2, 7, 2.0), (3, 4, 1.0), (3, 4, 2.0)]
+
+
+@pytest.mark.parametrize("shape", ["box", "ball"])
+@pytest.mark.parametrize("n, m, collar_factor", _LATTICES)
+@pytest.mark.parametrize("p_exp", [1.5, 2.0, 3.0])
+def test_collar_weights_against_distance_loop(p_exp, n, m, collar_factor, shape):
+    params = nf.ModelParams(n=n, p=p_exp, s=0.3, q=1.2, alpha=2.0, beta=2.0)
+    dom = nf.build_grid(n, m, 1.0, collar_factor, params, shape=shape)
+    expected = _collar_weights_loop(dom.interior, dom.collar, n + p_exp * 0.3, dom.h, n)
+    assert np.all(np.abs(dom.collar_w - expected) <= 1e-12 * expected)
+
+
+@pytest.mark.parametrize("field", ["random", "bump"])
+@pytest.mark.parametrize("shape", ["box", "ball"])
+@pytest.mark.parametrize("n, m, collar_factor", _LATTICES)
+def test_fft_kernel_pass_against_pair_list(n, m, collar_factor, shape, field):
+    """At p = 2 plap_gradient is one FFT convolution; the pair list and the
+    distance-loop collar weights give the same pass as explicit sums."""
+    params = nf.ModelParams(n=n, p=2.0, s=0.3, q=1.2, alpha=2.0, beta=2.0)
+    dom = nf.build_grid(n, m, 1.0, collar_factor, params, shape=shape)
+    assert dom.n_pairs == 0
+    if field == "random":
+        u = random_field(dom, np.random.default_rng(29)).values
+    else:
+        u = bump_field(dom)
+    pair_i, pair_j, pair_w = pair_list(dom)
+    flux = pair_w * (u[pair_i] - u[pair_j])
+    expected = np.bincount(pair_i, weights=flux, minlength=dom.n_interior)
+    expected -= np.bincount(pair_j, weights=flux, minlength=dom.n_interior)
+    expected += _collar_weights_loop(dom.interior, dom.collar, n + 0.6, dom.h, n) * u
+    assert np.max(np.abs(plap_gradient(dom, u) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_ball_shape_subset_of_box():
@@ -75,7 +139,8 @@ def test_seminorm_zero_and_single_node():
     # one interior node set to 1: the sum collapses to the pair weight plus
     # the aggregated collar weight of that node
     u = nf.Field(np.array([1.0, 0.0]))
-    expected = dom.pair_w[0] + dom.collar_w[0]
+    _, _, pair_w = pair_list(dom)
+    expected = pair_w[0] + dom.collar_w[0]
     assert nf.seminorm_p(dom, u) == pytest.approx(expected ** 0.5, rel=1e-14)
 
 

@@ -179,6 +179,43 @@ def test_scalar_solution_identities(params, dom12):
     assert abs(energy + (p - q) / (p * q) * sem) <= 1e-8 * sem
 
 
+def _relative_gradient(params, dom, lam, u):
+    """|grad| of the scalar energy over lam * cell * sum |u|^(q-1)."""
+    x = u.values
+    source = lam * dom.h ** dom.dim * np.abs(x) ** (params.q - 1.0)
+    return float(np.linalg.norm(nf.grid.plap_gradient(dom, x) - np.sign(x) * source) / np.sum(source))
+
+
+def test_scalar_solution_p3():
+    """p > 2 runs the Barzilai-Borwein descent to 1e-12 relative gradient."""
+    params = nf.ModelParams(n=2, p=3.0, s=0.1, q=2.5, alpha=30 / 17, beta=30 / 17, lam=0.7, mu=0.4)
+    dom = nf.build_grid(2, 12, 1.0, 1.0, params)
+    u, energy = nf.solve_scalar_sublinear(params, dom, params.lam)
+    p, q = params.p, params.q
+    sem = nf.seminorm_p(dom, u) ** p
+    qint = params.lam * dom.h ** 2 * np.sum(np.abs(u.values) ** q)
+    assert abs(sem - qint) <= 1e-10 * sem
+    # the dense-Hessian Newton polish this solve had before gave -5.0517913656283885e-08
+    assert energy == pytest.approx(-5.0517913656283885e-08, rel=1e-12)
+    assert _relative_gradient(params, dom, params.lam, u) <= 1e-12
+
+
+def test_scalar_newton_cg_m28(params, monkeypatch):
+    """p = 2 polishes with Newton steps solved by conjugate gradients on the
+    FFT kernel pass."""
+    dom = nf.build_grid(2, 28, 1.0, 1.0, params)
+    calls = []
+    newton_cg = solver._newton_cg
+    monkeypatch.setattr(solver, "_newton_cg", lambda hess, g: calls.append(1) or newton_cg(hess, g))
+    u, energy = nf.solve_scalar_sublinear(params, dom, params.lam)
+    assert calls
+    # the dense-Hessian Newton polish gave -2.1681921192535442e-14 with a
+    # relative gradient of 3.5e-12 (its line search stalled on energy
+    # rounding); measured here: 8.0e-17
+    assert energy == pytest.approx(-2.1681921192535442e-14, rel=1e-12)
+    assert _relative_gradient(params, dom, params.lam, u) <= 1e-15
+
+
 def test_scalar_scaling_law(params, dom12):
     u1, _ = nf.solve_scalar_sublinear(params, dom12, params.lam)
     c = 1.7
