@@ -77,12 +77,8 @@ def _primary_seed(cfg: RunConfig, override) -> int:
     return int(override) if override is not None else int(cfg.seeds[0])
 
 
-def _quotient_kwargs(cfg: RunConfig):
-    return {
-        "tol": cfg.tolerance("quotient_flat", consts.QUOTIENT_FLAT_TOL),
-        "restarts": int(cfg.tolerance("quotient_restarts", consts.QUOTIENT_RESTARTS)),
-        "max_iter": int(cfg.tolerance("quotient_max_iter", consts.QUOTIENT_MAX_ITER)),
-    }
+def _quotient_tol(cfg: RunConfig) -> float:
+    return cfg.tolerance("quotient_flat", consts.QUOTIENT_FLAT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +88,7 @@ def _quotient_kwargs(cfg: RunConfig):
 def cmd_constants(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
     dom = cfg.build_domain()
     seed = _primary_seed(cfg, seed_override)
-    report, s_min, pair_min = consts.compute_constants_report(dom, cfg.params, seed=seed, **_quotient_kwargs(cfg))
+    report, s_min, pair_min = consts.compute_constants_report(dom, cfg.params, seed=seed, tol=_quotient_tol(cfg))
     payload = report.to_dict()
     payload["config_hash"] = cfg.config_hash
     payload["seed"] = seed
@@ -115,7 +111,7 @@ def cmd_constants(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
 
 def _load_pair(cfg: RunConfig, dom, u_path, v_path) -> FieldPair:
     if not u_path or not v_path:
-        raise ConfigError("project needs field files: pass --u and --v or set them in the project block")
+        raise ConfigError("field files needed: set u and v in the command's block (project also takes --u and --v)")
     return FieldPair(load_field(dom, u_path), load_field(dom, v_path))
 
 
@@ -134,7 +130,7 @@ def _curve_rows(triple, params, report, block):
         hi_default = 10.0
     t_lo = float(block.get("t_lo", lo_default))
     t_hi = float(block.get("t_hi", hi_default))
-    samples = int(block.get("samples", 2000))
+    samples = block.get("samples", 2000)
     return fibering.sample_curves(triple, params, t_lo, t_hi, samples)
 
 
@@ -150,20 +146,10 @@ def cmd_project(cfg: RunConfig, out: Path, seed_override, quiet: bool, u_path=No
     payload["config_hash"] = cfg.config_hash
     payload["domain_hash"] = dom.domain_hash()
     _write_json(out / "fibering_report.json", payload)
-    files = ["fibering_report.json"]
-    if block.get("curves", False):
-        rows = _curve_rows(report.triple, cfg.params, report, block)
-        _write_csv(out / "curves.csv", CURVE_HEADER, rows)
-        _write_json(out / "curves.meta.json", {"config_hash": cfg.config_hash, "t_max": report.t_max})
-        files += ["curves.csv", "curves.meta.json"]
-    _write_manifest(out, cfg, "project", files)
+    _write_manifest(out, cfg, "project", ["fibering_report.json"])
     if not quiet:
         print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
-
-
-_SOLVE_BLOCK_OPTIONS = ("max_iter", "n_starts", "bubble_delta_frac", "bubble_eps_frac", "theta")
-_TOLERANCE_OPTIONS = ("grad_rtol", "energy_rtol", "distinct_tol", "semitrivial_tol")
 
 
 def cmd_solve(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
@@ -172,18 +158,9 @@ def cmd_solve(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
         raise ConfigError("parameters must be positive: solve needs lambda > 0 and mu > 0")
     dom = cfg.build_domain()
     seed = _primary_seed(cfg, seed_override)
-    block = cfg.solve or {}
-    # only the keys the config sets; every default lives in SolveOptions
-    defaults = solver.SolveOptions()
-    given = {key: block[key] for key in _SOLVE_BLOCK_OPTIONS if key in block}
-    given.update({key: cfg.tolerances[key] for key in _TOLERANCE_OPTIONS if key in cfg.tolerances})
-    opts = solver.SolveOptions(
-        seed=seed, **{key: type(getattr(defaults, key))(value) for key, value in given.items()}
-    )
-    s_d = s_ab_d = None
-    pair_min = None
-    if block.get("compute_constants", True):
-        s_d, _, s_ab_d, pair_min = consts.compute_S_coupled(dom, params, seed=seed, **_quotient_kwargs(cfg))
+    # the solve block holds max_iter and n_starts; every default lives in SolveOptions
+    opts = solver.SolveOptions(seed=seed, **(cfg.solve or {}))
+    s_d, _, s_ab_d, pair_min = consts.compute_S_coupled(dom, params, seed=seed, tol=_quotient_tol(cfg))
     plus, minus = solver.solve_two(params, dom, opts, s_d=s_d, s_ab_d=s_ab_d, s_ab_minimizer=pair_min)
 
     files = []
@@ -191,10 +168,8 @@ def cmd_solve(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
         payload = rep.to_dict()
         payload["config_hash"] = cfg.config_hash
         payload["domain_hash"] = dom.domain_hash()
-        if s_d is not None:
-            payload["S_d"] = s_d
-        if s_ab_d is not None:
-            payload["S_ab_d"] = s_ab_d
+        payload["S_d"] = s_d
+        payload["S_ab_d"] = s_ab_d
         _write_json(out / f"solution_{tag}.json", payload)
         save_field(dom, rep.pair.u, out / f"solution_{tag}_u.field")
         save_field(dom, rep.pair.v, out / f"solution_{tag}_v.field")
@@ -243,7 +218,7 @@ def cmd_bubble_scan(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> in
     if "s_d" in block:
         s_d, s_ab_d = float(block["s_d"]), float(block["s_ab_d"])
     else:
-        s_d, _, s_ab_d, _ = consts.compute_S_coupled(dom, params, seed=seed, **_quotient_kwargs(cfg))
+        s_d, _, s_ab_d, _ = consts.compute_S_coupled(dom, params, seed=seed, tol=_quotient_tol(cfg))
 
     norm = bubbles.norm_estimate_scan(dom, params, delta, theta, eps_list, s_ref=s_d, method=method)
     sup = bubbles.sup_energy_scan(dom, params, delta, theta, eps_list, lam, mu, s_d, s_ab_d)

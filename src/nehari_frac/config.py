@@ -1,12 +1,14 @@
 """JSON run configuration: strict schema, line-anchored errors, canonical hash.
 
-A single JSON file drives every CLI command.  Unknown keys are rejected
-(naming the offending line when it can be located in the source text), the
-model parameters are validated before any computation, and the canonical
+A single JSON file drives every CLI command.  A run is configured by its
+problem (`params`), its grid, its seed and the inputs of each command; the
+solver tolerances are module constants (`constants`, `solver`), not keys.
+Each block has one table mapping every accepted key to its accepted type or
+choices: unknown keys and values of the wrong type are rejected, naming the
+offending line when it can be located in the source text.  The model
+parameters are validated before any computation, and the canonical
 serialization of the parsed document is hashed so outputs can be tied to the
-exact configuration that produced them.  `grid.max_pairs` caps the explicit
-interior pair list, which only p != 2 builds; at p = 2 the key is accepted
-and has no effect.
+exact configuration that produced them.
 """
 from __future__ import annotations
 
@@ -17,46 +19,72 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
-from .grid import DEFAULT_MAX_PAIRS, GridDomain, build_grid
+from .grid import GridDomain, build_grid
 from .params import ModelParams
 
-TOP_KEYS = {"params", "grid", "seeds", "tolerances", "project", "solve", "bubble_scan", "curves"}
-PARAMS_KEYS = {"n", "p", "s", "q", "alpha", "beta", "lambda", "mu"}
-GRID_KEYS = {"n", "m", "box_length", "collar_factor", "shape", "max_pairs"}
-TOLERANCE_KEYS = {
-    "quotient_flat",
-    "quotient_restarts",
-    "quotient_max_iter",
-    "grad_rtol",
-    "energy_rtol",
-    "distinct_tol",
-    "semitrivial_tol",
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# accepted value kinds: (description, test); a tuple of strings in a key table is a choice
+KINDS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _is_number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
 }
-PROJECT_KEYS = {"u", "v", "curves", "t_lo", "t_hi", "samples"}
-SOLVE_KEYS = {"compute_constants", "n_starts", "max_iter", "bubble_delta_frac", "bubble_eps_frac", "theta"}
-BUBBLE_SCAN_KEYS = {"delta", "theta", "eps_list", "lambda", "mu", "method", "s_d", "s_ab_d"}
-CURVES_KEYS = {"u", "v", "seeded", "t_lo", "t_hi", "samples"}
+
+BLOCKS = {
+    "params": {"n": int, "p": float, "s": float, "q": float, "alpha": float, "beta": float,
+               "lambda": float, "mu": float},
+    "grid": {"n": int, "m": int, "box_length": float, "collar_factor": float, "shape": ("box", "ball")},
+    "tolerances": {"quotient_flat": float},
+    "project": {"u": str, "v": str},
+    "solve": {"n_starts": int, "max_iter": int},
+    "bubble_scan": {"delta": float, "theta": float, "eps_list": list, "lambda": float, "mu": float,
+                    "method": ("lattice", "quadrature"), "s_d": float, "s_ab_d": float},
+    "curves": {"u": str, "v": str, "seeded": bool, "t_lo": float, "t_hi": float, "samples": int},
+}
+TOP_KEYS = set(BLOCKS) | {"seeds"}
 
 
-def _find_line(text: str, key: str) -> Optional[int]:
+def describe_kind(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(repr(choice) for choice in kind)
+    return KINDS[kind][0]
+
+
+def _accepts(kind, value) -> bool:
+    return value in kind if isinstance(kind, tuple) else KINDS[kind][1](value)
+
+
+def _find_line(text: str, key: str, start: int = 1) -> Optional[int]:
     needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines()[start - 1:], start=start):
         if needle in line:
             return lineno
     return None
 
 
-def _anchor(path: str, text: str, key: str) -> str:
-    line = _find_line(text, key)
+def _anchor(path: str, text: str, key: str, block: Optional[str] = None) -> str:
+    """path:line of the first line naming key, searched from the line naming block."""
+    line = _find_line(text, key, (block and _find_line(text, block)) or 1)
     return f"{path}:{line}" if line else path
 
 
-def _check_keys(block: dict, allowed: set, name: str, path: str, text: str):
+def _check_block(block, name: str, path: str, text: str):
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: {name} block must be a JSON object")
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"{_anchor(path, text, key)}: unknown key {key!r} in {name} block")
+    table = BLOCKS[name]
+    for key, value in block.items():
+        if key not in table:
+            raise ConfigError(f"{_anchor(path, text, key, name)}: unknown key {key!r} in {name} block")
+        if not _accepts(table[key], value):
+            raise ConfigError(
+                f"{_anchor(path, text, key, name)}: {name}.{key} must be {describe_kind(table[key])}, got {value!r}"
+            )
 
 
 def _require(block: dict, key: str, name: str, path: str, text: str):
@@ -77,6 +105,7 @@ class RunConfig:
     curves: Optional[dict]
     raw: dict = field(repr=False)
     source_path: str = ""
+    text: str = field(default="", repr=False)
 
     @property
     def config_hash(self) -> str:
@@ -85,15 +114,17 @@ class RunConfig:
 
     def build_domain(self) -> GridDomain:
         g = self.grid
-        return build_grid(
-            n=g["n"],
-            m=g["m"],
-            box_length=g["box_length"],
-            collar_factor=g.get("collar_factor", 1.0),
-            params=self.params,
-            shape=g.get("shape", "box"),
-            max_pairs=int(g.get("max_pairs", DEFAULT_MAX_PAIRS)),
-        )
+        try:
+            return build_grid(
+                n=g["n"],
+                m=g["m"],
+                box_length=g["box_length"],
+                collar_factor=g.get("collar_factor", 1.0),
+                params=self.params,
+                shape=g.get("shape", "box"),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{_anchor(self.source_path, self.text, 'grid')}: {exc}") from exc
 
     def tolerance(self, key: str, default):
         return self.tolerances.get(key, default)
@@ -114,10 +145,13 @@ def load_config(path) -> RunConfig:
     for key in raw:
         if key not in TOP_KEYS:
             raise ConfigError(f"{_anchor(path, text, key)}: unknown top-level key {key!r}")
+    for name in ("params", "grid"):
+        if name not in raw:
+            raise ConfigError(f"{path}: missing required block {name!r}")
+    for name in BLOCKS:
+        if name in raw:
+            _check_block(raw[name], name, path, text)
 
-    if "params" not in raw:
-        raise ConfigError(f"{path}: missing required block 'params'")
-    _check_keys(raw["params"], PARAMS_KEYS, "params", path, text)
     for key in ("n", "p", "s", "q", "alpha", "beta"):
         _require(raw["params"], key, "params", path, text)
     try:
@@ -125,48 +159,25 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"{_anchor(path, text, 'params')}: {exc}") from exc
 
-    if "grid" not in raw:
-        raise ConfigError(f"{path}: missing required block 'grid'")
-    _check_keys(raw["grid"], GRID_KEYS, "grid", path, text)
     for key in ("n", "m", "box_length"):
         _require(raw["grid"], key, "grid", path, text)
     if raw["grid"]["n"] != params.n:
         raise ConfigError(f"{_anchor(path, text, 'grid')}: grid dimension {raw['grid']['n']} does not match params.n = {params.n}")
 
     seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError(f"{_anchor(path, text, 'seeds')}: seeds must be a nonempty list of integers")
-
-    tolerances = raw.get("tolerances", {})
-    _check_keys(tolerances, TOLERANCE_KEYS, "tolerances", path, text)
-    for key, value in tolerances.items():
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"{_anchor(path, text, key)}: tolerance {key!r} must be numeric")
-    if tolerances.get("quotient_restarts", 1) < 1:
-        raise ConfigError(f"{_anchor(path, text, 'quotient_restarts')}: quotient_restarts must be at least 1")
-
-    blocks = {}
-    for name, allowed in (
-        ("project", PROJECT_KEYS),
-        ("solve", SOLVE_KEYS),
-        ("bubble_scan", BUBBLE_SCAN_KEYS),
-        ("curves", CURVES_KEYS),
-    ):
-        if name in raw:
-            _check_keys(raw[name], allowed, name, path, text)
-            blocks[name] = raw[name]
-        else:
-            blocks[name] = None
+    if not (isinstance(seeds, list) and len(seeds) == 1 and KINDS[int][1](seeds[0])):
+        raise ConfigError(f"{_anchor(path, text, 'seeds')}: seeds must be a list of exactly one integer, got {seeds!r}")
 
     return RunConfig(
         params=params,
         grid=raw["grid"],
         seeds=tuple(seeds),
-        tolerances=dict(tolerances),
-        project=blocks["project"],
-        solve=blocks["solve"],
-        bubble_scan=blocks["bubble_scan"],
-        curves=blocks["curves"],
+        tolerances=dict(raw.get("tolerances", {})),
+        project=raw.get("project"),
+        solve=raw.get("solve"),
+        bubble_scan=raw.get("bubble_scan"),
+        curves=raw.get("curves"),
         raw=raw,
         source_path=path,
+        text=text,
     )

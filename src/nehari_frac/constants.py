@@ -22,7 +22,7 @@ from .params import ModelParams
 
 QUOTIENT_FLAT_TOL = 1e-6
 QUOTIENT_RESTARTS = 10
-QUOTIENT_MAX_ITER = 4000
+QUOTIENT_MAX_ITER = 4000        # read at call time, so a test can lower it
 _FLAT_PATIENCE = 4
 
 
@@ -147,27 +147,27 @@ def descend(start, evaluate, stop: StopRule, on_accept=None) -> Descent:
     return Descent(x, val, g, BUDGET, stop.max_iter)
 
 
-def _minimize_quotient(inits, evaluate, tol, max_iter, name, as_state, trace=None):
-    """Best descent over the starting points.
+def random_positive_starts(seq: np.random.SeedSequence, count: int, size: int, floor: float) -> list:
+    """count vectors |N(0,1)| + floor of length size, one per child spawned from seq."""
+    return [np.abs(np.random.default_rng(child).standard_normal(size)) + floor for child in seq.spawn(count)]
+
+
+def _minimize_quotient(inits, evaluate, tol, name, as_state):
+    """Best descent over the starting points, QUOTIENT_MAX_ITER steps each.
 
     Raises ConvergenceError unless some start finished, i.e. stopped for any
     reason but the budget (an exhausted line search counts as finished).
-    Each run's accepted values are appended to trace as one list when given.
     """
     if not inits:
         raise ValueError(f"{name}: no starting points")
-    stop = StopRule(max_iter=max_iter, flat_tol=tol)
+    stop = StopRule(max_iter=QUOTIENT_MAX_ITER, flat_tol=tol)
     best = run = None
     finished = False
     for x0 in inits:
         start = evaluate(x0)
         if start is None:
             raise ValueError(f"{name}: infeasible starting point")
-        values = []
-        on_accept = None if trace is None else lambda x, value: values.append(value)
-        run = descend(start, evaluate, stop, on_accept=on_accept)
-        if trace is not None:
-            trace.append(values)
+        run = descend(start, evaluate, stop)
         finished = finished or run.stop_reason != BUDGET
         if best is None or run.value < best.value:
             best = run
@@ -183,9 +183,7 @@ def compute_S(
     seed: int = 0,
     tol: float = QUOTIENT_FLAT_TOL,
     restarts: int = QUOTIENT_RESTARTS,
-    max_iter: int = QUOTIENT_MAX_ITER,
     extra_inits=(),
-    trace=None,
 ):
     """Minimize the discrete Rayleigh quotient; returns (S_d, minimizer).
 
@@ -210,14 +208,11 @@ def compute_S(
         val = float(np.dot(x, k))
         return x, val, p * k - val * (p * cell * signed_pow(x, pstar - 1.0))
 
-    seq = np.random.SeedSequence(seed)
     inits = [as_values(x).copy() for x in extra_inits]
     if restarts >= 1:
         inits.append(bump_field(dom))
-    for child in seq.spawn(max(restarts - 1, 0)):
-        rng = np.random.default_rng(child)
-        inits.append(np.abs(rng.standard_normal(dom.n_interior)) + 1e-6)
-    return _minimize_quotient(inits, evaluate, tol, max_iter, "Rayleigh", Field, trace=trace)
+    inits += random_positive_starts(np.random.SeedSequence(seed), max(restarts - 1, 0), dom.n_interior, 1e-6)
+    return _minimize_quotient(inits, evaluate, tol, "Rayleigh", Field)
 
 
 def compute_S_alpha_beta(
@@ -226,7 +221,6 @@ def compute_S_alpha_beta(
     seed: int = 0,
     tol: float = QUOTIENT_FLAT_TOL,
     restarts: int = QUOTIENT_RESTARTS,
-    max_iter: int = QUOTIENT_MAX_ITER,
     s_minimizer: Optional[Field] = None,
 ):
     """Minimize the coupled pair quotient; returns (S_ab_d, minimizing pair).
@@ -255,7 +249,6 @@ def compute_S_alpha_beta(
         dP, _, dD = triple_gradients(params, dom, x[:n], x[n:], kernels=(cp * kernels[0], cp * kernels[1]))
         return x, val, dP - val * (p / ab) * (dD / 2.0)
 
-    seq = np.random.SeedSequence(seed)
     ratio = (params.alpha / params.beta) ** (1.0 / p)
     inits = []
     if s_minimizer is not None:
@@ -264,12 +257,9 @@ def compute_S_alpha_beta(
     if restarts >= 1:
         bump = bump_field(dom)
         inits.append(np.concatenate([ratio * bump, bump]))
-    for child in seq.spawn(max(restarts - 1, 0)):
-        rng = np.random.default_rng(child)
-        inits.append(np.abs(rng.standard_normal(2 * n)) + 1e-6)
+    inits += random_positive_starts(np.random.SeedSequence(seed), max(restarts - 1, 0), 2 * n, 1e-6)
     return _minimize_quotient(
-        inits, evaluate, tol, max_iter, "coupled quotient",
-        lambda x: FieldPair(Field(x[:n]), Field(x[n:])),
+        inits, evaluate, tol, "coupled quotient", lambda x: FieldPair(Field(x[:n]), Field(x[n:]))
     )
 
 
@@ -482,7 +472,6 @@ def compute_S_coupled(
     seed: int = 0,
     tol: float = QUOTIENT_FLAT_TOL,
     restarts: int = QUOTIENT_RESTARTS,
-    max_iter: int = QUOTIENT_MAX_ITER,
 ):
     """Both quotient minima with basin coupling between the two solvers.
 
@@ -495,16 +484,13 @@ def compute_S_coupled(
 
     Returns (s_d, s_minimizer, s_ab_d, pair_minimizer).
     """
-    s_d, s_min = compute_S(dom, params, seed=seed, tol=tol, restarts=restarts, max_iter=max_iter)
-    s_ab_d, pair_min = compute_S_alpha_beta(
-        dom, params, seed=seed + 1, tol=tol, restarts=restarts, max_iter=max_iter, s_minimizer=s_min
-    )
-    back = _extra_start(compute_S, rayleigh_quotient, dom, params, seed=seed, tol=tol,
-                        max_iter=max_iter, extra_inits=(pair_min.v,))
+    s_d, s_min = compute_S(dom, params, seed=seed, tol=tol, restarts=restarts)
+    s_ab_d, pair_min = compute_S_alpha_beta(dom, params, seed=seed + 1, tol=tol, restarts=restarts, s_minimizer=s_min)
+    back = _extra_start(compute_S, rayleigh_quotient, dom, params, seed=seed, tol=tol, extra_inits=(pair_min.v,))
     if back[0] < s_d:
         s_d, s_min = back
         s_ab_d2, pair_min2 = _extra_start(compute_S_alpha_beta, coupled_quotient, dom, params, seed=seed + 1,
-                                          tol=tol, max_iter=max_iter, s_minimizer=s_min)
+                                          tol=tol, s_minimizer=s_min)
         if s_ab_d2 < s_ab_d:
             s_ab_d, pair_min = s_ab_d2, pair_min2
     return s_d, s_min, s_ab_d, pair_min
@@ -528,15 +514,12 @@ def compute_constants_report(
     seed: int = 0,
     tol: float = QUOTIENT_FLAT_TOL,
     restarts: int = QUOTIENT_RESTARTS,
-    max_iter: int = QUOTIENT_MAX_ITER,
 ):
     """Run both quotient solvers and evaluate every closed form.
 
     Returns (report, s_minimizer, s_ab_minimizer).
     """
-    s_d, s_min, s_ab_d, pair_min = compute_S_coupled(
-        dom, params, seed=seed, tol=tol, restarts=restarts, max_iter=max_iter
-    )
+    s_d, s_min, s_ab_d, pair_min = compute_S_coupled(dom, params, seed=seed, tol=tol, restarts=restarts)
     c0_value = c0(params, s_d, dom.volume)
     d0 = d0_bound(params, s_d, dom.volume, params.lam, params.mu)
     report = ConstantsReport(

@@ -6,7 +6,7 @@ class NehariFracError(Exception):
 
 
 class GridTooLargeError(NehariFracError):
-    """Pair storage for the requested lattice exceeds the configured cap."""
+    """Building the pair list of the requested lattice would exceed the memory budget."""
 
 
 class ZeroPairError(NehariFracError):

@@ -1,4 +1,4 @@
-"""Field and domain persistence.
+"""Field persistence.
 
 A field is stored as a raw little-endian float64 array plus a JSON sidecar
 (<path>.json) recording the domain hash, the node count and the dtype tag
@@ -43,10 +43,3 @@ def load_field(dom: GridDomain, path) -> Field:
     if raw.shape[0] != sidecar.get("count") or raw.shape[0] != dom.n_interior:
         raise ConfigError(f"field {path} has {raw.shape[0]} values, expected {dom.n_interior}")
     return Field(raw.copy())
-
-
-def save_domain(dom: GridDomain, path) -> None:
-    """Write the domain construction metadata (JSON)."""
-    payload = dict(dom.describe())
-    payload["hash"] = dom.domain_hash()
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,9 @@ import numpy as np
 from .errors import GridTooLargeError
 from .params import ModelParams
 
-DEFAULT_MAX_PAIRS = 200_000_000
+# Building the p != 2 pair list peaks at 32 + 16 n bytes per pair (tracemalloc peak
+# of _pair_weights: 48, 64 and 80 B for n = 1, 2, 3); it may use half the physical memory.
+PAIR_BUDGET_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
 def signed_pow(x, r):
@@ -178,7 +181,6 @@ def build_grid(
     collar_factor: float,
     params: ModelParams,
     shape: str = "box",
-    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> GridDomain:
     """Build the lattice domain for dimension n with m interior nodes per axis.
 
@@ -186,7 +188,8 @@ def build_grid(
     collar fills the shell of width collar_factor*L around the box (tail error
     of the truncated exterior integral scales like that width^(-p s) and is
     not corrected).  shape="ball" restricts the interior to the inscribed
-    open ball; everything else in the sampled region becomes collar.
+    open ball; everything else in the sampled region becomes collar.  For
+    p != 2, GridTooLargeError when the pair list would exceed PAIR_BUDGET_BYTES.
     """
     if n != params.n:
         raise ValueError(f"grid dimension {n} does not match params.n = {params.n}")
@@ -212,10 +215,11 @@ def build_grid(
     collar = coords[~inside]
 
     n_int = interior.shape[0]
-    n_pairs = n_int * (n_int - 1) // 2
-    if params.p != 2.0 and n_pairs > max_pairs:
+    pair_bytes = n_int * (n_int - 1) // 2 * (32 + 16 * n)
+    if params.p != 2.0 and pair_bytes > PAIR_BUDGET_BYTES:
         raise GridTooLargeError(
-            f"grid too large: {n_pairs} interior pairs exceed the cap of {max_pairs}"
+            f"grid too large: building the pair list of {n_int} interior nodes needs about "
+            f"{pair_bytes / 1e9:.3g} GB, over the budget of {PAIR_BUDGET_BYTES / 1e9:.3g} GB"
         )
 
     kernel_exp = n + params.p * params.s

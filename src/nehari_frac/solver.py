@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .bubbles import bubble_field
-from .constants import CONVERGED_STOPS, StopRule, bump_field, c0, c_infty, d0_bound, descend
+from .constants import CONVERGED_STOPS, StopRule, bump_field, c0, c_infty, d0_bound, descend, random_positive_starts
 from .energy import ReducedTriple, constraint_gradient_arrays, gradient_arrays, ray_triple
 from .errors import BranchLostError, ConvergenceError, SupportError
 from .fibering import (
@@ -37,22 +37,23 @@ from .params import ModelParams
 
 
 BRANCH_FLAT_PATIENCE = 8
+GRAD_RTOL = 1e-9                 # stop when |grad| falls this far below its initial size
+ENERGY_RTOL = 1e-13              # accepted-step relative decrease considered flat
+ARMIJO = 1e-4
+BUBBLE_DELTA_FRAC = 0.25         # bubble start: delta as a fraction of the box length
+BUBBLE_EPS_FRAC = 0.25           # bubble start: eps as a fraction of delta
+BUBBLE_THETA = 2.0
+DISTINCT_TOL = 1e-6              # two solutions are distinct above this pair_distance
+SEMITRIVIAL_TOL = 1e-8           # a component with at most this share of the L^q norms is zero
+STATIONARITY_RTOL = 1e-6         # semitrivial_tmax_check: largest |P - B| / P of its inputs
 SCALAR_MAX_ITER = 20000          # BB budget of the scalar solve without Newton polish (p != 2)
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     max_iter: int = 4000
-    grad_rtol: float = 1e-9          # stop when |grad| falls this far below its initial size
-    energy_rtol: float = 1e-13       # accepted-step relative decrease considered flat
-    armijo: float = 1e-4
     n_starts: int = 4
     seed: int = 0
-    bubble_delta_frac: float = 0.25  # delta as a fraction of the box length
-    bubble_eps_frac: float = 0.25    # eps as a fraction of delta
-    theta: float = 2.0
-    distinct_tol: float = 1e-6
-    semitrivial_tol: float = 1e-8
 
 
 @dataclass
@@ -155,8 +156,8 @@ def minimize_on_branch(
             "starting state; use smaller lambda and mu"
         )
     stop = StopRule(
-        max_iter=opts.max_iter, flat_tol=opts.energy_rtol, patience=BRANCH_FLAT_PATIENCE,
-        grad_rtol=opts.grad_rtol, armijo=opts.armijo,
+        max_iter=opts.max_iter, flat_tol=ENERGY_RTOL, patience=BRANCH_FLAT_PATIENCE,
+        grad_rtol=GRAD_RTOL, armijo=ARMIJO,
     )
     run = descend(start, evaluate, stop, on_accept=accepted)
 
@@ -168,7 +169,7 @@ def minimize_on_branch(
     pair = FieldPair(Field(u), Field(v))
     lq_u = lr_norm(dom, u, params.q)
     lq_v = lr_norm(dom, v, params.q)
-    semitrivial = min(lq_u, lq_v) <= opts.semitrivial_tol * (lq_u + lq_v)
+    semitrivial = min(lq_u, lq_v) <= SEMITRIVIAL_TOL * (lq_u + lq_v)
     return SolutionReport(
         branch=branch,
         energy=run.value,
@@ -184,12 +185,6 @@ def minimize_on_branch(
     )
 
 
-def _random_positive_pair(dom: GridDomain, rng) -> FieldPair:
-    u = np.abs(rng.standard_normal(dom.n_interior)) + 1e-3
-    v = np.abs(rng.standard_normal(dom.n_interior)) + 1e-3
-    return FieldPair(Field(u), Field(v))
-
-
 def _starts_for_branch(params: ModelParams, dom: GridDomain, branch: str, opts: SolveOptions,
                        extra=None):
     """Deterministic list of starting pairs.
@@ -203,10 +198,10 @@ def _starts_for_branch(params: ModelParams, dom: GridDomain, branch: str, opts: 
     if branch == NMINUS:
         if extra is not None:
             starts.append(extra)
-        delta = opts.bubble_delta_frac * dom.box_length
-        eps = opts.bubble_eps_frac * delta
+        delta = BUBBLE_DELTA_FRAC * dom.box_length
+        eps = BUBBLE_EPS_FRAC * delta
         try:
-            ub = bubble_field(dom, params, eps, delta, opts.theta).values
+            ub = bubble_field(dom, params, eps, delta, BUBBLE_THETA).values
             starts.append(
                 FieldPair(
                     Field(params.alpha ** (1.0 / params.p) * ub),
@@ -216,9 +211,10 @@ def _starts_for_branch(params: ModelParams, dom: GridDomain, branch: str, opts: 
         except SupportError:
             pass  # bubble support may not fit exotic grids; random starts remain
     starts.append(FieldPair(Field(bump.copy()), Field(bump.copy())))
+    n = dom.n_interior
     seq = np.random.SeedSequence(opts.seed, spawn_key=(0 if branch == NPLUS else 1,))
-    for child in seq.spawn(max(opts.n_starts - 1, 0)):
-        starts.append(_random_positive_pair(dom, np.random.default_rng(child)))
+    for x in random_positive_starts(seq, max(opts.n_starts - 1, 0), 2 * n, 1e-3):
+        starts.append(FieldPair(Field(x[:n]), Field(x[n:])))
     return starts
 
 
@@ -277,7 +273,7 @@ def solve_two(
     checks = {
         "energy_plus_negative": plus.energy < 0,
         "energy_minus_positive": minus.energy > 0,
-        "distinct": dist > opts.distinct_tol and plus.field_hash() != minus.field_hash(),
+        "distinct": dist > DISTINCT_TOL and plus.field_hash() != minus.field_hash(),
         "pair_distance": dist,
         "non_semitrivial_plus": not plus.semitrivial,
         "non_semitrivial_minus": not minus.semitrivial,
@@ -393,13 +389,7 @@ def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float):
     return Field(u), val
 
 
-def semitrivial_tmax_check(
-    params: ModelParams,
-    dom: GridDomain,
-    u1,
-    w,
-    stationarity_rtol: float = 1e-6,
-) -> float:
+def semitrivial_tmax_check(params: ModelParams, dom: GridDomain, u1, w) -> float:
     """Deviation of t_max(u1, w) from ((a+b-q)/(a+b-p))^(1/(p-q)).
 
     Assumes u1 is stationary for the scalar problem with weight lam and w
@@ -416,7 +406,7 @@ def semitrivial_tmax_check(
     tw = ray_triple(params, dom, zero, w)
     r1 = abs(tu.constraint) / tu.P
     r2 = abs(tw.constraint) / tw.P
-    if max(r1, r2) > stationarity_rtol:
+    if max(r1, r2) > STATIONARITY_RTOL:
         raise ConvergenceError(
             f"inputs are not stationary enough (relative residuals {r1:.3e}, {r2:.3e})"
         )

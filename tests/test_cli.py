@@ -52,7 +52,9 @@ def test_unknown_top_level_key(tmp_path):
 
 def test_unknown_key_is_line_anchored(tmp_path):
     # root_rel, manifold_rel, classify_deadband and center were accepted keys
-    # that nothing read; tolerances.max_iter and .n_starts duplicated solve.*
+    # that nothing read; tolerances.max_iter and .n_starts duplicated solve.*;
+    # the solver tolerances are code constants, project.curves and its sampling
+    # keys duplicated the curves command, and the pair budget replaced max_pairs
     cases = (
         ("grid", "shap", "box"),
         ("tolerances", "root_rel", 1e-12),
@@ -61,6 +63,21 @@ def test_unknown_key_is_line_anchored(tmp_path):
         ("bubble_scan", "center", [0.5, 0.5]),
         ("tolerances", "max_iter", 4000),
         ("tolerances", "n_starts", 4),
+        ("tolerances", "quotient_restarts", 10),
+        ("tolerances", "quotient_max_iter", 4000),
+        ("tolerances", "grad_rtol", 1e-9),
+        ("tolerances", "energy_rtol", 1e-13),
+        ("tolerances", "distinct_tol", 1e-6),
+        ("tolerances", "semitrivial_tol", 1e-8),
+        ("solve", "compute_constants", True),
+        ("solve", "bubble_delta_frac", 0.25),
+        ("solve", "bubble_eps_frac", 0.25),
+        ("solve", "theta", 2.0),
+        ("project", "curves", True),
+        ("project", "t_lo", 0.1),
+        ("project", "t_hi", 10.0),
+        ("project", "samples", 2000),
+        ("grid", "max_pairs", 200_000_000),
     )
     for block, key, value in cases:
         path = write_config(tmp_path, **{block: {key: value}})
@@ -68,14 +85,57 @@ def test_unknown_key_is_line_anchored(tmp_path):
             load_config(path)
 
 
-def test_quotient_restarts_below_one_rejected(tmp_path, capsys):
-    # compute_S(restarts=0) runs only caller-supplied starts, and the CLI supplies none
-    for restarts in (0, -3):
-        path = write_config(tmp_path, tolerances={"quotient_restarts": restarts})
-        with pytest.raises(ConfigError, match=r"cfg\.json:\d+: quotient_restarts must be at least 1"):
-            load_config(path)
-        assert main(["constants", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-        assert "quotient_restarts" in capsys.readouterr().err
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+
+
+MALFORMED = [
+    ("bubble_scan", "method", "foo", "bubble-scan", "method"),
+    ("bubble_scan", "eps_list", ["a"], "bubble-scan", "eps_list"),
+    ("bubble_scan", "delta", "x", "bubble-scan", "delta"),
+    ("solve", "n_starts", "x", "solve", "n_starts"),
+    ("solve", "n_starts", True, "solve", "n_starts"),
+    ("grid", "shape", "disk", "constants", "shape"),
+    ("grid", "m", 12.5, "constants", "m"),
+    ("grid", "m", 1, "constants", "grid"),               # rejected by build_grid
+    ("grid", "collar_factor", 0.5, "constants", "grid"),  # rejected by build_grid
+    ("curves", "samples", "x", "curves", "samples"),
+    ("bubble_scan", "lambda", "x", "bubble-scan", "lambda"),  # named in params first
+    (None, "seeds", [7, 8], "curves", "seeds"),
+    (None, "seeds", [True], "curves", "seeds"),
+]
+
+
+@pytest.mark.parametrize("block, key, value, command, anchor", MALFORMED,
+                         ids=[f"{key}={json.dumps(value)}" for _, key, value, _, _ in MALFORMED])
+def test_malformed_value_exits_2_line_anchored(tmp_path, capsys, block, key, value, command, anchor):
+    """Each probe changes configs/desk.json in one place; the error names the
+    line of the anchor key in the probed block, and no traceback escapes."""
+    doc = json.loads(DESK.read_text())
+    (doc if block is None else doc[block])[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    lines = path.read_text().splitlines()
+    start = 0 if block is None else next(i for i, text in enumerate(lines) if f'"{block}"' in text)
+    line = next(i for i, text in enumerate(lines[start:], start + 1) if f'"{anchor}"' in text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: ")
+    assert "Traceback" not in err
+
+
+def test_readme_config_table_matches_config():
+    """The README's "Config keys" table lists exactly the keys config.BLOCKS
+    accepts, each with the kind the validation error names."""
+    from nehari_frac.config import BLOCKS, TOP_KEYS, describe_kind
+
+    section = (DESK.parents[1] / "README.md").read_text().split("### Config keys\n", 1)[1]
+    lines = section.split("\n\n| ", 1)[1].split("\n\n", 1)[0].splitlines()
+    rows = [[cell.strip() for cell in line.split("|")[1:4]] for line in lines[2:]]
+    expected = {(block, key): describe_kind(kind) for block, table in BLOCKS.items() for key, kind in table.items()}
+    expected[("", "seeds")] = "a list of one integer"
+    assert {(block, key): kind for block, key, kind in rows} == expected
+    assert len(rows) == len(expected) == 33
+    assert TOP_KEYS == set(BLOCKS) | {"seeds"}
 
 
 def test_missing_grid_block(tmp_path):
@@ -163,13 +223,16 @@ def test_project_zero_field_exit_2(tmp_path, capsys):
     assert "zero pair has no fibering" in capsys.readouterr().err
 
 
-def test_project_roundtrip_and_rerun_identical(tmp_path):
-    cfg = write_config(tmp_path, extra={"project": {"curves": True, "samples": 400}})
-    config = load_config(cfg)
-    dom = config.build_domain()
-    rng = np.random.default_rng(3)
+def _random_fields(tmp_path, cfg, seed):
+    dom = load_config(cfg).build_domain()
+    rng = np.random.default_rng(seed)
     save_field(dom, nf.Field(np.abs(rng.standard_normal(dom.n_interior))), tmp_path / "u.field")
     save_field(dom, nf.Field(np.abs(rng.standard_normal(dom.n_interior))), tmp_path / "v.field")
+
+
+def test_project_roundtrip_and_rerun_identical(tmp_path):
+    cfg = write_config(tmp_path)
+    _random_fields(tmp_path, cfg, 3)
     args = ["project", "--config", str(cfg),
             "--u", str(tmp_path / "u.field"), "--v", str(tmp_path / "v.field"), "--quiet"]
     assert main(args + ["--out", str(tmp_path / "p1")]) == 0
@@ -179,12 +242,23 @@ def test_project_roundtrip_and_rerun_identical(tmp_path):
     report = json.loads(r1)
     assert report["outcome"] == "two_roots"
     assert report["t1"] < report["t_max"] < report["t2"]
-    csv = (tmp_path / "p1" / "curves.csv").read_text()
+
+
+def test_curves_from_field_files(tmp_path):
+    cfg = write_config(tmp_path, extra={"curves": {"u": str(tmp_path / "u.field"),
+                                                   "v": str(tmp_path / "v.field"), "samples": 400}})
+    _random_fields(tmp_path, cfg, 3)
+    assert main(["curves", "--config", str(cfg), "--out", str(tmp_path / "c"), "--quiet"]) == 0
+    csv = (tmp_path / "c" / "curves.csv").read_text()
     lines = csv.strip().split("\n")
     assert lines[0] == "t,phi,phi_prime,phi_second,psi"
+    assert len(lines) == 401
     ts = [float(line.split(",")[0]) for line in lines[1:]]
     assert all(a < b for a, b in zip(ts, ts[1:]))
     assert "\r" not in csv
+    meta = json.loads((tmp_path / "c" / "curves.meta.json").read_text())
+    assert meta["outcome"] == "two_roots" and meta["t1"] < meta["t_max"] < meta["t2"]
+    assert verify_output_dir(tmp_path / "c")
 
 
 def test_project_domain_hash_mismatch(tmp_path, capsys):

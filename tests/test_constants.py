@@ -15,6 +15,7 @@ from nehari_frac.constants import (
     coupled_quotient,
     coupling_ratio_g,
     descend,
+    random_positive_starts,
     rayleigh_quotient,
 )
 
@@ -177,18 +178,40 @@ def test_rayleigh_quotient_scale_invariant(dom):
     assert rayleigh_quotient(dom, params, np.abs(u)) <= rayleigh_quotient(dom, params, u) + 1e-12
 
 
-def test_compute_S_descent_is_monotone_and_beats_probes():
+def test_compute_S_descent_is_monotone_and_beats_probes(monkeypatch):
+    from nehari_frac import constants
+
     params = nf.ModelParams(n=1, p=2.0, s=0.4, q=1.5, alpha=2.0, beta=2.0)
     dom = nf.build_grid(1, 8, 1.0, 1.0, params)
-    trace = []
-    s_d, s_min = nf.compute_S(dom, params, seed=3, restarts=4, trace=trace)
-    for run in trace:
+    real, runs = constants.descend, []
+
+    def recording(start, evaluate, stop, on_accept=None):
+        runs.append([])
+        return real(start, evaluate, stop, on_accept=lambda x, value: runs[-1].append(value))
+
+    monkeypatch.setattr(constants, "descend", recording)
+    s_d, s_min = nf.compute_S(dom, params, seed=3, restarts=4)
+    assert len(runs) == 4
+    for run in runs:
         assert all(b <= a + 1e-15 for a, b in zip(run, run[1:]))
     assert np.all(s_min.values >= 0)
     assert s_d == pytest.approx(rayleigh_quotient(dom, params, s_min), rel=1e-12)
     rng = np.random.default_rng(123)
     probes = [rayleigh_quotient(dom, params, rng.standard_normal(dom.n_interior)) for _ in range(1000)]
     assert s_d <= min(probes)
+
+
+def test_random_positive_starts_split_like_per_component_draws():
+    """One draw of 2n per spawned child equals two successive draws of n, so
+    the branch starts kept their stream when they moved onto the helper."""
+    n = 7
+    starts = random_positive_starts(np.random.SeedSequence(5, spawn_key=(1,)), 3, 2 * n, 1e-3)
+    children = np.random.SeedSequence(5, spawn_key=(1,)).spawn(3)
+    assert len(starts) == 3
+    for x, child in zip(starts, children):
+        rng = np.random.default_rng(child)
+        assert np.array_equal(x[:n], np.abs(rng.standard_normal(n)) + 1e-3)
+        assert np.array_equal(x[n:], np.abs(rng.standard_normal(n)) + 1e-3)
 
 
 def test_compute_S_coupled_runs_each_start_once(dom12, monkeypatch):
@@ -369,11 +392,14 @@ def test_descend_stops_on_gradient_and_budget():
     assert (run.stop_reason, run.iterations) == (BUDGET, 0)
 
 
-def test_compute_S_nonconvergence_attaches_iterate():
+def test_compute_S_nonconvergence_attaches_iterate(monkeypatch):
+    from nehari_frac import constants
+    from nehari_frac.errors import ConvergenceError
+
     params = nf.ModelParams(n=1, p=2.0, s=0.4, q=1.5, alpha=2.0, beta=2.0)
     dom = nf.build_grid(1, 6, 1.0, 1.0, params)
-    from nehari_frac.errors import ConvergenceError
+    monkeypatch.setattr(constants, "QUOTIENT_MAX_ITER", 0)
     with pytest.raises(ConvergenceError) as exc:
-        nf.compute_S(dom, params, seed=0, restarts=1, max_iter=0)
+        nf.compute_S(dom, params, seed=0, restarts=1)
     assert exc.value.last_iterate is not None
     assert exc.value.last_iterate.values.shape == (dom.n_interior,)

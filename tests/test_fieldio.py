@@ -5,7 +5,7 @@ import pytest
 
 import nehari_frac as nf
 from nehari_frac.errors import ConfigError
-from nehari_frac.fieldio import load_field, save_field, save_domain
+from nehari_frac.fieldio import load_field, save_field
 
 from conftest import DESK
 
@@ -49,10 +49,3 @@ def test_missing_sidecar(tmp_path, dom):
     (tmp_path / "u.field").write_bytes(b"\x00" * 8 * dom.n_interior)
     with pytest.raises(ConfigError, match="sidecar"):
         load_field(dom, tmp_path / "u.field")
-
-
-def test_save_domain(tmp_path, dom):
-    save_domain(dom, tmp_path / "domain.json")
-    meta = json.loads((tmp_path / "domain.json").read_text())
-    assert meta["hash"] == dom.domain_hash()
-    assert meta["n_interior"] == dom.n_interior

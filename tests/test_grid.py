@@ -9,6 +9,7 @@ import nehari_frac as nf
 from nehari_frac.constants import bump_field
 from nehari_frac.energy import gradient_arrays, ray_triple, triple_gradients
 from nehari_frac.errors import GridTooLargeError
+from nehari_frac import grid
 from nehari_frac.grid import pair_list, plap_gradient, signed_pow
 
 from conftest import DESK, random_field
@@ -57,16 +58,21 @@ def test_pairs_are_unordered_and_positive():
     assert len(np.unique(keys)) == pair_w.shape[0]
 
 
-def test_grid_too_large():
-    # max_pairs caps the pair list, which only p != 2 builds
+def test_grid_too_large(monkeypatch):
+    # the budget bounds the pair list build, (32 + 16 n) B per pair, which only p != 2 makes
     p = nf.ModelParams(n=2, p=3.0, s=0.1, q=2.5, alpha=30.0 / 17.0, beta=30.0 / 17.0)
+    need = 100 * 99 // 2 * (32 + 16 * 2)
+    monkeypatch.setattr(grid, "PAIR_BUDGET_BYTES", need - 1)
     with pytest.raises(GridTooLargeError, match="grid too large"):
-        nf.build_grid(2, 40, 1.0, 1.0, p, max_pairs=1000)
+        nf.build_grid(2, 10, 1.0, 1.0, p)
+    monkeypatch.setattr(grid, "PAIR_BUDGET_BYTES", need)
+    assert nf.build_grid(2, 10, 1.0, 1.0, p).n_pairs == 100 * 99 // 2
 
 
-def test_p2_grid_ignores_pair_cap():
+def test_p2_grid_ignores_pair_cap(monkeypatch):
     p = nf.ModelParams(**DESK)
-    dom = nf.build_grid(2, 40, 1.0, 1.0, p, max_pairs=1000)
+    monkeypatch.setattr(grid, "PAIR_BUDGET_BYTES", 0)
+    dom = nf.build_grid(2, 40, 1.0, 1.0, p)
     assert dom.n_interior == 1600 and dom.n_pairs == 0
     assert dom.pair_i is None and dom.pair_j is None and dom.pair_w is None
 
