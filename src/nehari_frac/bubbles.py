@@ -2,7 +2,7 @@
 
 The base profile U(r) = (1 + r^(p/(p-1)))^(-(n-ps)/p) is the conjectured
 Rayleigh minimizer shape; it is a proven minimizer only for p = 2 and is used
-here as a model profile (a tabulated radial profile can be injected instead).
+here as a model profile (any RadialProfile can be passed as `profile` instead).
 The truncation maps g and G cut the rescaled profile U_eps to the ball of
 radius theta*delta while keeping it untouched inside radius delta.
 """
@@ -20,7 +20,6 @@ from .grid import Field, GridDomain, lr_norm, seminorm_p
 from .params import ModelParams
 
 MODEL_KIND = "model_p"
-TABULATED_KIND = "tabulated"
 
 
 # ---------------------------------------------------------------------------
@@ -55,27 +54,6 @@ class RadialProfile:
 
 def model_radial_profile(params: ModelParams) -> RadialProfile:
     return RadialProfile(params, MODEL_KIND, lambda r: model_profile(params, r))
-
-
-def tabulated_radial_profile(params: ModelParams, radii: np.ndarray, values: np.ndarray) -> RadialProfile:
-    """Radial profile from a sample table; beyond the table it continues with
-    the optimal decay power r^(-(n-ps)/(p-1)) matched at the last sample."""
-    radii = np.asarray(radii, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if radii.ndim != 1 or radii.shape != values.shape or radii.shape[0] < 2:
-        raise ValueError("need matching 1-d radius/value tables with at least two rows")
-    if not np.all(np.diff(radii) > 0):
-        raise ValueError("radius table must be strictly increasing")
-    decay = (params.n - params.p * params.s) / (params.p - 1.0)
-    r_end, v_end = radii[-1], values[-1]
-
-    def func(r):
-        r = np.asarray(r, dtype=np.float64)
-        inside = np.interp(r, radii, values)
-        tail = v_end * (np.maximum(r, r_end) / r_end) ** (-decay)
-        return np.where(r <= r_end, inside, tail)
-
-    return RadialProfile(params, TABULATED_KIND, func)
 
 
 def rescale(profile: RadialProfile, epsilon: float, r):

@@ -130,6 +130,8 @@ def _curve_rows(triple, params, report, block):
         hi_default = 10.0
     t_lo = float(block.get("t_lo", lo_default))
     t_hi = float(block.get("t_hi", hi_default))
+    if not t_lo < t_hi:
+        raise ConfigError(f"curves needs t_lo < t_hi, got t_lo = {t_lo!r} and t_hi = {t_hi!r}")
     samples = block.get("samples", 2000)
     return fibering.sample_curves(triple, params, t_lo, t_hi, samples)
 

@@ -48,6 +48,18 @@ BLOCKS = {
     "curves": {"u": str, "v": str, "seeded": bool, "t_lo": float, "t_hi": float, "samples": int},
 }
 TOP_KEYS = set(BLOCKS) | {"seeds"}
+# value ranges, checked after the kinds: (block, key) -> (test, description)
+RANGES = {
+    ("tolerances", "quotient_flat"): (lambda v: v >= 0, "at least 0"),
+    ("solve", "n_starts"): (lambda v: v >= 1, "at least 1"),
+    ("solve", "max_iter"): (lambda v: v >= 0, "at least 0"),
+    ("bubble_scan", "theta"): (lambda v: v > 1, "above 1"),
+    ("bubble_scan", "eps_list"): (len, "a non-empty list"),
+    ("bubble_scan", "lambda"): (lambda v: v >= 0, "at least 0"),
+    ("bubble_scan", "mu"): (lambda v: v >= 0, "at least 0"),
+    ("curves", "t_lo"): (lambda v: v > 0, "positive"),
+    ("curves", "samples"): (lambda v: v >= 2, "at least 2"),
+}
 
 
 def describe_kind(kind) -> str:
@@ -79,12 +91,14 @@ def _check_block(block, name: str, path: str, text: str):
         raise ConfigError(f"{path}: {name} block must be a JSON object")
     table = BLOCKS[name]
     for key, value in block.items():
+        where = _anchor(path, text, key, name)
         if key not in table:
-            raise ConfigError(f"{_anchor(path, text, key, name)}: unknown key {key!r} in {name} block")
+            raise ConfigError(f"{where}: unknown key {key!r} in {name} block")
         if not _accepts(table[key], value):
-            raise ConfigError(
-                f"{_anchor(path, text, key, name)}: {name}.{key} must be {describe_kind(table[key])}, got {value!r}"
-            )
+            raise ConfigError(f"{where}: {name}.{key} must be {describe_kind(table[key])}, got {value!r}")
+        test, expected = RANGES.get((name, key), (None, ""))
+        if test and not test(value):
+            raise ConfigError(f"{where}: {name}.{key} must be {expected}, got {value!r}")
 
 
 def _require(block: dict, key: str, name: str, path: str, text: str):

@@ -280,15 +280,6 @@ def ratio_check(s_value: float, s_ab_value: float, params: ModelParams) -> float
     return abs(s_ab_value - target) / target
 
 
-def coupling_ratio_g(params: ModelParams, x: float) -> float:
-    """g(x) = x^(p b/(a+b)) + x^(-p a/(a+b)), the pair-splitting cost function."""
-    if x <= 0:
-        raise ValueError("g is defined for x > 0")
-    p, a, b = params.p, params.alpha, params.beta
-    ab = params.ab
-    return x ** (p * b / ab) + x ** (-p * a / ab)
-
-
 def g_min(params: ModelParams):
     """Closed-form minimizer and minimum of g: x0 = (a/b)^(1/p), g(x0) = ratio factor."""
     x0 = (params.alpha / params.beta) ** (1.0 / params.p)
@@ -325,17 +316,6 @@ def c0(params: ModelParams, s_value: float, volume: float) -> float:
         * volume ** (p * (ps - q) / (ps * (p - q)))
         * s_value ** (-q / (p - q))
     )
-
-
-def c0_via_chat(params: ModelParams, s_value: float, volume: float) -> float:
-    """Independent route to C_0 through the Young-splitting constant."""
-    p, q, s, n = params.p, params.q, params.s, params.n
-    ps = params.p_star
-    bracket = (p / q) * (s / n) * (1.0 / q - 1.0 / ps) ** (-1.0)
-    chat = (p - q) / p * (
-        bracket ** (-q / p) * volume ** ((ps - q) / ps) * s_value ** (-q / p)
-    ) ** (p / (p - q))
-    return (1.0 / q - 1.0 / ps) * chat
 
 
 def c_infty(params: ModelParams, s_ab_value: float, c0_value: float, lam: float, mu: float) -> float:

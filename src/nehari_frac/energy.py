@@ -143,11 +143,3 @@ def nehari_constraint(params: ModelParams, dom: GridDomain, pair: FieldPair) -> 
     from membership although the value vanishes there too).
     """
     return ray_triple(params, dom, pair.u, pair.v).constraint
-
-
-def manifold_energy_identity(params: ModelParams, dom: GridDomain, pair: FieldPair) -> float:
-    """J rewritten for on-manifold states:
-    ((1/p)-(1/(a+b))) ||(u,v)||^p - ((1/q)-(1/(a+b))) sum(lam|u|^q + mu|v|^q)."""
-    t = ray_triple(params, dom, pair.u, pair.v)
-    ab = params.ab
-    return (1.0 / params.p - 1.0 / ab) * t.P - (1.0 / params.q - 1.0 / ab) * t.B

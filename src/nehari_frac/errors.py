@@ -6,7 +6,7 @@ class NehariFracError(Exception):
 
 
 class GridTooLargeError(NehariFracError):
-    """Building the pair list of the requested lattice would exceed the memory budget."""
+    """Building the p != 2 weight slabs of the requested lattice would exceed the memory budget."""
 
 
 class ZeroPairError(NehariFracError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .energy import ReducedTriple, constraint_gradient_arrays, ray_triple
 from .errors import DegenerateDirectionError, NehariFracError, ZeroPairError
-from .grid import Field, FieldPair, GridDomain, as_values
+from .grid import FieldPair, GridDomain, as_values
 from .params import ModelParams
 
 ROOT_RTOL = 1e-12
@@ -212,10 +212,6 @@ def project_triple(triple: ReducedTriple, params: ModelParams, classification: s
     t1 = _root_bisect(triple, params, 0.5 * (triple.B / triple.P) ** (1.0 / (p - q)), tm)
     t2 = _root_bisect(triple, params, tm, 2.0 * (triple.P / triple.D) ** (1.0 / (ab - p)))
     return report(TWO_ROOTS, tm=tm, t1=t1, t2=t2, psi_tm=psi_tm)
-
-
-def scale_pair(pair: FieldPair, t: float) -> FieldPair:
-    return FieldPair(Field(t * as_values(pair.u)), Field(t * as_values(pair.v)))
 
 
 def classify(params: ModelParams, dom: GridDomain, pair: FieldPair, tol: float = CLASSIFY_DEADBAND) -> str:

@@ -7,9 +7,11 @@ weights are the midpoint-rule kernel h^2n / |x_i - x_j|^(n + p s) with the
 diagonal excluded.  Interior-collar pairs are aggregated per interior node
 into a single zero-extension weight (exact, because collar values are pinned
 to zero) by one lattice convolution.  At p = 2 a kernel pass is one FFT
-convolution; for p != 2 it sums over the stored unordered interior pairs.
-The kernel normalization constant is fixed to 1; every identity used
-downstream is invariant under that choice.
+convolution; for p != 2 the interior weights are stored as upper-triangle
+slabs (a, b, W[a:b, a:]) of the N x N weight matrix (0 on and below the
+diagonal) and a pass makes a few dense out= operations per slab.  The kernel
+normalization constant is fixed to 1; every identity used downstream is
+invariant under that choice.
 """
 from __future__ import annotations
 
@@ -23,8 +25,12 @@ import numpy as np
 from .errors import GridTooLargeError
 from .params import ModelParams
 
-# Building the p != 2 pair list peaks at 32 + 16 n bytes per pair (tracemalloc peak
-# of _pair_weights: 48, 64 and 80 B for n = 1, 2, 3); it may use half the physical memory.
+# A p != 2 weight slab holds as many rows as fit SLAB_ELEMENTS float64 weights, at least
+# one (256 kB; 2^14 and 2^16 gave slower passes at m = 28 and 40).  Building peaks at the stored
+# slabs plus SLAB_TEMP_BYTES per weight of one slab (two float64 temporaries and a bool
+# mask; tracemalloc: 13-16 B) and may use half the physical memory.
+SLAB_ELEMENTS = 2 ** 15
+SLAB_TEMP_BYTES = 17
 PAIR_BUDGET_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
@@ -52,9 +58,7 @@ class GridDomain:
     h: float
     interior: np.ndarray        # (N, dim) node coordinates
     collar: np.ndarray          # (M, dim) node coordinates, fields vanish here
-    pair_i: np.ndarray | None   # (K,) intp (no cast per pass), pair_i < pair_j; None at p = 2
-    pair_j: np.ndarray | None   # (K,) intp
-    pair_w: np.ndarray | None   # (K,) float64 kernel weights
+    slabs: tuple | None         # p != 2: (a, b, W) with W[r, c] the weight of pair (a + r, a + c), 0 for c <= r
     collar_w: np.ndarray        # (N,) float64, sum of kernel weights into the collar
     volume: float
     kernel_hat: np.ndarray | None = None    # p = 2: rfftn of the kernel on the (2m,)*dim lattice
@@ -71,7 +75,7 @@ class GridDomain:
 
     @property
     def n_pairs(self) -> int:
-        return 0 if self.pair_w is None else self.pair_w.shape[0]
+        return 0 if self.slabs is None else self.n_interior * (self.n_interior - 1) // 2
 
     def describe(self) -> dict:
         """Construction metadata; enough to rebuild the domain."""
@@ -146,18 +150,39 @@ def _lattice_coords(lo: int, hi: int, dim: int, h: float) -> np.ndarray:
     return k * h
 
 
-def _pair_weights(coords: np.ndarray, kernel_exp: float, h: float, dim: int):
-    """All unordered pairs among coords with kernel weight h^2dim / d^kernel_exp."""
-    n = coords.shape[0]
-    ii, jj = np.triu_indices(n, k=1)
-    d = np.linalg.norm(coords[ii] - coords[jj], axis=1)
-    w = h ** (2 * dim) / d ** kernel_exp
-    return ii, jj, w
+def _slab_bounds(n: int) -> list:
+    """Row ranges [a, b) of the slabs: as many rows of width n - a as fit SLAB_ELEMENTS, at least one."""
+    cuts = [0]
+    while cuts[-1] < n - 1:
+        cuts.append(min(n - 1, cuts[-1] + max(1, SLAB_ELEMENTS // (n - cuts[-1]))))
+    return list(zip(cuts, cuts[1:]))
+
+
+def slab_build_bytes(n: int) -> int:
+    """Peak bytes of building the slabs of n nodes: stored slabs plus the largest one's temporaries."""
+    sizes = [(b - a) * (n - a) for a, b in _slab_bounds(n)] or [0]
+    return 8 * sum(sizes) + SLAB_TEMP_BYTES * max(sizes)
+
+
+def _weight_slabs(coords: np.ndarray, kernel_exp: float, h: float, dim: int) -> tuple:
+    """The pair_list weights, bit for bit, as slabs (a, b, W[a:b, a:])."""
+    slabs = []
+    for a, b in _slab_bounds(coords.shape[0]):
+        w = np.zeros((b - a, coords.shape[0] - a))
+        for k in range(dim):  # the squared distance, summed in norm's order
+            w += np.square(coords[a:b, None, k] - coords[None, a:, k])
+        w[np.tri(*w.shape, dtype=bool)] = np.inf  # the diagonal and below get weight 0
+        np.divide(h ** (2 * dim), np.power(np.sqrt(w, out=w), kernel_exp, out=w), out=w)
+        slabs.append((a, b, w))
+    return tuple(slabs)
 
 
 def pair_list(dom: GridDomain):
-    """(pair_i, pair_j, pair_w) over the unordered interior pairs, built on demand."""
-    return _pair_weights(dom.interior, dom.dim + dom.p * dom.s, dom.h, dom.dim)
+    """(pair_i, pair_j, pair_w) over the unordered interior pairs, pair_i < pair_j,
+    with weight h^2n / d^(n + ps): built on demand, the oracle of both kernel routes."""
+    ii, jj = np.triu_indices(dom.n_interior, k=1)
+    d = np.linalg.norm(dom.interior[ii] - dom.interior[jj], axis=1)
+    return ii, jj, dom.h ** (2 * dom.dim) / d ** (dom.dim + dom.p * dom.s)
 
 
 def _kernel_hat(shape: tuple, h: float, kernel_exp: float) -> np.ndarray:
@@ -189,7 +214,8 @@ def build_grid(
     of the truncated exterior integral scales like that width^(-p s) and is
     not corrected).  shape="ball" restricts the interior to the inscribed
     open ball; everything else in the sampled region becomes collar.  For
-    p != 2, GridTooLargeError when the pair list would exceed PAIR_BUDGET_BYTES.
+    p != 2, GridTooLargeError when building the weight slabs would need more
+    than PAIR_BUDGET_BYTES.
     """
     if n != params.n:
         raise ValueError(f"grid dimension {n} does not match params.n = {params.n}")
@@ -215,11 +241,11 @@ def build_grid(
     collar = coords[~inside]
 
     n_int = interior.shape[0]
-    pair_bytes = n_int * (n_int - 1) // 2 * (32 + 16 * n)
-    if params.p != 2.0 and pair_bytes > PAIR_BUDGET_BYTES:
+    need = slab_build_bytes(n_int)
+    if params.p != 2.0 and need > PAIR_BUDGET_BYTES:
         raise GridTooLargeError(
-            f"grid too large: building the pair list of {n_int} interior nodes needs about "
-            f"{pair_bytes / 1e9:.3g} GB, over the budget of {PAIR_BUDGET_BYTES / 1e9:.3g} GB"
+            f"grid too large: building the weight slabs of {n_int} interior nodes needs about "
+            f"{need / 1e9:.3g} GB, over the budget of {PAIR_BUDGET_BYTES / 1e9:.3g} GB"
         )
 
     kernel_exp = n + params.p * params.s
@@ -238,7 +264,6 @@ def build_grid(
         box = (2 * m,) * n  # interior offsets reach m - 1
         fft = {"kernel_hat": _kernel_hat(box, h, kernel_exp), "diag": cw + _convolve(hat, field)[at],
                "kernel_index": np.ravel_multi_index(tuple(a - 1 - width for a in at), box)}
-    pi, pj, pw = (None,) * 3 if fft else _pair_weights(interior, kernel_exp, h, n)
 
     return GridDomain(
         dim=n,
@@ -251,9 +276,7 @@ def build_grid(
         h=h,
         interior=interior,
         collar=collar,
-        pair_i=pi,
-        pair_j=pj,
-        pair_w=pw,
+        slabs=None if fft else _weight_slabs(interior, kernel_exp, h, n),
         collar_w=cw,
         volume=h ** n * n_int,
         **fft,
@@ -291,18 +314,27 @@ def plap_gradient(dom: GridDomain, u) -> np.ndarray:
     """Vector of A(u, e_k) over canonical basis fields e_k, assembled in one pass.
 
     At p = 2 it is diag * u - K * u, one FFT convolution whose rounding error
-    is of order eps * |diag * u| rather than eps times the result."""
+    is of order eps * |diag * u| rather than eps times the result.  For p != 2,
+    c = W sign(du) |du|^(p-1) per slab, du = v[a:b, None] - v[None, a:], in one
+    buffer pair: g[a:b] gains its row sums and g[a:] loses its column sums."""
     v = as_values(u)
     _check_len(dom, v)
     if dom.kernel_hat is not None:
         field = np.zeros((2 * dom.m,) * dom.dim)
         field.flat[dom.kernel_index] = v
         return dom.diag * v - _convolve(dom.kernel_hat, field).flat[dom.kernel_index]
-    du = v[dom.pair_i] - v[dom.pair_j]
-    c = dom.pair_w * signed_pow(du, dom.p - 1.0)
-    g = np.bincount(dom.pair_i, weights=c, minlength=dom.n_interior)
-    g -= np.bincount(dom.pair_j, weights=c, minlength=dom.n_interior)
-    g += dom.collar_w * signed_pow(v, dom.p - 1.0)
+    g = dom.collar_w * signed_pow(v, dom.p - 1.0)
+    du_buf, c_buf = np.empty((2, max((w.size for _, _, w in dom.slabs), default=0)))
+    for a, b, w in dom.slabs:
+        du = np.subtract(v[a:b, None], v[None, a:], out=du_buf[:w.size].reshape(w.shape))
+        c = np.abs(du, out=c_buf[:w.size].reshape(w.shape))
+        if dom.p == 3.0:
+            np.multiply(c, du, out=c)  # |du| du, bit for bit signed_pow(du, 2)
+        else:  # sign(du) |du|^(p-1), exactly 0 at du = 0 as in signed_pow
+            np.copysign(np.power(c, dom.p - 1.0, out=c), du, out=c)
+        np.multiply(c, w, out=c)
+        g[a:b] += c.sum(axis=1)
+        g[a:] -= c.sum(axis=0)
     return g
 
 

@@ -36,6 +36,11 @@ def random_field(dom, rng, positive=False):
     return nf.Field(v)
 
 
+def scale_pair(pair, t):
+    """The pair (t u, t v)."""
+    return nf.FieldPair(nf.Field(t * pair.u.values), nf.Field(t * pair.v.values))
+
+
 def random_pair(dom, rng, positive=False):
     return nf.FieldPair(random_field(dom, rng, positive), random_field(dom, rng, positive))
 

@@ -15,9 +15,9 @@ import pytest
 
 import nehari_frac as nf
 from nehari_frac.cli import main as cli_main
-from nehari_frac.fibering import phi_second_expressions, scale_pair
+from nehari_frac.fibering import phi_second_expressions
 
-from conftest import DESK, balanced_params, random_pair
+from conftest import DESK, balanced_params, random_pair, scale_pair
 
 ACC_SEED = 20240
 

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 import nehari_frac as nf
 from nehari_frac.bubbles import (
+    RadialProfile,
     _richardson_limit,
     bubble_value,
     make_bubble,
     model_radial_profile,
     q_regime_label,
-    tabulated_radial_profile,
 )
 from nehari_frac.errors import SupportError
 
@@ -35,6 +35,21 @@ def test_model_profile_values():
 def test_model_profile_kind_flag():
     prof = model_radial_profile(CRIT)
     assert prof.kind == "model_p"  # conjectured closed form, proven only for p = 2
+
+
+def tabulated_radial_profile(params, radii, values):
+    """Radial profile from a sample table, injectable through `profile=`;
+    beyond the table it continues with the optimal decay power
+    r^(-(n-ps)/(p-1)) matched at the last sample."""
+    decay = (params.n - params.p * params.s) / (params.p - 1.0)
+    r_end, v_end = radii[-1], values[-1]
+
+    def func(r):
+        r = np.asarray(r, dtype=np.float64)
+        tail = v_end * (np.maximum(r, r_end) / r_end) ** (-decay)
+        return np.where(r <= r_end, np.interp(r, radii, values), tail)
+
+    return RadialProfile(params, "tabulated", func)
 
 
 def test_tabulated_profile_interpolation_and_tail():

@@ -105,11 +105,10 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("block, key, value, command, anchor", MALFORMED,
-                         ids=[f"{key}={json.dumps(value)}" for _, key, value, _, _ in MALFORMED])
-def test_malformed_value_exits_2_line_anchored(tmp_path, capsys, block, key, value, command, anchor):
-    """Each probe changes configs/desk.json in one place; the error names the
-    line of the anchor key in the probed block, and no traceback escapes."""
+def _probe_desk(tmp_path, capsys, block, key, value, command, anchor):
+    """Run command on configs/desk.json changed in one place; assert exit 2 with
+    an error naming the line of the anchor key in the probed block and no
+    traceback, and return the error text."""
     doc = json.loads(DESK.read_text())
     (doc if block is None else doc[block])[key] = value
     path = tmp_path / "cfg.json"
@@ -121,6 +120,43 @@ def test_malformed_value_exits_2_line_anchored(tmp_path, capsys, block, key, val
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{line}: ")
     assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("block, key, value, command, anchor", MALFORMED,
+                         ids=[f"{key}={json.dumps(value)}" for _, key, value, _, _ in MALFORMED])
+def test_malformed_value_exits_2_line_anchored(tmp_path, capsys, block, key, value, command, anchor):
+    _probe_desk(tmp_path, capsys, block, key, value, command, anchor)
+
+
+OUT_OF_RANGE = [
+    ("solve", "n_starts", 0, "solve", "at least 1"),
+    ("solve", "max_iter", -1, "solve", "at least 0"),
+    ("tolerances", "quotient_flat", -1e-06, "constants", "at least 0"),
+    ("bubble_scan", "theta", 1.0, "bubble-scan", "above 1"),
+    ("bubble_scan", "eps_list", [], "bubble-scan", "a non-empty list"),
+    ("bubble_scan", "lambda", -1.0, "bubble-scan", "at least 0"),
+    ("bubble_scan", "mu", -1.0, "bubble-scan", "at least 0"),
+    ("curves", "samples", 1, "curves", "at least 2"),
+    ("curves", "t_lo", 0.0, "curves", "positive"),
+]
+
+
+@pytest.mark.parametrize("block, key, value, command, expected", OUT_OF_RANGE,
+                         ids=[f"{key}={json.dumps(value)}" for _, key, value, _, _ in OUT_OF_RANGE])
+def test_out_of_range_value_exits_2_line_anchored(tmp_path, capsys, block, key, value, command, expected):
+    err = _probe_desk(tmp_path, capsys, block, key, value, command, key)
+    assert f"{block}.{key} must be {expected}, got {value!r}" in err
+
+
+def test_curves_empty_t_interval_exits_2(tmp_path, capsys):
+    # t_lo >= t_hi, given both ways or against the default t_hi = 3 t2
+    for bounds in ({"t_lo": 5.0, "t_hi": 1.0}, {"t_lo": 2.0, "t_hi": 2.0}, {"t_lo": 1e6}):
+        cfg = write_config(tmp_path, curves={"seeded": True, "samples": 10, **bounds})
+        assert main(["curves", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: curves needs t_lo < t_hi")
+        assert "Traceback" not in err
 
 
 def test_readme_config_table_matches_config():

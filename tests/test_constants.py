@@ -11,9 +11,7 @@ from nehari_frac.constants import (
     GRAD_TOL,
     LINE_SEARCH_EXHAUSTED,
     StopRule,
-    c0_via_chat,
     coupled_quotient,
-    coupling_ratio_g,
     descend,
     random_positive_starts,
     rayleigh_quotient,
@@ -24,6 +22,25 @@ from conftest import DESK, random_pair
 mp.mp.dps = 50
 
 CRIT = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.8, alpha=5 / 3, beta=5 / 3)
+
+
+def c0_via_chat(params, s_value, volume):
+    """Independent route to C_0 through the Young-splitting constant."""
+    p, q, s, n = params.p, params.q, params.s, params.n
+    ps = params.p_star
+    bracket = (p / q) * (s / n) * (1.0 / q - 1.0 / ps) ** (-1.0)
+    chat = (p - q) / p * (
+        bracket ** (-q / p) * volume ** ((ps - q) / ps) * s_value ** (-q / p)
+    ) ** (p / (p - q))
+    return (1.0 / q - 1.0 / ps) * chat
+
+
+def coupling_ratio_g(params, x):
+    """g(x) = x^(p b/(a+b)) + x^(-p a/(a+b)), the pair-splitting cost function
+    whose closed-form minimum g_min gives."""
+    p, a, b = params.p, params.alpha, params.beta
+    ab = params.ab
+    return x ** (p * b / ab) + x ** (-p * a / ab)
 
 
 # ---------------------------------------------------------------------------

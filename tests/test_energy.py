@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nehari_frac as nf
-from nehari_frac.energy import constraint_gradient_arrays, gradient_pair, manifold_energy_identity
-from nehari_frac.fibering import scale_pair
+from nehari_frac.energy import constraint_gradient_arrays, gradient_pair, ray_triple
 from nehari_frac.grid import pair_list
 
-from conftest import DESK, random_pair
+from conftest import DESK, random_pair, scale_pair
+
+
+def manifold_energy_identity(params, dom, pair):
+    """J rewritten for on-manifold states, the oracle of energy():
+    ((1/p)-(1/(a+b))) ||(u,v)||^p - ((1/q)-(1/(a+b))) sum(lam|u|^q + mu|v|^q)."""
+    t = ray_triple(params, dom, pair.u, pair.v)
+    ab = params.ab
+    return (1.0 / params.p - 1.0 / ab) * t.P - (1.0 / params.q - 1.0 / ab) * t.B
 
 
 def test_zero_pair_all_terms_zero(params, dom):

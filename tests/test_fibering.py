@@ -19,10 +19,9 @@ from nehari_frac.fibering import (
     phi_second_expressions,
     project_triple,
     sample_curves,
-    scale_pair,
 )
 
-from conftest import DESK, balanced_params, random_pair
+from conftest import DESK, balanced_params, random_pair, scale_pair
 
 TOY = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.5, alpha=2.0, beta=2.0, lam=1.0, mu=1.0)
 

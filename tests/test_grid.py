@@ -59,14 +59,19 @@ def test_pairs_are_unordered_and_positive():
 
 
 def test_grid_too_large(monkeypatch):
-    # the budget bounds the pair list build, (32 + 16 n) B per pair, which only p != 2 makes
+    # the budget bounds the weight slab build, which only p != 2 makes: the stored
+    # slabs plus SLAB_TEMP_BYTES per weight of the largest slab.  At m = 10 one
+    # 99 x 100 slab holds every pair (rows 0..98; row 99 has no pair above it).
     p = nf.ModelParams(n=2, p=3.0, s=0.1, q=2.5, alpha=30.0 / 17.0, beta=30.0 / 17.0)
-    need = 100 * 99 // 2 * (32 + 16 * 2)
+    need = 99 * 100 * (8 + grid.SLAB_TEMP_BYTES)
+    assert grid.slab_build_bytes(100) == need
     monkeypatch.setattr(grid, "PAIR_BUDGET_BYTES", need - 1)
     with pytest.raises(GridTooLargeError, match="grid too large"):
         nf.build_grid(2, 10, 1.0, 1.0, p)
     monkeypatch.setattr(grid, "PAIR_BUDGET_BYTES", need)
-    assert nf.build_grid(2, 10, 1.0, 1.0, p).n_pairs == 100 * 99 // 2
+    dom = nf.build_grid(2, 10, 1.0, 1.0, p)
+    assert dom.n_pairs == 100 * 99 // 2
+    assert [(a, b, w.shape) for a, b, w in dom.slabs] == [(0, 99, (99, 100))]
 
 
 def test_p2_grid_ignores_pair_cap(monkeypatch):
@@ -74,7 +79,29 @@ def test_p2_grid_ignores_pair_cap(monkeypatch):
     monkeypatch.setattr(grid, "PAIR_BUDGET_BYTES", 0)
     dom = nf.build_grid(2, 40, 1.0, 1.0, p)
     assert dom.n_interior == 1600 and dom.n_pairs == 0
-    assert dom.pair_i is None and dom.pair_j is None and dom.pair_w is None
+    assert dom.slabs is None and dom.kernel_hat is not None
+
+
+def test_slab_build_peak_pinned():
+    """tracemalloc peak of the p = 3, m = 40 grid build: the stored slabs
+    (8.3 B per pair) plus one slab's temporaries, inside slab_build_bytes."""
+    import tracemalloc
+
+    p = nf.ModelParams(n=2, p=3.0, s=0.1, q=2.5, alpha=30.0 / 17.0, beta=30.0 / 17.0)
+    n_pairs = 1600 * 1599 // 2
+    tracemalloc.start()
+    try:
+        dom = nf.build_grid(2, 40, 1.0, 1.0, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = sum(w.nbytes for _, _, w in dom.slabs)
+    largest = max(w.size for _, _, w in dom.slabs)
+    assert largest <= grid.SLAB_ELEMENTS
+    assert stored <= 8.5 * n_pairs
+    # grid build besides the slabs: coordinates, masks and the collar convolution
+    assert peak <= grid.slab_build_bytes(1600) + 2_000_000
+    assert peak <= 10.0 * n_pairs
 
 
 def _collar_weights_loop(interior, collar, kernel_exp, h, dim, chunk=4_000_000):
@@ -129,6 +156,44 @@ def test_fft_kernel_pass_against_pair_list(n, m, collar_factor, shape, field):
     assert np.max(np.abs(plap_gradient(dom, u) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+# (n, m, slab cap, several slabs): cap None keeps SLAB_ELEMENTS; cap 8 makes
+# slabs of one row wider than the cap
+_SLAB_CASES = [
+    (1, 9, None, False), (1, 300, None, True), (2, 9, None, False), (2, 20, None, True),
+    (3, 4, None, False), (3, 8, None, True), (2, 9, 64, True), (3, 4, 8, True),
+]
+
+
+@pytest.mark.parametrize("shape", ["box", "ball"])
+@pytest.mark.parametrize("n, m, cap, several", _SLAB_CASES)
+@pytest.mark.parametrize("p_exp", [1.5, 3.0])
+def test_slab_pass_against_pair_list(monkeypatch, p_exp, n, m, cap, several, shape):
+    """For p != 2 plap_gradient loops over the weight slabs; the pair list
+    sum is the oracle, also for exact ties (du = 0, u = 0) and the zero field."""
+    if cap is not None:
+        monkeypatch.setattr(grid, "SLAB_ELEMENTS", cap)
+    params = nf.ModelParams(n=n, p=p_exp, s=0.3, q=1.2, alpha=2.0, beta=2.0)
+    dom = nf.build_grid(n, m, 1.0, 1.0, params, shape=shape)
+    assert (len(dom.slabs) > 1) == several
+    assert dom.n_pairs == dom.n_interior * (dom.n_interior - 1) // 2
+    pair_i, pair_j, pair_w = pair_list(dom)
+    dense = np.zeros((dom.n_interior, dom.n_interior))
+    for a, b, w in dom.slabs:
+        dense[a:b, a:] = w
+    assert np.array_equal(dense[pair_i, pair_j], pair_w)  # the same weights, bit for bit
+    assert np.count_nonzero(dense) == dom.n_pairs
+    rng = np.random.default_rng(31)
+    ties = rng.integers(-1, 3, dom.n_interior).astype(float)
+    for u in (random_field(dom, rng).values, ties, np.zeros(dom.n_interior)):
+        flux = pair_w * signed_pow(u[pair_i] - u[pair_j], p_exp - 1.0)
+        expected = np.bincount(pair_i, weights=flux, minlength=dom.n_interior)
+        expected -= np.bincount(pair_j, weights=flux, minlength=dom.n_interior)
+        expected += dom.collar_w * signed_pow(u, p_exp - 1.0)
+        got = plap_gradient(dom, u)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 def test_ball_shape_subset_of_box():
     p = nf.ModelParams(**DESK)
     box = nf.build_grid(2, 9, 1.0, 1.0, p)
@@ -165,8 +230,7 @@ def test_a_form_two_node_hand_value():
     dom = nf.build_grid(1, 2, 1.0, 1.0, p)
     u = np.array([2.0, -1.0])
     phi = np.array([1.0, 3.0])
-    w = dom.pair_w[0]
-    cw = dom.collar_w
+    (w,), cw = pair_list(dom)[2], dom.collar_w
     # du = 3, |du|^(p-2) du = 9, dphi = -2; collar: sign(u)|u|^(p-1) phi
     expected = w * 9.0 * (-2.0)
     expected += cw[0] * 4.0 * 1.0 + cw[1] * (-1.0) * 3.0
