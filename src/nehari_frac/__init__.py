@@ -56,6 +56,7 @@ from .constants import (
     lambda1,
     ratio_check,
     ratio_predicted,
+    thresholds,
     young_bound_check,
 )
 from .bubbles import (

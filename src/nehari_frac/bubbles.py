@@ -2,9 +2,9 @@
 
 The base profile U(r) = (1 + r^(p/(p-1)))^(-(n-ps)/p) is the conjectured
 Rayleigh minimizer shape; it is a proven minimizer only for p = 2 and is used
-here as a model profile (any RadialProfile can be passed as `profile` instead).
-The truncation maps g and G cut the rescaled profile U_eps to the ball of
-radius theta*delta while keeping it untouched inside radius delta.
+here as a model profile.  The truncation maps g and G cut the rescaled profile
+U_eps to the ball of radius theta*delta while keeping it untouched inside
+radius delta; the bubbles on the grid are centred in the domain.
 """
 from __future__ import annotations
 
@@ -13,9 +13,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .constants import ConstantsReport, ratio_predicted
 from .energy import ReducedTriple, ray_triple
 from .errors import SupportError
-from .fibering import ABOVE_THRESHOLD, phi, project_triple
+from .fibering import NMINUS, branch_root, phi
 from .grid import Field, GridDomain, lr_norm, seminorm_p
 from .params import ModelParams
 
@@ -134,45 +135,21 @@ def bubble_value(bub: BubbleProfile, r):
     return out if out.ndim else float(out)
 
 
-def _interior_clearance(dom: GridDomain, center: np.ndarray) -> float:
-    """Distance from the center to the boundary of the continuum region."""
-    if dom.shape == "box":
-        lo = np.min(center)
-        hi = np.min(dom.box_length - center)
-        return float(min(lo, hi))
-    c0 = np.full(dom.dim, dom.box_length / 2.0)
-    return float(dom.box_length / 2.0 - np.linalg.norm(center - c0))
+def support_fits(dom: GridDomain, delta: float, theta: float) -> bool:
+    """Whether the support ball of radius theta*delta around the centre of the
+    domain fits inside the interior region (touching the boundary is allowed;
+    the profile is zero there anyway)."""
+    return theta * delta <= dom.box_length / 2.0 * (1.0 + 1e-12)
 
 
-def default_center(dom: GridDomain) -> np.ndarray:
-    return np.full(dom.dim, dom.box_length / 2.0)
-
-
-def bubble_field(
-    dom: GridDomain,
-    params: ModelParams,
-    epsilon: float,
-    delta: float,
-    theta: float,
-    center=None,
-    profile: Optional[RadialProfile] = None,
-) -> Field:
-    """Sample the truncated bubble on the interior nodes.
-
-    The support ball of radius theta*delta around the center must fit inside
-    the interior region (touching the boundary is allowed; the profile is
-    zero there anyway).
-    """
-    if profile is None:
-        profile = model_radial_profile(params)
-    center = default_center(dom) if center is None else np.asarray(center, dtype=np.float64)
-    clearance = _interior_clearance(dom, center)
-    if theta * delta > clearance * (1.0 + 1e-12):
+def bubble_field(dom: GridDomain, params: ModelParams, epsilon: float, delta: float, theta: float) -> Field:
+    """Sample the centred truncated model bubble on the interior nodes."""
+    if not support_fits(dom, delta, theta):
         raise SupportError(
-            f"support ball of radius {theta * delta:.6g} does not fit: clearance is {clearance:.6g}"
+            f"support ball of radius {theta * delta:.6g} does not fit: clearance is {dom.box_length / 2.0:.6g}"
         )
-    bub = make_bubble(profile, epsilon, delta, theta)
-    r = np.linalg.norm(dom.interior - center, axis=1)
+    bub = make_bubble(model_radial_profile(params), epsilon, delta, theta)
+    r = np.linalg.norm(dom.interior - dom.box_length / 2.0, axis=1)
     return Field(bubble_value(bub, r))
 
 
@@ -231,7 +208,6 @@ class NormScanResult:
     deficit_slope: Optional[float]
     excess_slope_predicted: float
     deficit_slope_predicted: float
-    fit_rows: int
 
 
 def _loglog_slope(x: np.ndarray, residuals: np.ndarray, lead_scale: np.ndarray):
@@ -240,9 +216,8 @@ def _loglog_slope(x: np.ndarray, residuals: np.ndarray, lead_scale: np.ndarray):
     leading term."""
     keep = (residuals > 0) & (residuals > 10.0 * np.finfo(float).eps * lead_scale)
     if np.count_nonzero(keep) < 2:
-        return None, int(np.count_nonzero(keep))
-    slope = np.polyfit(np.log(x[keep]), np.log(residuals[keep]), 1)[0]
-    return float(slope), int(np.count_nonzero(keep))
+        return None
+    return float(np.polyfit(np.log(x[keep]), np.log(residuals[keep]), 1)[0])
 
 
 def _richardson_limit(values: np.ndarray, increasing: bool):
@@ -271,8 +246,6 @@ def norm_estimate_scan(
     theta: float,
     eps_list: Sequence[float],
     s_ref: float,
-    center=None,
-    profile: Optional[RadialProfile] = None,
     method: str = "lattice",
 ) -> NormScanResult:
     """Seminorm and L^{p*} powers of the truncated bubble for each eps, with
@@ -300,15 +273,14 @@ def norm_estimate_scan(
     if method == "lattice":
         sems, lps = [], []
         for e in eps_sorted:
-            u = bubble_field(dom, params, e, delta, theta, center=center, profile=profile)
+            u = bubble_field(dom, params, e, delta, theta)
             sems.append(seminorm_p(dom, u) ** p)
             lps.append(lr_norm(dom, u, params.p_star) ** params.p_star)
         sem_ref = lp_ref = s_ref ** (n / (p * s))
     else:
         from .radial_quad import gagliardo_pow_quad, lr_power_quad
 
-        if profile is None:
-            profile = model_radial_profile(params)
+        profile = model_radial_profile(params)
         support = theta * delta
         aux = eps_sorted + [eps_sorted[-1] / 2.0, eps_sorted[-1] / 4.0]
         sems, lps = [], []
@@ -331,18 +303,15 @@ def norm_estimate_scan(
         for e, sem, lp in zip(eps_sorted, sems, lps)
     )
     x = np.array(eps_sorted) / delta
-    ex_slope, n_ex = _loglog_slope(x, np.array([r.excess for r in rows]), np.array(sems))
-    de_slope, n_de = _loglog_slope(x, np.array([r.deficit for r in rows]), np.array(lps))
     return NormScanResult(
         rows=rows,
         method=method,
         sem_reference=sem_ref,
         lp_reference=lp_ref,
-        excess_slope=ex_slope,
-        deficit_slope=de_slope,
+        excess_slope=_loglog_slope(x, np.array([r.excess for r in rows]), np.array(sems)),
+        deficit_slope=_loglog_slope(x, np.array([r.deficit for r in rows]), np.array(lps)),
         excess_slope_predicted=(n - p * s) / (p - 1.0),
         deficit_slope_predicted=n / (p - 1.0),
-        fit_rows=min(n_ex, n_de),
     )
 
 
@@ -358,7 +327,6 @@ class SupScanRow:
     h_at_tstar: float
     h_expanded: Optional[float]
     sup_full: float
-    q_integral: float
     q_regime: str
     c_infty: float
     below_c_infty: bool
@@ -404,45 +372,30 @@ def sup_energy_scan(
     delta: float,
     theta: float,
     eps_list: Sequence[float],
-    lam: float,
-    mu: float,
-    s_d: float,
-    s_ab_d: float,
-    center=None,
-    profile: Optional[RadialProfile] = None,
+    constants: ConstantsReport,
 ):
     """Ray-energy maxima of the weighted bubble pair (a^(1/p) u, b^(1/p) u).
 
     Per eps: the closed-form maximizer t_star of the coupling-only part and a
     grid-search cross check, the full ray supremum including the concave
-    term, the core concave mass with its q-regime label, and the comparison
-    against c_infty (computed from the supplied discrete constants).
+    term at the weights of constants (a constants.thresholds record), the
+    q-regime label of the core concave mass, and the comparison against the
+    record's c_infty.
     """
-    from .constants import c0 as c0_fun
-    from .constants import c_infty as c_infty_fun
-    from .constants import ratio_predicted
-
     if len(eps_list) == 0:
         raise ValueError("eps_list must not be empty")
     for e in eps_list:
         if not 0 < e <= delta / 2.0:
             raise ValueError(f"eps = {e} violates 0 < eps <= delta/2 = {delta / 2.0}")
-    if lam < 0 or mu < 0:
-        raise ValueError("lam and mu must be nonnegative")
 
-    p, q = params.p, params.q
-    ab = params.ab
-    n, s = params.n, params.s
+    p, ab, n, s = params.p, params.ab, params.n, params.s
     cell = dom.h ** dom.dim
-    center_arr = default_center(dom) if center is None else np.asarray(center, dtype=np.float64)
-    c0_value = c0_fun(params, s_d, dom.volume)
-    c_inf = c_infty_fun(params, s_ab_d, c0_value, lam, mu)
     label = q_regime_label(params)
-    weighted = params.with_weights(lam, mu)
+    weighted = params.with_weights(constants.lam, constants.mu)
 
     rows = []
     for e in sorted(eps_list, reverse=True):
-        u = bubble_field(dom, params, e, delta, theta, center=center_arr, profile=profile)
+        u = bubble_field(dom, params, e, delta, theta)
         uv = u.values
         triple = ray_triple(weighted, dom, params.alpha ** (1.0 / p) * uv, params.beta ** (1.0 / p) * uv)
         P0, B0, D0 = triple.P, triple.B, triple.D
@@ -475,13 +428,10 @@ def sup_energy_scan(
         # sup over t >= 0 includes phi(0) = 0; with two roots the ray maximum
         # sits at the upper one, above the threshold phi is nonincreasing
         if B0 > 0:
-            rep = project_triple(triple, params)
-            sup_full = 0.0 if rep.outcome == ABOVE_THRESHOLD else max(phi(triple, params, rep.t2), 0.0)
+            t2 = branch_root(triple, params, NMINUS)
+            sup_full = 0.0 if t2 is None else max(phi(triple, params, t2), 0.0)
         else:
             sup_full = h_at_tstar
-
-        core = np.linalg.norm(dom.interior - center_arr, axis=1) <= delta
-        q_integral = cell * float(np.sum(np.abs(uv[core]) ** q))
 
         rows.append(
             SupScanRow(
@@ -491,10 +441,9 @@ def sup_energy_scan(
                 h_at_tstar=h_at_tstar,
                 h_expanded=h_expanded,
                 sup_full=sup_full,
-                q_integral=q_integral,
                 q_regime=label,
-                c_infty=c_inf,
-                below_c_infty=bool(sup_full < c_inf),
+                c_infty=constants.c_infty,
+                below_c_infty=bool(sup_full < constants.c_infty),
             )
         )
     return rows

@@ -163,7 +163,8 @@ def cmd_solve(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
     # the solve block holds max_iter and n_starts; every default lives in SolveOptions
     opts = solver.SolveOptions(seed=seed, **(cfg.solve or {}))
     s_d, _, s_ab_d, pair_min = consts.compute_S_coupled(dom, params, seed=seed, tol=_quotient_tol(cfg))
-    plus, minus = solver.solve_two(params, dom, opts, s_d=s_d, s_ab_d=s_ab_d, s_ab_minimizer=pair_min)
+    limits = consts.thresholds(params, dom.volume, s_d, s_ab_d)
+    plus, minus = solver.solve_two(params, dom, opts, constants=limits, s_ab_minimizer=pair_min)
 
     files = []
     for tag, rep in (("plus", plus), ("minus", minus)):
@@ -211,6 +212,9 @@ def cmd_bubble_scan(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> in
     for e in eps_list:
         if not 0 < e <= delta / 2.0:
             raise ConfigError(f"bubble_scan eps entry {e} violates 0 < eps <= delta/2 = {delta / 2.0}")
+    if not bubbles.support_fits(dom, delta, theta):
+        raise ConfigError(f"{cfg.where('bubble_scan')}: bubble_scan.theta * bubble_scan.delta = {theta * delta!r} "
+                          f"exceeds half the box length {dom.box_length / 2.0!r}: the centred bubble does not fit")
     lam = float(block.get("lambda", params.lam))
     mu = float(block.get("mu", params.mu))
     method = block.get("method", "lattice")
@@ -223,7 +227,8 @@ def cmd_bubble_scan(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> in
         s_d, _, s_ab_d, _ = consts.compute_S_coupled(dom, params, seed=seed, tol=_quotient_tol(cfg))
 
     norm = bubbles.norm_estimate_scan(dom, params, delta, theta, eps_list, s_ref=s_d, method=method)
-    sup = bubbles.sup_energy_scan(dom, params, delta, theta, eps_list, lam, mu, s_d, s_ab_d)
+    limits = consts.thresholds(params.with_weights(lam, mu), dom.volume, s_d, s_ab_d)
+    sup = bubbles.sup_energy_scan(dom, params, delta, theta, eps_list, limits)
 
     sup_by_eps = {r.eps: r for r in sup}
     rows = []
@@ -292,6 +297,13 @@ def cmd_curves(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nehari-frac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -299,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true")
         if name == "project":
             p.add_argument("--u", default=None, help="field file for the first component")

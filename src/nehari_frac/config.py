@@ -138,7 +138,11 @@ class RunConfig:
                 shape=g.get("shape", "box"),
             )
         except ValueError as exc:
-            raise ConfigError(f"{_anchor(self.source_path, self.text, 'grid')}: {exc}") from exc
+            raise ConfigError(f"{self.where('grid')}: {exc}") from exc
+
+    def where(self, key: str) -> str:
+        """path:line of the first line of the source naming key."""
+        return _anchor(self.source_path, self.text, key)
 
     def tolerance(self, key: str, default):
         return self.tolerances.get(key, default)
@@ -179,8 +183,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{_anchor(path, text, 'grid')}: grid dimension {raw['grid']['n']} does not match params.n = {params.n}")
 
     seeds = raw.get("seeds", [0])
-    if not (isinstance(seeds, list) and len(seeds) == 1 and KINDS[int][1](seeds[0])):
-        raise ConfigError(f"{_anchor(path, text, 'seeds')}: seeds must be a list of exactly one integer, got {seeds!r}")
+    if not (isinstance(seeds, list) and len(seeds) == 1 and KINDS[int][1](seeds[0]) and seeds[0] >= 0):
+        raise ConfigError(
+            f"{_anchor(path, text, 'seeds')}: seeds must be a list of exactly one non-negative integer, got {seeds!r}"
+        )
 
     return RunConfig(
         params=params,

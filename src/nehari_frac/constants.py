@@ -488,6 +488,31 @@ def _extra_start(solve, quotient, dom: GridDomain, params: ModelParams, **kwargs
         return quotient(dom, params, exc.last_iterate), exc.last_iterate
 
 
+def thresholds(params: ModelParams, volume: float, s_d: float, s_ab_d: float) -> ConstantsReport:
+    """Every closed form at params' own weights from the discrete constants.
+
+    The only place Lambda_1, C_0, d_0 and c_infty are formed for a run.
+    """
+    c0_value = c0(params, s_d, volume)
+    d0 = d0_bound(params, s_d, volume, params.lam, params.mu)
+    return ConstantsReport(
+        S_d=s_d,
+        S_ab_d=s_ab_d,
+        ratio_predicted=ratio_predicted(params),
+        ratio_error=ratio_check(s_d, s_ab_d, params),
+        lambda1=lambda1(params, s_d, volume),
+        C0=c0_value,
+        c_infty=c_infty(params, s_ab_d, c0_value, params.lam, params.mu),
+        d0_bound=d0.value,
+        d0_smallness_ok=d0.smallness_ok,
+        volume=volume,
+        lam=params.lam,
+        mu=params.mu,
+        critical_formula_exact=params.critical,
+        hypotheses=hypotheses_check(params),
+    )
+
+
 def compute_constants_report(
     dom: GridDomain,
     params: ModelParams,
@@ -500,22 +525,4 @@ def compute_constants_report(
     Returns (report, s_minimizer, s_ab_minimizer).
     """
     s_d, s_min, s_ab_d, pair_min = compute_S_coupled(dom, params, seed=seed, tol=tol, restarts=restarts)
-    c0_value = c0(params, s_d, dom.volume)
-    d0 = d0_bound(params, s_d, dom.volume, params.lam, params.mu)
-    report = ConstantsReport(
-        S_d=s_d,
-        S_ab_d=s_ab_d,
-        ratio_predicted=ratio_predicted(params),
-        ratio_error=ratio_check(s_d, s_ab_d, params),
-        lambda1=lambda1(params, s_d, dom.volume),
-        C0=c0_value,
-        c_infty=c_infty(params, s_ab_d, c0_value, params.lam, params.mu),
-        d0_bound=d0.value,
-        d0_smallness_ok=d0.smallness_ok,
-        volume=dom.volume,
-        lam=params.lam,
-        mu=params.mu,
-        critical_formula_exact=params.critical,
-        hypotheses=hypotheses_check(params),
-    )
-    return report, s_min, pair_min
+    return thresholds(params, dom.volume, s_d, s_ab_d), s_min, pair_min

@@ -9,10 +9,12 @@ Psi(t) = t^(p-a-b) P - t^(q-a-b) B satisfies phi'(t) = t^(a+b-1) (Psi(t) - D):
 stationary ray points are exactly the crossings of Psi with level D.  When
 0 < D < Psi(t_max) there are two roots t1 < t_max < t2 with phi''(t1) > 0
 (local minimum branch) and phi''(t2) < 0 (local maximum branch).
+branch_root alone decides which of these roots a ray has and finds the one
+asked for; project_triple reports both with the ray's outcome label.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -51,19 +53,9 @@ class FiberingReport:
     psi_at_tmax: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "P": self.triple.P,
-            "B": self.triple.B,
-            "D": self.triple.D,
-            "outcome": self.outcome,
-            "t_max": self.t_max,
-            "t1": self.t1,
-            "t2": self.t2,
-            "branch_energy_plus": self.branch_energy_plus,
-            "branch_energy_minus": self.branch_energy_minus,
-            "classification_at_1": self.classification_at_1,
-            "psi_at_tmax": self.psi_at_tmax,
-        }
+        out = {"P": self.triple.P, "B": self.triple.B, "D": self.triple.D}
+        out.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "triple")
+        return out
 
 
 def reduce_pair(params: ModelParams, dom: GridDomain, pair: FieldPair) -> ReducedTriple:
@@ -174,44 +166,51 @@ def project(params: ModelParams, dom: GridDomain, pair: FieldPair) -> FiberingRe
     return project_triple(triple, params, classification=classify_triple(triple, params))
 
 
-def project_triple(triple: ReducedTriple, params: ModelParams, classification: str = OFF_MANIFOLD) -> FiberingReport:
-    """Root finding on precomputed (P, B, D); see project()."""
+def branch_root(triple: ReducedTriple, params: ModelParams, branch: str) -> Optional[float]:
+    """The stationary scale of one branch on the ray, or None if it has none:
+    the lower root t1 (ray minimum) for NPLUS, the upper root t2 (ray maximum)
+    for NMINUS.  Only the requested root is searched for."""
     p, q, ab = params.p, params.q, params.ab
-
-    def report(outcome, tm=None, t1=None, t2=None, psi_tm=None):
-        return FiberingReport(
-            triple=triple,
-            outcome=outcome,
-            t_max=tm,
-            t1=t1,
-            t2=t2,
-            branch_energy_plus=None if t1 is None else phi(triple, params, t1),
-            branch_energy_minus=None if t2 is None else phi(triple, params, t2),
-            classification_at_1=classification,
-            psi_at_tmax=psi_tm,
-        )
-
-    if triple.B == 0.0 and triple.D == 0.0:
-        return report(NO_ROOTS)
-    if triple.D == 0.0:
+    P, B, D = triple.P, triple.B, triple.D
+    plus = branch == NPLUS
+    if P == 0.0 or (B == 0.0 and D == 0.0):
+        return None
+    if D == 0.0:
         # pure concave ray: phi' = t^(q-1) (t^(p-q) P - B), single minimum
-        t1 = (triple.B / triple.P) ** (1.0 / (p - q))
-        return report(PLUS_ONLY, tm=t_max(triple, params), t1=t1)
-    if triple.B == 0.0:
+        return (B / P) ** (1.0 / (p - q)) if plus else None
+    if B == 0.0:
         # pure convex ray: single maximum
-        t2 = (triple.P / triple.D) ** (1.0 / (ab - p))
-        return report(MINUS_ONLY, t2=t2)
-
+        return None if plus else (P / D) ** (1.0 / (ab - p))
     tm = t_max(triple, params)
-    psi_tm = psi(triple, params, tm)
-    if not triple.D < psi_tm:
-        return report(ABOVE_THRESHOLD, tm=tm, psi_tm=psi_tm)
-
+    if not D < psi(triple, params, tm):
+        return None
     # phi' < 0 below (B/P)^(1/(p-q)) and above (P/D)^(1/(a+b-p)); at those
     # points two of its three terms cancel exactly, so the brackets step past them
-    t1 = _root_bisect(triple, params, 0.5 * (triple.B / triple.P) ** (1.0 / (p - q)), tm)
-    t2 = _root_bisect(triple, params, tm, 2.0 * (triple.P / triple.D) ** (1.0 / (ab - p)))
-    return report(TWO_ROOTS, tm=tm, t1=t1, t2=t2, psi_tm=psi_tm)
+    if plus:
+        return _root_bisect(triple, params, 0.5 * (B / P) ** (1.0 / (p - q)), tm)
+    return _root_bisect(triple, params, tm, 2.0 * (P / D) ** (1.0 / (ab - p)))
+
+
+def project_triple(triple: ReducedTriple, params: ModelParams, classification: str = OFF_MANIFOLD) -> FiberingReport:
+    """Both branch roots of precomputed (P, B, D) with the ray's outcome; see project()."""
+    t1 = branch_root(triple, params, NPLUS)
+    t2 = branch_root(triple, params, NMINUS)
+    tm = None if triple.B == 0.0 else t_max(triple, params)
+    psi_tm = None if tm is None or triple.D == 0.0 else psi(triple, params, tm)
+    no_root = NO_ROOTS if triple.B == 0.0 and triple.D == 0.0 else ABOVE_THRESHOLD
+    outcome = {(True, True): TWO_ROOTS, (True, False): PLUS_ONLY, (False, True): MINUS_ONLY}.get(
+        (t1 is not None, t2 is not None), no_root)
+    return FiberingReport(
+        triple=triple,
+        outcome=outcome,
+        t_max=tm,
+        t1=t1,
+        t2=t2,
+        branch_energy_plus=None if t1 is None else phi(triple, params, t1),
+        branch_energy_minus=None if t2 is None else phi(triple, params, t2),
+        classification_at_1=classification,
+        psi_at_tmax=psi_tm,
+    )
 
 
 def classify(params: ModelParams, dom: GridDomain, pair: FieldPair, tol: float = CLASSIFY_DEADBAND) -> str:

@@ -2,12 +2,13 @@
 
 The two solutions are found by projected Barzilai-Borwein descent
 (constants.descend): a full-gradient step in the product space, then the
-absolute value, then re-projection onto the requested fibering root (lower
-root for the minimum branch, upper root for the maximum branch).  Because the
-Nehari constraint annihilates the state itself, re-projection is first-order
-neutral and plain Armijo acceptance applies.  All energies are labeled
-best-found: multi-start descent certifies local minimality plus restart
-evidence, not global optimality.
+absolute value, then re-projection onto the requested fibering root
+(fibering.branch_root: lower root for the minimum branch, upper root for the
+maximum branch).  Because the Nehari constraint annihilates the state itself,
+re-projection is first-order neutral and plain Armijo acceptance applies.  The
+energy chain is checked against one constants.thresholds record.  All energies
+are labeled best-found: multi-start descent certifies local minimality plus
+restart evidence, not global optimality.
 """
 from __future__ import annotations
 
@@ -18,20 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .bubbles import bubble_field
-from .constants import CONVERGED_STOPS, StopRule, bump_field, c0, c_infty, d0_bound, descend, random_positive_starts
+from .constants import CONVERGED_STOPS, ConstantsReport, StopRule, bump_field, descend, random_positive_starts
 from .energy import ReducedTriple, constraint_gradient_arrays, gradient_arrays, ray_triple
 from .errors import BranchLostError, ConvergenceError, SupportError
-from .fibering import (
-    MINUS_ONLY,
-    NMINUS,
-    NPLUS,
-    PLUS_ONLY,
-    TWO_ROOTS,
-    classify,
-    phi,
-    project_triple,
-    t_max,
-)
+from .fibering import NMINUS, NPLUS, branch_root, classify, phi, t_max
 from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, pair_norm, plap_gradient, seminorm_p, signed_pow
 from .params import ModelParams
 
@@ -97,15 +88,6 @@ class SolutionReport:
         }
 
 
-def _branch_root(triple: ReducedTriple, params: ModelParams, branch: str) -> Optional[float]:
-    if triple.P == 0.0:
-        return None
-    rep = project_triple(triple, params)
-    if branch == NPLUS:
-        return rep.t1 if rep.outcome in (TWO_ROOTS, PLUS_ONLY) else None
-    return rep.t2 if rep.outcome in (TWO_ROOTS, MINUS_ONLY) else None
-
-
 def minimize_on_branch(
     params: ModelParams,
     dom: GridDomain,
@@ -134,7 +116,7 @@ def minimize_on_branch(
         a = np.abs(w)
         kernels = (plap_gradient(dom, a[:n]), plap_gradient(dom, a[n:]))
         triple = ray_triple(params, dom, a[:n], a[n:], kernels=kernels)
-        t = _branch_root(triple, params, branch)
+        t = branch_root(triple, params, branch)
         if t is None:
             return None
         triple = triple.scaled(t, params)
@@ -218,9 +200,9 @@ def _starts_for_branch(params: ModelParams, dom: GridDomain, branch: str, opts: 
     return starts
 
 
-def pair_distance(dom: GridDomain, a: FieldPair, b: FieldPair, r: Optional[float] = None) -> float:
+def pair_distance(dom: GridDomain, a: FieldPair, b: FieldPair) -> float:
     """Relative lattice L^p distance between pairs normalized to unit product norm."""
-    p = dom.p if r is None else r
+    p = dom.p
     na = pair_norm(dom, a)
     nb = pair_norm(dom, b)
     if na == 0.0 or nb == 0.0:
@@ -235,20 +217,22 @@ def solve_two(
     params: ModelParams,
     dom: GridDomain,
     opts: SolveOptions = SolveOptions(),
-    s_d: Optional[float] = None,
-    s_ab_d: Optional[float] = None,
+    constants: Optional[ConstantsReport] = None,
     s_ab_minimizer: Optional[FieldPair] = None,
 ):
     """Minimize on both branches from multiple starts and cross-check the pair.
 
     Returns (minimum-branch report, maximum-branch report) with the checks
-    map filled: energy signs, distinctness, semitriviality, the energy floor,
-    and the d0 / c_infty comparisons when discrete constants are supplied.
-    Passing the coupled-quotient minimizer adds it to the maximum-branch
-    starts.
+    map filled: energy signs, distinctness, semitriviality and, when the
+    thresholds of constants.thresholds are supplied (at these weights and
+    this domain's volume), the energy floor -C_0 sigma and the d0 / c_infty
+    comparisons.  Passing the coupled-quotient minimizer adds it to the
+    maximum-branch starts.
     """
     if params.lam <= 0 or params.mu <= 0:
         raise ValueError("parameters must be positive")
+    if constants is not None and (constants.lam, constants.mu, constants.volume) != (params.lam, params.mu, dom.volume):
+        raise ValueError("the thresholds were evaluated at other weights or on another domain")
 
     best = {}
     for branch in (NPLUS, NMINUS):
@@ -280,19 +264,16 @@ def solve_two(
         "classified_plus": plus.classification == NPLUS,
         "classified_minus": minus.classification == NMINUS,
     }
-    if s_d is not None:
-        floor = -c0(params, s_d, dom.volume) * sigma
+    if constants is not None:
+        floor = -constants.C0 * sigma
         checks["energy_floor"] = floor
         checks["floor_plus_ok"] = plus.energy >= floor
         checks["floor_minus_ok"] = minus.energy >= floor
-        d0 = d0_bound(params, s_d, dom.volume, params.lam, params.mu)
-        checks["d0_bound"] = d0.value
-        checks["d0_smallness_ok"] = d0.smallness_ok
-        checks["d0_le_minus"] = d0.value <= minus.energy
-        if s_ab_d is not None:
-            c_inf = c_infty(params, s_ab_d, c0(params, s_d, dom.volume), params.lam, params.mu)
-            checks["c_infty"] = c_inf
-            checks["minus_below_c_infty"] = minus.energy < c_inf
+        checks["d0_bound"] = constants.d0_bound
+        checks["d0_smallness_ok"] = constants.d0_smallness_ok
+        checks["d0_le_minus"] = constants.d0_bound <= minus.energy
+        checks["c_infty"] = constants.c_infty
+        checks["minus_below_c_infty"] = minus.energy < constants.c_infty
     plus.checks = checks
     minus.checks = checks
     return plus, minus

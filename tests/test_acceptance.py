@@ -58,7 +58,8 @@ def acc_solutions(acc_dom, acc_constants, acc_weights):
     s_d, _, s_ab, pair_min = acc_constants
     params, _, _ = acc_weights
     opts = nf.SolveOptions(seed=7, n_starts=4, max_iter=3000)
-    return nf.solve_two(params, dom, opts, s_d=s_d, s_ab_d=s_ab, s_ab_minimizer=pair_min)
+    limits = nf.thresholds(params, dom.volume, s_d, s_ab)
+    return nf.solve_two(params, dom, opts, constants=limits, s_ab_minimizer=pair_min)
 
 
 def test_criterion_1_gradient_consistency(acc_dom, capsys):
@@ -243,7 +244,8 @@ def test_criterion_7_bubble_scans(acc_dom, acc_constants, capsys):
     lam_scan = [6.0, 6.2]
     assert all(lam < lam_cap for lam in lam_scan)
     rows_by_lam = {
-        lam: nf.sup_energy_scan(dom, params0, delta, theta, eps_list, lam, lam, s_d, s_ab)
+        lam: nf.sup_energy_scan(dom, params0, delta, theta, eps_list,
+                                nf.thresholds(params0.with_weights(lam, lam), dom.volume, s_d, s_ab))
         for lam in lam_scan
     }
     worst_c = max(

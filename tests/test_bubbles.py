@@ -38,8 +38,8 @@ def test_model_profile_kind_flag():
 
 
 def tabulated_radial_profile(params, radii, values):
-    """Radial profile from a sample table, injectable through `profile=`;
-    beyond the table it continues with the optimal decay power
+    """Radial profile from a sample table, usable wherever a RadialProfile is
+    taken (rescale, make_bubble, truncation, decay_check); beyond the table it continues with the optimal decay power
     r^(-(n-ps)/(p-1)) matched at the last sample."""
     decay = (params.n - params.p * params.s) / (params.p - 1.0)
     r_end, v_end = radii[-1], values[-1]
@@ -137,8 +137,8 @@ def test_truncation_maps_nondecreasing(t1, t2):
 
 def test_bubble_field_node_cases(dom12):
     eps, delta, theta = 0.0625, 0.25, 2.0
-    center = np.array([0.5, 0.5])
-    field = nf.bubble_field(dom12, CRIT, eps, delta, theta, center=center)
+    center = np.array([0.5, 0.5])  # the bubble sits at the centre of the unit box
+    field = nf.bubble_field(dom12, CRIT, eps, delta, theta)
     r = np.linalg.norm(dom12.interior - center, axis=1)
     prof = model_radial_profile(CRIT)
     outside = r >= theta * delta
@@ -243,10 +243,15 @@ def test_norm_scan_quadrature_trends(dom12):
     assert abs(res.deficit_slope - res.deficit_slope_predicted) <= 0.3 * res.deficit_slope_predicted
 
 
+def limits(dom, lam, s_d, s_ab):
+    """The thresholds record of the sup scan at lambda = mu = lam."""
+    return nf.thresholds(CRIT.with_weights(lam, lam), dom.volume, s_d, s_ab)
+
+
 def test_sup_scan_rows(dom12):
     delta = 0.25
     eps_list = [delta / 4, delta / 8]
-    rows = nf.sup_energy_scan(dom12, CRIT, delta, 2.0, eps_list, 6.0, 6.0, 8.8347, 17.6693)
+    rows = nf.sup_energy_scan(dom12, CRIT, delta, 2.0, eps_list, limits(dom12, 6.0, 8.8347, 17.6693))
     assert [r.eps for r in rows] == sorted(eps_list, reverse=True)
     for r in rows:
         # closed-form maximizer against the golden-refined grid search
@@ -259,7 +264,7 @@ def test_sup_scan_rows(dom12):
 
 def test_sup_scan_zero_weights_equals_coupling_part(dom12):
     delta = 0.25
-    rows = nf.sup_energy_scan(dom12, CRIT, delta, 2.0, [delta / 4], 0.0, 0.0, 8.8347, 17.6693)
+    rows = nf.sup_energy_scan(dom12, CRIT, delta, 2.0, [delta / 4], limits(dom12, 0.0, 8.8347, 17.6693))
     assert rows[0].sup_full == pytest.approx(rows[0].h_at_tstar, rel=1e-14)
 
 
@@ -269,7 +274,7 @@ def test_sup_scan_below_c_infty_for_moderate_weights(dom12):
     delta = 0.25
     eps_list = [delta / 4, delta / 8, delta / 16, delta / 32]
     s_d, _, s_ab, _ = nf.compute_S_coupled(dom12, CRIT, seed=0, restarts=4)
-    rows = nf.sup_energy_scan(dom12, CRIT, delta, 2.0, eps_list, 6.0, 6.0, s_d, s_ab)
+    rows = nf.sup_energy_scan(dom12, CRIT, delta, 2.0, eps_list, limits(dom12, 6.0, s_d, s_ab))
     assert any(r.below_c_infty for r in rows)
     assert all(r.sup_full < r.c_infty or not r.below_c_infty for r in rows)
 
@@ -284,7 +289,7 @@ def test_q_regime_labels():
 
 def test_stationarity_of_t_star(dom12):
     delta = 0.25
-    rows = nf.sup_energy_scan(dom12, CRIT, delta, 2.0, [delta / 4], 1.0, 1.0, 8.8347, 17.6693)
+    rows = nf.sup_energy_scan(dom12, CRIT, delta, 2.0, [delta / 4], limits(dom12, 1.0, 8.8347, 17.6693))
     r = rows[0]
     p, ab = CRIT.p, CRIT.ab
     # recover the ray coefficients from the row: h(t*) = (1/p - 1/ab) P0 t*^p

@@ -102,6 +102,8 @@ MALFORMED = [
     ("bubble_scan", "lambda", "x", "bubble-scan", "lambda"),  # named in params first
     (None, "seeds", [7, 8], "curves", "seeds"),
     (None, "seeds", [True], "curves", "seeds"),
+    (None, "seeds", [-1], "curves", "seeds"),
+    ("bubble_scan", "theta", 3.0, "bubble-scan", "bubble_scan"),  # the centred bubble does not fit
 ]
 
 
@@ -147,6 +149,23 @@ OUT_OF_RANGE = [
 def test_out_of_range_value_exits_2_line_anchored(tmp_path, capsys, block, key, value, command, expected):
     err = _probe_desk(tmp_path, capsys, block, key, value, command, key)
     assert f"{block}.{key} must be {expected}, got {value!r}" in err
+
+
+def test_negative_seed_and_unfit_bubble_name_the_key(tmp_path, capsys):
+    err = _probe_desk(tmp_path, capsys, None, "seeds", [-1], "curves", "seeds")
+    assert "seeds must be a list of exactly one non-negative integer, got [-1]" in err
+    # theta * delta = 0.75 > 0.5: fails before any constant is computed, for both scan methods
+    for method in ("lattice", "quadrature"):
+        doc = json.loads(DESK.read_text())
+        doc["bubble_scan"].update(theta=3.0, method=method)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        assert main(["bubble-scan", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "bubble_scan.theta * bubble_scan.delta = 0.75 exceeds half the box length 0.5" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["curves", "--config", str(DESK), "--out", str(tmp_path / "out"), "--seed", "-1", "--quiet"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 def test_curves_empty_t_interval_exits_2(tmp_path, capsys):

@@ -10,12 +10,14 @@ from nehari_frac.fibering import (
     ABOVE_THRESHOLD,
     MINUS_ONLY,
     NMINUS,
+    NO_ROOTS,
     NPLUS,
     NZERO,
     OFF_MANIFOLD,
     PLUS_ONLY,
     TWO_ROOTS,
     ReducedTriple,
+    branch_root,
     phi_second_expressions,
     project_triple,
     sample_curves,
@@ -245,6 +247,44 @@ def test_dense_scan_finds_no_other_crossings():
     lo = grid[np.nonzero(np.diff(sign))[0]]
     assert np.isclose(lo[0], rep.t1, rtol=2e-3)
     assert np.isclose(lo[1], rep.t2, rtol=2e-3)
+
+
+RAY_PARAMS = (
+    TOY,
+    nf.ModelParams(**DESK, lam=1.0, mu=1.0),
+    nf.ModelParams(n=2, p=3.0, s=0.1, q=2.5, alpha=30 / 17, beta=30 / 17, lam=1.0, mu=1.0),
+)
+
+
+@st.composite
+def rays(draw):
+    """(params, triple): random (P, B, D), with B = 0, D = 0 or both drawn
+    often, and D at or above Psi(t_max) on a third of the rays with B > 0."""
+    params = draw(st.sampled_from(RAY_PARAMS))
+    P = draw(st.floats(1e-3, 1e3))
+    B = draw(st.just(0.0) | st.floats(1e-6, 1e3))
+    kind = draw(st.sampled_from(("random", "zero", "threshold")))
+    if kind == "zero":
+        return params, ReducedTriple(P, B, 0.0)
+    if kind == "threshold" and B > 0:
+        level = nf.psi(ReducedTriple(P, B, 0.0), params, nf.t_max(ReducedTriple(P, B, 0.0), params))
+        return params, ReducedTriple(P, B, level * draw(st.floats(1.0, 10.0)))
+    return params, ReducedTriple(P, B, draw(st.floats(1e-6, 1e3)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(rays())
+def test_branch_root_is_the_projection_root(ray):
+    params, triple = ray
+    rep = project_triple(triple, params)
+    # bit for bit, and None exactly when the outcome has no such root
+    assert branch_root(triple, params, NPLUS) == rep.t1
+    assert branch_root(triple, params, NMINUS) == rep.t2
+    assert (rep.t1 is None) == (rep.outcome not in (TWO_ROOTS, PLUS_ONLY))
+    assert (rep.t2 is None) == (rep.outcome not in (TWO_ROOTS, MINUS_ONLY))
+    if triple.B > 0 and triple.D > 0:
+        assert (rep.outcome == ABOVE_THRESHOLD) == (triple.D >= rep.psi_at_tmax)
+    assert (rep.outcome == NO_ROOTS) == (triple.B == 0 and triple.D == 0)
 
 
 @settings(deadline=None, max_examples=25)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nehari_frac as nf
-from nehari_frac import solver
+from nehari_frac import fibering, solver
 from nehari_frac.constants import BUDGET, CONVERGED_STOPS
 from nehari_frac.errors import BranchLostError, ConvergenceError, SupportError
 from nehari_frac.fibering import NMINUS, NPLUS
@@ -103,11 +103,40 @@ def test_branch_lost_at_huge_weights(setup12):
         nf.minimize_on_branch(params_big, dom, NMINUS, init, nf.SolveOptions())
 
 
+def test_one_bisection_per_branch_trial(setup12, monkeypatch):
+    """A branch trial searches only for the root it projects onto."""
+    params, dom, _, _ = setup12
+    calls = []
+    bisect = fibering._root_bisect
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:])
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(fibering, "_root_bisect", counted)
+    init = random_pair(dom, np.random.default_rng(8), positive=True)
+    for branch in (NPLUS, NMINUS):
+        calls.clear()
+        rep = nf.minimize_on_branch(params, dom, branch, init, nf.SolveOptions(max_iter=0))  # the start alone
+        assert rep.iterations == 0
+        assert len(calls) == 1
+        (lo, hi), = calls
+        t_max = nf.t_max(nf.reduce_pair(params, dom, init), params)
+        assert (hi if branch == NPLUS else lo) == pytest.approx(t_max, rel=1e-12)
+
+
 def test_solve_two_full_chain(setup12):
     params, dom, s_d, s_ab = setup12
     opts = nf.SolveOptions(seed=7, n_starts=3, max_iter=1500)
-    plus, minus = nf.solve_two(params, dom, opts, s_d=s_d, s_ab_d=s_ab)
+    limits = nf.thresholds(params, dom.volume, s_d, s_ab)
+    plus, minus = nf.solve_two(params, dom, opts, constants=limits)
     checks = plus.checks
+    # the checks read the thresholds record; the floor is -C_0 sigma
+    sigma = params.lam ** (params.p / (params.p - params.q)) + params.mu ** (params.p / (params.p - params.q))
+    assert checks["energy_floor"] == -limits.C0 * sigma
+    assert checks["c_infty"] == limits.c_infty
+    assert checks["d0_bound"] == limits.d0_bound
+    assert checks["d0_smallness_ok"] == limits.d0_smallness_ok
     assert checks["energy_plus_negative"] and checks["energy_minus_positive"]
     assert checks["distinct"] and checks["pair_distance"] > 1e-6
     assert checks["non_semitrivial_plus"] and checks["non_semitrivial_minus"]
@@ -121,6 +150,13 @@ def test_solve_two_requires_positive_weights(setup12):
     _, dom, _, _ = setup12
     with pytest.raises(ValueError, match="parameters must be positive"):
         nf.solve_two(CRIT, dom, nf.SolveOptions())
+
+
+def test_solve_two_rejects_thresholds_of_other_weights(setup12):
+    params, dom, s_d, s_ab = setup12
+    for other, volume in ((params.with_weights(params.lam, 2 * params.mu), dom.volume), (params, 2 * dom.volume)):
+        with pytest.raises(ValueError, match="other weights or on another domain"):
+            nf.solve_two(params, dom, nf.SolveOptions(), constants=nf.thresholds(other, volume, s_d, s_ab))
 
 
 def test_solve_two_swap_symmetry():
