@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import ConstantsReport, ratio_predicted
 from .energy import ReducedTriple, ray_triple
-from .errors import SupportError
+from .errors import ConvergenceError, SupportError
 from .fibering import NMINUS, branch_root, phi
 from .grid import Field, GridDomain, lr_norm, seminorm_p
 from .params import ModelParams
@@ -291,11 +291,12 @@ def norm_estimate_scan(
             lps.append(lr_power_quad(params, func, support, params.p_star, e, breakpoints=(delta,)))
         sem_ref = _richardson_limit(np.array(sems), increasing=False)
         lp_ref = _richardson_limit(np.array(lps), increasing=True)
-        if sem_ref is None or lp_ref is None:
-            raise ValueError(
-                "Richardson reference failed: scan differences are not contracting; "
-                "use more or smaller eps values"
-            )
+        for name, values, ref in (("seminorm_p_pow", sems, sem_ref), ("lpstar_pow", lps, lp_ref)):
+            if ref is None:
+                d = np.diff(values)
+                raise ConvergenceError(
+                    f"Richardson reference failed: the {name} differences {[float(f'{x:.6g}') for x in d]} "
+                    f"along eps = {aux} need one sign and a last ratio in (0, 1), got {d[-1] / d[-2]:.6g}")
         sems, lps = sems[: len(eps_sorted)], lps[: len(eps_sorted)]
 
     rows = tuple(

@@ -9,10 +9,11 @@ reduces to a planar (r, rho) integral against the angular kernel
 
 which is elementary for n = 1 and n = 3 and, for n = 2, the Gauss
 hypergeometric value F(nu, 1/2; 1; 1 - e) with nu = (2 + ps)/2 and the exact
-squared relative gap e = ((r - rho)/(r + rho))^2: scipy's hyp2f1 for e > 1/2,
-the two 50-term series of the connection formula DLMF 15.8.4 for e <= 1/2,
-and 2 E(1 - e)/(pi e) with the complete elliptic integral E at ps = 1, where
-those series have a pole.  Values follow the package convention that counts
+squared relative gap e = ((r - rho)/(r + rho))^2, by numpy alone: its Gauss
+series in 1 - e for e > 1/2, the two series of the connection formula DLMF
+15.8.4 for e <= 1/2, and 2 E(1 - e)/(pi e) with E from the AGM at ps = 1,
+where those series have a pole.  Phi is homogeneous of degree -(n + ps), so
+below the diagonal one kernel row serves every outer node.  Values count
 each unordered point pair once (half the ordered double integral).
 """
 from __future__ import annotations
@@ -20,12 +21,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ellipe, gamma, hyp2f1
 
 from .params import ModelParams
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_SERIES_TERMS = 50  # per series of the connection formula, for e <= 1/2
+_SERIES_TERMS = 50  # per Gauss series, each at |z| <= 1/2
 
 
 def sphere_surface(n: int) -> float:
@@ -56,16 +56,15 @@ def angular_kernel(n: int, ps: float, r, rho):
     e = np.broadcast_to(((r - rho) / (r + rho)) ** 2, np.broadcast(r, rho).shape)
     out = np.empty(e.shape)
     near = e <= 0.5
-    out[~near] = hyp2f1(nu, 0.5, 1.0, 1.0 - e[~near])
+    out[~near] = _series(nu, 0.5, 1.0, 1.0 - e[~near])
     e = e[near]
     if abs(nu - 1.5) < 1e-9:
         # Euler's transformation; the band keeps a ps that rounds near 1 off
         # the series, whose terms cancel to an error of ~6e-17 / |nu - 3/2|
-        out[near] = 2.0 * ellipe(1.0 - e) / (np.pi * e)
+        out[near] = 2.0 * _ellipe_complement(e) / (np.pi * e)
     else:
-        # both series converge like 2^-k for e <= 1/2
-        c1 = gamma(0.5 - nu) / (gamma(1.0 - nu) * gamma(0.5))
-        c2 = gamma(nu - 0.5) / (gamma(nu) * gamma(0.5))
+        c1 = math.gamma(0.5 - nu) / (math.gamma(1.0 - nu) * math.gamma(0.5))
+        c2 = math.gamma(nu - 0.5) / (math.gamma(nu) * math.gamma(0.5))
         out[near] = c1 * _series(nu, 0.5, nu + 0.5, e) + c2 * e ** (0.5 - nu) * _series(
             1.0 - nu, 0.5, 1.5 - nu, e
         )
@@ -73,13 +72,28 @@ def angular_kernel(n: int, ps: float, r, rho):
 
 
 def _series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
-    """F(a, b; c; z) by its first _SERIES_TERMS terms, in Horner form."""
-    acc = np.ones_like(z)
-    for k in range(_SERIES_TERMS - 1, -1, -1):
+    """F(a, b; c; z) to z^_SERIES_TERMS, Horner on precomputed (a)_k (b)_k / ((c)_k k!)."""
+    coef = np.cumprod([1.0] + [(a + k) * (b + k) / ((c + k) * (k + 1.0)) for k in range(_SERIES_TERMS)])
+    acc = np.full(z.shape, coef[-1])
+    for t in coef[-2::-1]:
         acc *= z
-        acc *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        acc += 1.0
+        acc += t
     return acc
+
+
+def _ellipe_complement(e: np.ndarray) -> np.ndarray:
+    """E(1 - e) for 0 < e <= 1 by the AGM (DLMF 19.8.1, 19.8.6), from sqrt(e):
+    1 - e, which rounds to 1 near the diagonal, is never formed."""
+    a, b = np.ones_like(e), np.sqrt(e)
+    total, weight = 0.5 * (1.0 + e), 0.5  # 1 - c_0^2 / 2 with c_0^2 = 1 - e
+    for _ in range(40):
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        weight *= 2.0
+        total -= weight * c * c  # 2^(k-1) c_k^2
+        if np.all(c <= 1e-8 * a):  # then a is the AGM to ~(c / a)^2 / 4
+            break
+    return np.pi / (2.0 * a) * total
 
 
 def _panels(edges: np.ndarray):
@@ -134,8 +148,9 @@ def gagliardo_pow_quad(
 
     The inner integral is split at the diagonal for each outer node and uses
     a geometric grid in the radial gap, where the integrand behaves like
-    gap^(p - 1 - ps); the exterior contribution integrates the kernel tail
-    explicitly up to tail_factor * support_r plus an asymptotic remainder.
+    gap^(p - 1 - ps), and one unit-gap kernel row below the diagonal; the
+    exterior contribution integrates the kernel tail explicitly up to
+    tail_factor * support_r plus an asymptotic remainder.
     """
     n, p = params.n, params.p
     ps = params.p * params.s
@@ -146,17 +161,17 @@ def gagliardo_pow_quad(
     r_nodes, r_weights = _panels(edges)
     u_nodes = np.asarray(func(r_nodes), dtype=np.float64)
 
-    # one unit gap rule, scaled onto (0, r) and (r, support_r) of every outer node
+    # one unit gap rule g, scaled onto (0, r) and (r, support_r) of every outer node
     gap, gw = _panels(_radial_edges(1e-10, 1.0, gap_per_decade))
-    span = np.stack([-r_nodes, support_r - r_nodes], axis=1)[:, :, None]  # signed
-    frho = (r_nodes[:, None, None] + span * gap).ravel()
-    fw = (r_weights[:, None, None] * np.abs(span) * gw).ravel()
-    fr = np.repeat(r_nodes, 2 * gap.size)
-    fur = np.repeat(u_nodes, 2 * gap.size)
-
-    du = np.abs(fur - np.asarray(func(frho), dtype=np.float64)) ** p
-    phi = angular_kernel(n, ps, fr, frho)
-    interior = float(np.sum(fw * du * phi * (fr * frho) ** (n - 1)))
+    span = np.stack([-r_nodes, support_r - r_nodes], axis=1)[:, :, None]  # signed, (R, 2, 1)
+    rho = r_nodes[:, None, None] + span * gap  # (R, 2, G)
+    du = np.abs(u_nodes[:, None, None] - np.asarray(func(rho), dtype=np.float64)) ** p
+    # below the diagonal rho = r (1 - g), and Phi is homogeneous of degree -(n + ps)
+    phi = np.empty(rho.shape)
+    phi[:, 0] = r_nodes[:, None] ** -(n + ps) * angular_kernel(n, ps, 1.0, 1.0 - gap)
+    phi[:, 1] = angular_kernel(n, ps, r_nodes[:, None], rho[:, 1])
+    weight = r_weights[:, None, None] * np.abs(span) * gw
+    interior = float(np.sum(weight * du * phi * (r_nodes[:, None, None] * rho) ** (n - 1)))
 
     # exterior: |u(r) - 0|^p against the kernel mass beyond the support
     r_out = tail_factor * support_r

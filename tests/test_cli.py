@@ -432,17 +432,56 @@ def test_verify_detects_tampering(tmp_path):
     assert not verify_output_dir(out)
 
 
+def _python(code, *args):
+    """Run `python -c code *args` against this package's sources."""
+    src = str(Path(nf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=300)
+
+
+_LOADED_SCIPY = (
+    "import sys\n"
+    "import nehari_frac.cli as cli\n"
+    "rc = cli.main(sys.argv[1:])\n"
+    "print(rc, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+)
+
+
 def test_solve_loads_no_scipy(tmp_path):
     """The solve path imports numpy alone; scipy costs set-up time and memory."""
     path = write_config(tmp_path, grid={"m": 8})
-    code = (
-        "import sys\n"
-        "import nehari_frac.cli as cli\n"
-        f"rc = cli.main(['solve', '--config', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}, '--quiet'])\n"
-        "print(rc, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
-    )
-    src = str(Path(nf.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    done = _python(_LOADED_SCIPY, "solve", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[-2] == "0 []"
+
+
+def test_quadrature_bubble_scan_loads_no_scipy(tmp_path):
+    """The radial quadrature evaluates its special functions with numpy alone."""
+    path = write_config(tmp_path, extra={
+        "bubble_scan": {"delta": 0.25, "theta": 2.0, "eps_list": [0.0625, 0.03125], "method": "quadrature"},
+    })
+    out = tmp_path / "out"
+    done = _python(_LOADED_SCIPY, "bubble-scan", "--config", str(path), "--out", str(out), "--quiet")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == "0 []"
+    assert verify_output_dir(out)
+
+
+def test_quadrature_richardson_failure_exits_1(tmp_path):
+    # from eps = delta/64 on the differences of the resolved seminorm change
+    # sign, so no eps -> 0 reference exists: a clean failure, not a traceback
+    path = write_config(tmp_path, extra={
+        "bubble_scan": {
+            "delta": 0.25, "theta": 2.0, "method": "quadrature",
+            "eps_list": [0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625],
+            "s_d": 8.8347, "s_ab_d": 17.6693,
+        },
+    })
+    done = _python("import sys, nehari_frac.cli as cli; sys.exit(cli.main(sys.argv[1:]))",
+                   "bubble-scan", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet")
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("failure: Richardson reference failed"), done.stderr
+    assert "seminorm_p_pow differences" in lines[0]
+    assert not (tmp_path / "out" / "bubble_scan.csv").exists()

@@ -5,6 +5,7 @@ from scipy import integrate, special
 
 import nehari_frac as nf
 from nehari_frac.radial_quad import (
+    _ellipe_complement,
     _panels,
     _radial_edges,
     angular_kernel,
@@ -51,7 +52,7 @@ def test_angular_kernel_n2_near_diagonal_asymptotics():
 
 
 # e = ((r - rho) / (r + rho))^2 = 1/2 at rho = 3 -+ 2 sqrt(2) for r = 1: the
-# switch between the connection-formula series and hyp2f1
+# switch between the connection-formula series and the Gauss series in 1 - e
 _E_HALF = (3.0 - 2.0 * np.sqrt(2.0), 3.0 + 2.0 * np.sqrt(2.0))
 
 
@@ -71,6 +72,28 @@ def test_angular_kernel_n2_against_mpmath(ps):
             e = ((1 - x) / (1 + x)) ** 2
             ref = 2 * mpmath.pi * (1 + x) ** (-2 * nu) * mpmath.hyp2f1(nu, 0.5, 1, 1 - e)
             assert abs(val - ref) <= 1e-13 * ref, (ps, float(x))
+
+
+@pytest.mark.parametrize("n,ps", [(1, 0.3), (2, 0.3), (2, 1.0), (2, 1.7), (3, 0.6), (3, 1.0), (3, 1.7)])
+def test_angular_kernel_homogeneity_below_diagonal(n, ps):
+    # Phi(r, r (1 - g)) = r^-(n+ps) Phi(1, 1 - g), the identity behind the
+    # one below-diagonal kernel row of gagliardo_pow_quad; power-of-two radii
+    # keep r (1 - g) exact, so only the kernel's own rounding is compared
+    g = np.geomspace(1e-3, 0.9, 40)
+    unit = angular_kernel(n, ps, 1.0, 1.0 - g)
+    for r in (2.0 ** -10, 0.25, 2.0, 32.0):
+        got = angular_kernel(n, ps, r, r * (1.0 - g))
+        np.testing.assert_allclose(got, r ** -(n + ps) * unit, rtol=2e-15, atol=0.0)
+
+
+def test_ellipe_complement_against_mpmath():
+    # E(1 - e) from the AGM, down to gaps where 1 - e rounds to 1
+    e = np.concatenate([np.geomspace(1e-30, 1.0, 61), [0.25, 0.5, 1.0 - 1e-12]])
+    got = _ellipe_complement(e)
+    with mpmath.workdps(40):
+        for x, val in zip(e, got):
+            ref = mpmath.ellipe(1 - mpmath.mpf(x))
+            assert abs(val - ref) <= 1e-14 * ref, float(x)
 
 
 def test_angular_kernel_n1_and_n3_closed_forms():
@@ -146,9 +169,16 @@ def _gagliardo_per_node(params, func, support_r, core_scale, breakpoints=(),
         for lo, hi in ((0.0, r), (r, support_r)):
             span = hi - lo
             gap, gw = _panels(_radial_edges(span * 1e-10, span, gap_per_decade))
-            rho = r - gap if hi == r else r + gap
+            if hi == r:
+                # rho = r (1 - gap / r): the kernel by homogeneity, with the
+                # exact gap instead of the rounded difference r - rho
+                rho = r - gap
+                phi = r ** -(n + ps) * angular_kernel(n, ps, 1.0, 1.0 - gap / r)
+            else:
+                rho = r + gap
+                phi = angular_kernel(n, ps, r, rho)
             du = np.abs(ur - np.asarray(func(rho), dtype=np.float64)) ** p
-            interior += wr * np.sum(gw * du * angular_kernel(n, ps, r, rho) * (r * rho) ** (n - 1))
+            interior += wr * np.sum(gw * du * phi * (r * rho) ** (n - 1))
     r_out = tail_factor * support_r
     tedges = _radial_edges(support_r, r_out, 8)
     trho, tw = _panels(tedges[tedges >= support_r])
