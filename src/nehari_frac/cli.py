@@ -64,13 +64,12 @@ def _write_manifest(out: Path, cfg: RunConfig, command: str, files):
 
 
 def verify_output_dir(out_dir) -> bool:
-    """Re-check the SHA-256 of every file recorded in the run manifest."""
+    """Re-check the SHA-256 of every file recorded in the run manifest; a
+    missing file fails the check."""
     out = Path(out_dir)
     manifest = json.loads((out / "manifest.json").read_text())
-    for name, digest in manifest["files"].items():
-        if _sha256(out / name) != digest:
-            return False
-    return True
+    return all((out / name).is_file() and _sha256(out / name) == digest
+               for name, digest in manifest["files"].items())
 
 
 def _primary_seed(cfg: RunConfig, override) -> int:

@@ -2,7 +2,7 @@
 
 A field is stored as a raw little-endian float64 array plus a JSON sidecar
 (<path>.json) recording the domain hash, the node count and the dtype tag
-"f64le".  Loading verifies the hash against the target domain.
+"f64le".  Loading raises ConfigError on any mismatch, a missing file or NaN/inf.
 """
 from __future__ import annotations
 
@@ -39,7 +39,12 @@ def load_field(dom: GridDomain, path) -> Field:
         raise ConfigError(f"unsupported field dtype {sidecar.get('dtype')!r} in {sidecar_path}")
     if sidecar.get("domain_hash") != dom.domain_hash():
         raise ConfigError(f"domain hash mismatch between {path} and the configured grid")
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if raw.shape[0] != sidecar.get("count") or raw.shape[0] != dom.n_interior:
-        raise ConfigError(f"field {path} has {raw.shape[0]} values, expected {dom.n_interior}")
+    if not path.is_file():
+        raise ConfigError(f"missing field file {path}")
+    data = path.read_bytes()
+    if len(data) != 8 * dom.n_interior or sidecar.get("count") != dom.n_interior:
+        raise ConfigError(f"field {path} has {len(data)} bytes, expected {dom.n_interior} float64 values")
+    raw = np.frombuffer(data, dtype="<f8")
+    if not np.all(np.isfinite(raw)):
+        raise ConfigError(f"field {path} holds non-finite values")
     return Field(raw.copy())

@@ -9,6 +9,9 @@ re-projection is first-order neutral and plain Armijo acceptance applies.  The
 energy chain is checked against one constants.thresholds record.  All energies
 are labeled best-found: multi-start descent certifies local minimality plus
 restart evidence, not global optimality.
+
+The scalar sublinear problem, the semitrivial face J(u, 0), takes one route at
+every p: damped Newton-CG from the bump at its ray minimum.
 """
 from __future__ import annotations
 
@@ -37,7 +40,8 @@ BUBBLE_THETA = 2.0
 DISTINCT_TOL = 1e-6              # two solutions are distinct above this pair_distance
 SEMITRIVIAL_TOL = 1e-8           # a component with at most this share of the L^q norms is zero
 STATIONARITY_RTOL = 1e-6         # semitrivial_tmax_check: largest |P - B| / P of its inputs
-SCALAR_MAX_ITER = 20000          # BB budget of the scalar solve without Newton polish (p != 2)
+FD_STEP = 1e-7                   # scalar Newton: difference step of the Hessian product, times |u|/|d|
+CG_RTOL = 1e-8                   # scalar Newton: relative residual that stops conjugate gradients
 
 
 @dataclass(frozen=True)
@@ -283,7 +287,7 @@ def solve_two(
 # Scalar sublinear problem
 # ---------------------------------------------------------------------------
 
-def _newton_cg(hess, g: np.ndarray, rtol: float = 1e-14) -> np.ndarray:
+def _newton_cg(hess, g: np.ndarray, rtol: float = CG_RTOL) -> np.ndarray:
     """Conjugate gradients for hess(d) = -g, stopped at relative residual
     rtol or on a direction of nonpositive curvature (then the iterate so far,
     or -g when there is none)."""
@@ -306,60 +310,49 @@ def _newton_cg(hess, g: np.ndarray, rtol: float = 1e-14) -> np.ndarray:
 def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float):
     """Minimize (1/p)[u]^p - (lam/q) sum|u|^q; returns (Field, energy).
 
-    Barzilai-Borwein descent (constants.descend, unconstrained) starts from
-    the smooth bump at its exact ray minimum; at p = 2 it is polished with
-    damped Newton steps, solved by conjugate gradients on plap_gradient, so
-    the stationarity identity [u]^p = lam sum|u|^q holds to near machine
-    precision.
+    Damped Newton steps from the smooth bump at its ray minimum
+    (fibering.branch_root, D = 0), each solved by conjugate gradients on a
+    forward difference of plap_gradient: one route at every p, ending where
+    the identity [u]^p = lam sum|u|^q holds to near machine precision.
     """
     if lam <= 0:
         raise ValueError("the scalar sublinear problem needs lam > 0")
     p, q = params.p, params.q
     cell = dom.h ** dom.dim
 
-    w0 = bump_field(dom)
-    qint = cell * float(np.sum(np.abs(w0) ** q))
-    ray = (lam * qint / seminorm_p(dom, w0) ** p) ** (1.0 / (p - q))
-    u = ray * w0
-
     def evaluate(x):
         k = plap_gradient(dom, x)
         value = float(np.dot(x, k)) / p - (lam / q) * cell * float(np.sum(np.abs(x) ** q))
-        return x, value, k - lam * cell * signed_pow(x, q - 1.0)
+        return x, k, value, k - lam * cell * signed_pow(x, q - 1.0)
 
-    start = evaluate(u)
-    g_norm = float(np.linalg.norm(start[2]))
-    scale0 = max(g_norm, lam * cell * float(np.sum(np.abs(u) ** (q - 1.0))), 1e-300)
-    newton = p == 2.0
-    stop = StopRule(
-        max_iter=3000 if newton else SCALAR_MAX_ITER,
-        flat_tol=-np.inf,
-        grad_rtol=(1e-6 if newton else 1e-12) * scale0 / max(g_norm, 1e-300),
-    )
-    run = descend(start, evaluate, stop)
-    u, val, g = run.x, run.value, run.grad
+    w0 = bump_field(dom)
+    t = branch_root(ReducedTriple(seminorm_p(dom, w0) ** p, lam * cell * float(np.sum(w0 ** q)), 0.0), params, NPLUS)
+    u, k, val, g = evaluate(t * w0)
+    scale0 = max(float(np.linalg.norm(g)), lam * cell * float(np.sum(np.abs(u) ** (q - 1.0))), 1e-300)
 
-    if newton and np.all(u != 0.0):
-        for _ in range(60):
-            gn = float(np.linalg.norm(g))
-            if gn <= 1e-15 * scale0:
-                break
-            curv = lam * cell * (q - 1.0) * np.abs(u) ** (q - 2.0)
-            d = _newton_cg(lambda x: plap_gradient(dom, x) - curv * x, g)
-            # near the minimum an energy difference below the rounding of the
-            # energy's two terms has no sign; the gradient norm decides there
-            noise = 1e-13 * (abs(val) + 2.0 * (lam / q) * cell * float(np.sum(np.abs(u) ** q)))
-            s = 1.0
-            for _ in range(40):
-                trial = u + s * d
-                if np.all(trial != 0.0):
-                    _, tval, tg = evaluate(trial)
-                    if tval < val or (tval <= val + noise and float(np.linalg.norm(tg)) < gn):
-                        u, val, g = trial, tval, tg
-                        break
-                s *= 0.5
-            else:
-                break
+    for _ in range(60):
+        gn = float(np.linalg.norm(g))
+        if gn <= 1e-15 * scale0:
+            break
+        curv = lam * cell * (q - 1.0) * np.abs(u) ** (q - 2.0)
+
+        def hess(d):  # k = plap_gradient(u) from the last accepted evaluation
+            h = FD_STEP * float(np.linalg.norm(u)) / float(np.linalg.norm(d))
+            return (plap_gradient(dom, u + h * d) - k) / h - curv * d
+
+        d = _newton_cg(hess, g)
+        # near the minimum an energy difference below the rounding of the
+        # energy's two terms has no sign; the gradient norm decides there
+        noise = 1e-13 * (abs(val) + 2.0 * (lam / q) * cell * float(np.sum(np.abs(u) ** q)))
+        for s in 0.5 ** np.arange(40.0):
+            trial = u + s * d
+            if np.all(trial != 0.0):
+                _, tk, tval, tg = evaluate(trial)
+                if tval < val or (tval <= val + noise and float(np.linalg.norm(tg)) < gn):
+                    u, k, val, g = trial, tk, tval, tg
+                    break
+        else:
+            break
 
     gn = float(np.linalg.norm(g))
     if gn > 1e-6 * scale0:

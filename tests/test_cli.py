@@ -330,6 +330,29 @@ def test_project_domain_hash_mismatch(tmp_path, capsys):
     assert "hash mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["truncated", "missing", "non_finite"])
+def test_project_bad_field_file_exits_2(tmp_path, capsys, damage):
+    cfg = write_config(tmp_path)
+    _random_fields(tmp_path, cfg, 3)
+    bad = tmp_path / "u.field"
+    if damage == "truncated":
+        bad.write_bytes(bad.read_bytes()[:7])
+    elif damage == "missing":
+        bad.unlink()
+    else:
+        values = np.frombuffer(bad.read_bytes(), dtype="<f8").copy()
+        values[2] = np.nan
+        bad.write_bytes(values.tobytes())
+    code = main([
+        "project", "--config", str(cfg), "--out", str(tmp_path / "out"),
+        "--u", str(bad), "--v", str(tmp_path / "v.field"), "--quiet",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_bubble_scan_rejects_bad_eps(tmp_path, capsys):
     cfg = write_config(tmp_path, extra={
         "bubble_scan": {"delta": 0.25, "theta": 2.0, "eps_list": [0.0625, 0.2]},
@@ -429,6 +452,8 @@ def test_verify_detects_tampering(tmp_path):
     assert main(["curves", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert verify_output_dir(out)
     (out / "curves.csv").write_text("tampered\n")
+    assert not verify_output_dir(out)
+    (out / "curves.csv").unlink()
     assert not verify_output_dir(out)
 
 
