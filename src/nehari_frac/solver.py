@@ -287,10 +287,10 @@ def solve_two(
 # Scalar sublinear problem
 # ---------------------------------------------------------------------------
 
-def _newton_cg(hess, g: np.ndarray, rtol: float = CG_RTOL) -> np.ndarray:
+def _newton_cg(hess, g: np.ndarray) -> np.ndarray:
     """Conjugate gradients for hess(d) = -g, stopped at relative residual
-    rtol or on a direction of nonpositive curvature (then the iterate so far,
-    or -g when there is none)."""
+    CG_RTOL or on a direction of nonpositive curvature (then the iterate so
+    far, or -g when there is none)."""
     d, r, step = np.zeros_like(g), -g, -g
     rr = float(np.dot(g, g))
     for _ in range(g.size):
@@ -301,7 +301,7 @@ def _newton_cg(hess, g: np.ndarray, rtol: float = CG_RTOL) -> np.ndarray:
         d = d + (rr / curv) * step
         r = r - (rr / curv) * hs
         rr, rr_old = float(np.dot(r, r)), rr
-        if rr <= rtol ** 2 * float(np.dot(g, g)):
+        if rr <= CG_RTOL ** 2 * float(np.dot(g, g)):
             break
         step = r + (rr / rr_old) * step
     return d
