@@ -11,6 +11,7 @@ inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -96,19 +97,22 @@ class Descent(NamedTuple):
     iterations: int
 
 
-def descend(start, evaluate, stop: StopRule, on_accept=None) -> Descent:
-    """Monotone projected descent with Barzilai-Borwein step proposals.
+def descent_steps(start, stop: StopRule, on_accept=None):
+    """Monotone projected descent with Barzilai-Borwein step proposals from
+    one start, as a generator that yields each trial raw vector, is sent its
+    evaluation and returns the Descent.
 
-    evaluate(raw) maps a raw vector to (feasible point, value, gradient), or
-    to None for a point it cannot place; start is such a triple.  Every trial
-    is evaluated in full, so an accepted trial already carries its gradient.
-    Each proposal x - s g is halved up to 60 times until its value passes the
-    acceptance test of stop.  on_accept(x, value) is called for the start
-    and for each accepted point, right after that point's evaluation.
+    An evaluation is (feasible point, value, gradient, ...), or None for a
+    point that cannot be placed; start is one.  Every trial is evaluated in
+    full, so an accepted trial already carries its gradient.  Each proposal
+    x - s g is halved up to 60 times until its value passes the acceptance
+    test of stop.  on_accept(evaluation) is called for the start and for each
+    accepted point.
     """
-    x, val, g = start
+    x, val, g = start[:3]
     if on_accept is not None:
-        on_accept(x, val)
+        on_accept(start)
+    del start  # a suspended run holds only the arrays it still needs (descend keeps many)
     g_norm = float(np.linalg.norm(g))
     step = 1.0 / max(1.0, g_norm)
     g_stop = stop.grad_rtol * g_norm
@@ -123,11 +127,12 @@ def descend(start, evaluate, stop: StopRule, on_accept=None) -> Descent:
             denom = float(np.dot(dx, dg))
             if denom > 0:
                 step = float(np.dot(dx, dx)) / denom
+            del dx, dg
             step = min(max(step, 1e-14), 1e14)
         gg = float(np.dot(g, g)) if stop.armijo else 0.0
         s = step
         for _ in range(_BACKTRACKS):
-            trial = evaluate(x - s * g)
+            trial = yield x - s * g
             if trial is not None and trial[1] <= val - stop.armijo * s * gg:
                 break
             s *= 0.5
@@ -135,9 +140,9 @@ def descend(start, evaluate, stop: StopRule, on_accept=None) -> Descent:
             return Descent(x, val, g, LINE_SEARCH_EXHAUSTED, it)
         drop = (val - trial[1]) / max(abs(val), 1e-300)
         x_prev, g_prev = x, g
-        x, val, g = trial
+        x, val, g = trial[:3]
         if on_accept is not None:
-            on_accept(x, val)
+            on_accept(trial)
         if drop <= stop.flat_tol:
             flat += 1
             if flat >= stop.patience:
@@ -145,6 +150,50 @@ def descend(start, evaluate, stop: StopRule, on_accept=None) -> Descent:
         else:
             flat = 0
     return Descent(x, val, g, BUDGET, stop.max_iter)
+
+
+def descend(inits, evaluate, stop: StopRule, on_accept=None) -> list:
+    """descent_steps from every raw starting vector, advanced in lockstep.
+
+    evaluate(list of raw vectors) returns their evaluations in order; it gets
+    the starts, then each round the pending trial of every live start, so
+    that one stacked kernel pass can serve them all.  on_accept(k, evaluation)
+    is descent_steps' hook for start k.  Returns one Descent per start, None
+    where the start's own evaluation is None; no run depends on the others.
+    """
+    results = [None] * len(inits)
+    live = {}  # start index -> (run, its pending trial), in start order
+
+    def advance(k, run, evaluation):
+        try:
+            live[k] = run, run.send(evaluation)
+        except StopIteration as done:
+            results[k] = done.value
+
+    for k, start in enumerate(evaluate(list(inits))):
+        if start is not None:
+            advance(k, descent_steps(start, stop, on_accept and partial(on_accept, k)), None)
+    while live:
+        order = list(live)
+        for k, evaluation in zip(order, evaluate([live[k][1] for k in order])):
+            advance(k, live.pop(k)[0], evaluation)
+    return results
+
+
+def stacked_evaluate(dom: GridDomain, project, finish):
+    """An evaluate for descend that makes one plap_gradient pass per call:
+    project(raw) gives a point or None, the length-N components of all points
+    go through plap_gradient as one stack, and finish(point, its kernel rows)
+    gives the evaluation or None."""
+    n = dom.n_interior
+
+    def evaluate(raws):
+        points = [project(raw) for raw in raws]
+        live = [x for x in points if x is not None]
+        rows = iter(plap_gradient(dom, np.concatenate(live).reshape(-1, n)) if live else ())
+        return [None if x is None else finish(x, [next(rows) for _ in range(x.size // n)]) for x in points]
+
+    return evaluate
 
 
 def random_positive_starts(seq: np.random.SeedSequence, count: int, size: int, floor: float) -> list:
@@ -160,20 +209,13 @@ def _minimize_quotient(inits, evaluate, tol, name, as_state):
     """
     if not inits:
         raise ValueError(f"{name}: no starting points")
-    stop = StopRule(max_iter=QUOTIENT_MAX_ITER, flat_tol=tol)
-    best = run = None
-    finished = False
-    for x0 in inits:
-        start = evaluate(x0)
-        if start is None:
-            raise ValueError(f"{name}: infeasible starting point")
-        run = descend(start, evaluate, stop)
-        finished = finished or run.stop_reason != BUDGET
-        if best is None or run.value < best.value:
-            best = run
-    if not finished:
+    runs = descend(inits, evaluate, StopRule(max_iter=QUOTIENT_MAX_ITER, flat_tol=tol))
+    if None in runs:
+        raise ValueError(f"{name}: infeasible starting point")
+    if all(run.stop_reason == BUDGET for run in runs):
         raise ConvergenceError(f"{name} descent did not flatten within the iteration budget",
-                               last_iterate=as_state(run.x))
+                               last_iterate=as_state(runs[-1].x))
+    best = min(runs, key=lambda run: run.value)  # the first of equal values
     return best.value, as_state(best.x)
 
 
@@ -197,22 +239,21 @@ def compute_S(
     pstar = params.p_star
     cell = dom.h ** dom.dim
 
-    def evaluate(x):
+    def project(x):
         x = np.abs(x)
         den = lr_norm(dom, x, pstar)
-        if den == 0.0 or not np.isfinite(den):
-            return None
-        x = x / den
+        return None if den == 0.0 or not np.isfinite(den) else x / den
+
+    def finish(x, kernels):
         # denominator is 1 on the constraint set
-        k = plap_gradient(dom, x)
-        val = float(np.dot(x, k))
-        return x, val, p * k - val * (p * cell * signed_pow(x, pstar - 1.0))
+        val = float(np.dot(x, kernels[0]))
+        return x, val, p * kernels[0] - val * (p * cell * signed_pow(x, pstar - 1.0))
 
     inits = [as_values(x).copy() for x in extra_inits]
     if restarts >= 1:
         inits.append(bump_field(dom))
     inits += random_positive_starts(np.random.SeedSequence(seed), max(restarts - 1, 0), dom.n_interior, 1e-6)
-    return _minimize_quotient(inits, evaluate, tol, "Rayleigh", Field)
+    return _minimize_quotient(inits, stacked_evaluate(dom, project, finish), tol, "Rayleigh", Field)
 
 
 def compute_S_alpha_beta(
@@ -235,9 +276,7 @@ def compute_S_alpha_beta(
     ab = params.ab
     n = dom.n_interior
 
-    def evaluate(x):
-        x = np.abs(x)
-        kernels = (plap_gradient(dom, x[:n]), plap_gradient(dom, x[n:]))
+    def finish(x, kernels):
         triple = ray_triple(params, dom, x[:n], x[n:], kernels=kernels)
         if not 0.0 < triple.D < np.inf:
             return None
@@ -259,7 +298,8 @@ def compute_S_alpha_beta(
         inits.append(np.concatenate([ratio * bump, bump]))
     inits += random_positive_starts(np.random.SeedSequence(seed), max(restarts - 1, 0), 2 * n, 1e-6)
     return _minimize_quotient(
-        inits, evaluate, tol, "coupled quotient", lambda x: FieldPair(Field(x[:n]), Field(x[n:]))
+        inits, stacked_evaluate(dom, np.abs, finish), tol, "coupled quotient",
+        lambda x: FieldPair(Field(x[:n]), Field(x[n:])),
     )
 
 

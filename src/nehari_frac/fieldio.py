@@ -2,7 +2,8 @@
 
 A field is stored as a raw little-endian float64 array plus a JSON sidecar
 (<path>.json) recording the domain hash, the node count and the dtype tag
-"f64le".  Loading raises ConfigError on any mismatch, a missing file or NaN/inf.
+"f64le".  Loading raises ConfigError on any mismatch, a missing file, a
+malformed sidecar or NaN/inf.
 """
 from __future__ import annotations
 
@@ -34,7 +35,12 @@ def load_field(dom: GridDomain, path) -> Field:
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise ConfigError(f"missing field sidecar {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed field sidecar {sidecar_path}: {exc}") from None
+    if not isinstance(sidecar, dict):
+        raise ConfigError(f"field sidecar {sidecar_path} does not hold a JSON object")
     if sidecar.get("dtype") != "f64le":
         raise ConfigError(f"unsupported field dtype {sidecar.get('dtype')!r} in {sidecar_path}")
     if sidecar.get("domain_hash") != dom.domain_hash():

@@ -6,10 +6,11 @@ its complement by a finite collar on which every field vanishes.  Pair
 weights are the midpoint-rule kernel h^2n / |x_i - x_j|^(n + p s) with the
 diagonal excluded.  Interior-collar pairs are aggregated per interior node
 into a single zero-extension weight (exact, because collar values are pinned
-to zero) by one lattice convolution.  At p = 2 a kernel pass is one FFT
-convolution; for p != 2 the interior weights are stored as upper-triangle
-slabs (a, b, W[a:b, a:]) of the N x N weight matrix (0 on and below the
-diagonal) and a pass makes a few dense out= operations per slab.  The kernel
+to zero) by one lattice convolution.  At p = 2 a kernel pass is a pruned
+FFT convolution of a stack of fields; for p != 2 the interior weights are
+stored as upper-triangle slabs (a, b, W[a:b, a:]) of the N x N weight matrix
+(0 on and below the diagonal) and a pass makes a few dense out= operations
+per slab.  The kernel
 normalization constant is fixed to 1; every identity used downstream is
 invariant under that choice.
 """
@@ -32,6 +33,9 @@ from .params import ModelParams
 SLAB_ELEMENTS = 2 ** 15
 SLAB_TEMP_BYTES = 17
 PAIR_BUDGET_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+# Fields per p = 2 transform: at m = 20-56 (2-core Xeon, numpy 2.4) 9-12 took the
+# least time per field and 22 took 20-40% more.
+FFT_BATCH_ROWS = 12
 
 
 def signed_pow(x, r):
@@ -61,8 +65,8 @@ class GridDomain:
     slabs: tuple | None         # p != 2: (a, b, W) with W[r, c] the weight of pair (a + r, a + c), 0 for c <= r
     collar_w: np.ndarray        # (N,) float64, sum of kernel weights into the collar
     volume: float
-    kernel_hat: np.ndarray | None = None    # p = 2: rfftn of the kernel on the (2m,)*dim lattice
-    kernel_index: np.ndarray | None = None  # p = 2: flat position of each interior node there
+    kernel_hat: np.ndarray | None = None    # p = 2: rfftn of the kernel on the (L,)*dim lattice, L = fft_side(m)
+    box_index: np.ndarray | None = None     # p = 2: flat position of each interior node in the (m,)*dim block
     diag: np.ndarray | None = None          # p = 2: collar_w + K * 1_interior
 
     @property
@@ -138,6 +142,16 @@ def as_values(u) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)
 
 
+def fft_side(m: int) -> int:
+    """Side L of the p = 2 FFT lattice: the smallest L >= 2m - 1, which is
+    wrap-free for interior offsets up to m - 1, with no prime factor above 7
+    (a fast FFT length); such an L < 2^64 is one that divides 210^64."""
+    side = 2 * m - 1
+    while 210 ** 64 % side:
+        side += 1
+    return side
+
+
 def _check_len(dom: GridDomain, v: np.ndarray):
     if v.shape != (dom.n_interior,):
         raise ValueError(f"field has {v.shape[0] if v.ndim == 1 else v.shape} values, domain has {dom.n_interior} interior nodes")
@@ -194,9 +208,19 @@ def _kernel_hat(shape: tuple, h: float, kernel_exp: float) -> np.ndarray:
     return np.fft.rfftn(h ** (2 * len(shape)) / (h * k) ** kernel_exp, axes=tuple(range(len(shape))))
 
 
-def _convolve(kernel_hat: np.ndarray, field: np.ndarray) -> np.ndarray:
-    axes = tuple(range(field.ndim))
-    return np.fft.irfftn(np.fft.rfftn(field, axes=axes) * kernel_hat, s=field.shape, axes=axes)
+def _convolve(kernel_hat: np.ndarray, block: np.ndarray, side: int) -> np.ndarray:
+    """irfftn(rfftn(b padded with zeros to side per axis) * kernel_hat), cut
+    back to b's shape, for each cube b = block[i], bit for bit: the same 1-D
+    transforms in rfftn's and irfftn's order, but none over a line that holds
+    only zeros or is cut away (numpy pads each line to side)."""
+    dim, keep = block.ndim - 1, block.shape[-1]
+    a = np.fft.rfft(block, n=side)
+    for axis in range(dim - 1, 0, -1):
+        a = np.fft.fft(a, n=side, axis=axis)
+    a *= kernel_hat
+    for axis in range(1, dim):
+        a = np.fft.ifft(a, axis=axis)[(slice(None),) * axis + (slice(keep),)]
+    return np.fft.irfft(a, n=side)[..., :keep]
 
 
 def build_grid(
@@ -251,19 +275,17 @@ def build_grid(
     kernel_exp = n + params.p * params.s
     # sampled-box index of each interior node; offsets from there into the
     # sampled box reach m + width per axis, so period 2 (m + width + 1) is wrap-free
-    sampled = (m + 2 + 2 * width,) * n
-    at = np.nonzero(inside.reshape(sampled))
-    field = np.zeros((2 * (m + width + 1),) * n)
-    field[tuple(map(slice, sampled))] = ~inside.reshape(sampled)
-    hat = _kernel_hat(field.shape, h, kernel_exp)
-    cw = _convolve(hat, field)[at]
+    sampled = (1,) + (m + 2 + 2 * width,) * n
+    at = np.nonzero(inside.reshape(sampled)[0])
+    side = 2 * (m + width + 1)
+    hat = _kernel_hat((side,) * n, h, kernel_exp)
+    cw = _convolve(hat, (~inside).reshape(sampled).astype(float), side)[0][at]
 
     fft = {}
     if params.p == 2.0:
-        field[tuple(map(slice, sampled))] = inside.reshape(sampled)
-        box = (2 * m,) * n  # interior offsets reach m - 1
-        fft = {"kernel_hat": _kernel_hat(box, h, kernel_exp), "diag": cw + _convolve(hat, field)[at],
-               "kernel_index": np.ravel_multi_index(tuple(a - 1 - width for a in at), box)}
+        fft = {"kernel_hat": _kernel_hat((fft_side(m),) * n, h, kernel_exp),
+               "diag": cw + _convolve(hat, inside.reshape(sampled).astype(float), side)[0][at],
+               "box_index": np.ravel_multi_index(tuple(a - 1 - width for a in at), (m,) * n)}
 
     return GridDomain(
         dim=n,
@@ -311,31 +333,38 @@ def a_form(dom: GridDomain, u, phi) -> float:
 
 
 def plap_gradient(dom: GridDomain, u) -> np.ndarray:
-    """Vector of A(u, e_k) over canonical basis fields e_k, assembled in one pass.
+    """Vector of A(u, e_k) over canonical basis fields e_k, assembled in one
+    pass, for one field u (N,) or for each row of a stack u (k, N).
 
-    At p = 2 it is diag * u - K * u, one FFT convolution whose rounding error
-    is of order eps * |diag * u| rather than eps times the result.  For p != 2,
-    c = W sign(du) |du|^(p-1) per slab, du = v[a:b, None] - v[None, a:], in one
-    buffer pair: g[a:b] gains its row sums and g[a:] loses its column sums."""
+    At p = 2 it is diag * u - K * u, a pruned FFT convolution of up to
+    FFT_BATCH_ROWS rows at once, whose rounding error is of order
+    eps * |diag * u| rather than eps times the result.  For p != 2, per row,
+    c = W sign(du) |du|^(p-1) per slab, du = x[a:b, None] - x[None, a:], in
+    one buffer pair: g[a:b] gains its row sums and g[a:] loses its column sums."""
     v = as_values(u)
-    _check_len(dom, v)
+    if v.ndim not in (1, 2) or v.shape[-1] != dom.n_interior:
+        raise ValueError(f"fields of shape {v.shape}, domain has {dom.n_interior} interior nodes")
+    rows = v.reshape(-1, dom.n_interior)
     if dom.kernel_hat is not None:
-        field = np.zeros((2 * dom.m,) * dom.dim)
-        field.flat[dom.kernel_index] = v
-        return dom.diag * v - _convolve(dom.kernel_hat, field).flat[dom.kernel_index]
-    g = dom.collar_w * signed_pow(v, dom.p - 1.0)
+        block = np.zeros((rows.shape[0],) + (dom.m,) * dom.dim)
+        block.reshape(rows.shape[0], -1)[:, dom.box_index] = rows
+        conv = np.concatenate([_convolve(dom.kernel_hat, block[i:i + FFT_BATCH_ROWS], fft_side(dom.m))
+                               for i in range(0, rows.shape[0], FFT_BATCH_ROWS)])
+        return dom.diag * v - conv.reshape(rows.shape[0], -1)[:, dom.box_index].reshape(v.shape)
+    g = dom.collar_w * signed_pow(rows, dom.p - 1.0)
     du_buf, c_buf = np.empty((2, max((w.size for _, _, w in dom.slabs), default=0)))
-    for a, b, w in dom.slabs:
-        du = np.subtract(v[a:b, None], v[None, a:], out=du_buf[:w.size].reshape(w.shape))
-        c = np.abs(du, out=c_buf[:w.size].reshape(w.shape))
-        if dom.p == 3.0:
-            np.multiply(c, du, out=c)  # |du| du, bit for bit signed_pow(du, 2)
-        else:  # sign(du) |du|^(p-1), exactly 0 at du = 0 as in signed_pow
-            np.copysign(np.power(c, dom.p - 1.0, out=c), du, out=c)
-        np.multiply(c, w, out=c)
-        g[a:b] += c.sum(axis=1)
-        g[a:] -= c.sum(axis=0)
-    return g
+    for x, gx in zip(rows, g):
+        for a, b, w in dom.slabs:
+            du = np.subtract(x[a:b, None], x[None, a:], out=du_buf[:w.size].reshape(w.shape))
+            c = np.abs(du, out=c_buf[:w.size].reshape(w.shape))
+            if dom.p == 3.0:
+                np.multiply(c, du, out=c)  # |du| du, bit for bit signed_pow(du, 2)
+            else:  # sign(du) |du|^(p-1), exactly 0 at du = 0 as in signed_pow
+                np.copysign(np.power(c, dom.p - 1.0, out=c), du, out=c)
+            np.multiply(c, w, out=c)
+            gx[a:b] += c.sum(axis=1)
+            gx[a:] -= c.sum(axis=0)
+    return g.reshape(v.shape)
 
 
 def pair_norm(dom: GridDomain, pair: FieldPair) -> float:

@@ -22,7 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .bubbles import bubble_field
-from .constants import CONVERGED_STOPS, ConstantsReport, StopRule, bump_field, descend, random_positive_starts
+from .constants import (
+    CONVERGED_STOPS, ConstantsReport, StopRule, bump_field, descend, random_positive_starts, stacked_evaluate,
+)
 from .energy import ReducedTriple, constraint_gradient_arrays, gradient_arrays, ray_triple
 from .errors import BranchLostError, ConvergenceError, SupportError
 from .fibering import NMINUS, NPLUS, branch_root, classify, phi, t_max
@@ -108,45 +110,54 @@ def minimize_on_branch(
     the run only aborts when the starting state itself cannot be projected.
     Accepted energies are nonincreasing by construction.
     """
+    [report] = _branch_descents(params, dom, branch, [init], opts)
+    if report is None:
+        raise BranchLostError(
+            "left the two-root regime: the requested root does not exist at the "
+            "starting state; use smaller lambda and mu"
+        )
+    report.seed_index = seed_index
+    return report
+
+
+def _branch_descents(params: ModelParams, dom: GridDomain, branch: str, inits, opts: SolveOptions) -> list:
+    """minimize_on_branch from each starting pair, all in one lockstep
+    descend: a report per start, None where the start cannot be projected."""
     if branch not in (NPLUS, NMINUS):
         raise ValueError(f"unknown branch {branch!r}")
     if params.lam <= 0 or params.mu <= 0:
         raise ValueError("parameters must be positive")
     n = dom.n_interior
-    last_P = norm_max = 0.0  # P of the latest evaluated point; max norm over accepted points
+    norm_max = [0.0] * len(inits)  # per start: max norm over accepted points
 
-    def evaluate(w):
-        nonlocal last_P
-        a = np.abs(w)
-        kernels = (plap_gradient(dom, a[:n]), plap_gradient(dom, a[n:]))
+    def finish(a, kernels):
         triple = ray_triple(params, dom, a[:n], a[n:], kernels=kernels)
         t = branch_root(triple, params, branch)
         if t is None:
             return None
         triple = triple.scaled(t, params)
-        last_P = triple.P
         x = t * a
         # plap_gradient(t a) = t^(p-1) plap_gradient(a): no second pass at x
         tp = t ** (params.p - 1.0)
         grad = gradient_arrays(params, dom, x[:n], x[n:], kernels=(tp * kernels[0], tp * kernels[1]))
-        return x, phi(triple, params, 1.0), np.concatenate(grad)
+        return x, phi(triple, params, 1.0), np.concatenate(grad), triple.P
 
-    def accepted(x, value):
-        nonlocal norm_max
-        norm_max = max(norm_max, last_P ** (1.0 / params.p))
+    def accepted(k, evaluation):
+        norm_max[k] = max(norm_max[k], evaluation[3] ** (1.0 / params.p))
 
-    start = evaluate(np.concatenate([as_values(init.u), as_values(init.v)]))
-    if start is None:
-        raise BranchLostError(
-            "left the two-root regime: the requested root does not exist at the "
-            "starting state; use smaller lambda and mu"
-        )
     stop = StopRule(
         max_iter=opts.max_iter, flat_tol=ENERGY_RTOL, patience=BRANCH_FLAT_PATIENCE,
         grad_rtol=GRAD_RTOL, armijo=ARMIJO,
     )
-    run = descend(start, evaluate, stop, on_accept=accepted)
+    raws = [np.concatenate([as_values(init.u), as_values(init.v)]) for init in inits]
+    runs = descend(raws, stacked_evaluate(dom, np.abs, finish), stop, on_accept=accepted)
+    return [None if run is None else _branch_report(params, dom, branch, run, norm_max[k], k)
+            for k, run in enumerate(runs)]
 
+
+def _branch_report(params: ModelParams, dom: GridDomain, branch: str, run, norm_max: float,
+                   seed_index: int) -> SolutionReport:
+    n = dom.n_interior
     u, v = run.x[:n], run.x[n:]
     # tangential residual: the gradient minus its part along the constraint gradient
     q = np.concatenate(constraint_gradient_arrays(params, dom, u, v))
@@ -233,19 +244,13 @@ def solve_two(
     comparisons.  Passing the coupled-quotient minimizer adds it to the
     maximum-branch starts.
     """
-    if params.lam <= 0 or params.mu <= 0:
-        raise ValueError("parameters must be positive")
     if constants is not None and (constants.lam, constants.mu, constants.volume) != (params.lam, params.mu, dom.volume):
         raise ValueError("the thresholds were evaluated at other weights or on another domain")
 
     best = {}
     for branch in (NPLUS, NMINUS):
-        reports = []
-        for idx, start in enumerate(_starts_for_branch(params, dom, branch, opts, extra=s_ab_minimizer)):
-            try:
-                reports.append(minimize_on_branch(params, dom, branch, start, opts, seed_index=idx))
-            except BranchLostError:
-                continue
+        starts = _starts_for_branch(params, dom, branch, opts, extra=s_ab_minimizer)
+        reports = [r for r in _branch_descents(params, dom, branch, starts, opts) if r is not None]
         if not reports:
             raise BranchLostError(
                 f"no starting state on branch {branch} could be projected; "

@@ -330,7 +330,7 @@ def test_project_domain_hash_mismatch(tmp_path, capsys):
     assert "hash mismatch" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing", "non_finite"])
+@pytest.mark.parametrize("damage", ["truncated", "missing", "non_finite", "sidecar_not_json", "sidecar_not_object"])
 def test_project_bad_field_file_exits_2(tmp_path, capsys, damage):
     cfg = write_config(tmp_path)
     _random_fields(tmp_path, cfg, 3)
@@ -339,6 +339,10 @@ def test_project_bad_field_file_exits_2(tmp_path, capsys, damage):
         bad.write_bytes(bad.read_bytes()[:7])
     elif damage == "missing":
         bad.unlink()
+    elif damage == "sidecar_not_json":
+        (tmp_path / "u.field.json").write_text("{not json")
+    elif damage == "sidecar_not_object":
+        (tmp_path / "u.field.json").write_text("[1, 2]")
     else:
         values = np.frombuffer(bad.read_bytes(), dtype="<f8").copy()
         values[2] = np.nan

@@ -200,13 +200,14 @@ def test_compute_S_descent_is_monotone_and_beats_probes(monkeypatch):
 
     params = nf.ModelParams(n=1, p=2.0, s=0.4, q=1.5, alpha=2.0, beta=2.0)
     dom = nf.build_grid(1, 8, 1.0, 1.0, params)
-    real, runs = constants.descend, []
+    real, runs = constants.descent_steps, []
 
-    def recording(start, evaluate, stop, on_accept=None):
-        runs.append([])
-        return real(start, evaluate, stop, on_accept=lambda x, value: runs[-1].append(value))
+    def recording(start, stop, on_accept=None):
+        run = []
+        runs.append(run)
+        return real(start, stop, on_accept=lambda evaluation: run.append(evaluation[1]))
 
-    monkeypatch.setattr(constants, "descend", recording)
+    monkeypatch.setattr(constants, "descent_steps", recording)
     s_d, s_min = nf.compute_S(dom, params, seed=3, restarts=4)
     assert len(runs) == 4
     for run in runs:
@@ -238,18 +239,24 @@ def test_compute_S_coupled_runs_each_start_once(dom12, monkeypatch):
 
     restarts = 3
     s_d0, _ = nf.compute_S(dom12, CRIT, seed=0, restarts=restarts)
-    real, starts = constants.descend, []
+    real, starts = constants.descent_steps, []
 
     def recording(start, *args, **kwargs):
         starts.append(start[0].tobytes())
         return real(start, *args, **kwargs)
 
-    monkeypatch.setattr(constants, "descend", recording)
+    monkeypatch.setattr(constants, "descent_steps", recording)
     s_d, _, _, _ = nf.compute_S_coupled(dom12, CRIT, seed=0, restarts=restarts)
     assert len(starts) == 2 * restarts + 2 + (s_d < s_d0)
     assert len(set(starts)) == len(starts)
     with pytest.raises(ValueError, match="no starting points"):
         nf.compute_S(dom12, CRIT, restarts=0)
+
+
+def _stopped(run):
+    """A descent_steps stand-in that returns run before its first trial."""
+    return run
+    yield
 
 
 def test_compute_S_coupled_back_solve_over_budget_is_a_candidate(dom12, monkeypatch):
@@ -258,15 +265,15 @@ def test_compute_S_coupled_back_solve_over_budget_is_a_candidate(dom12, monkeypa
     from nehari_frac import constants
 
     restarts = 2
-    real, calls = constants.descend, []
+    real, calls = constants.descent_steps, []
 
-    def budget_on_back_solve(start, evaluate, stop, on_accept=None):
+    def budget_on_back_solve(start, stop, on_accept=None):
         calls.append(start)
         if len(calls) == 2 * restarts + 2:  # after restarts scalar and restarts + 1 pair starts
-            return constants.Descent(*start, BUDGET, stop.max_iter)
-        return real(start, evaluate, stop, on_accept=on_accept)
+            return _stopped(constants.Descent(*start, BUDGET, stop.max_iter))
+        return real(start, stop, on_accept=on_accept)
 
-    monkeypatch.setattr(constants, "descend", budget_on_back_solve)
+    monkeypatch.setattr(constants, "descent_steps", budget_on_back_solve)
     s_d, s_min, _, _ = nf.compute_S_coupled(dom12, CRIT, seed=0, restarts=restarts)
     assert len(calls) >= 2 * restarts + 2
     assert s_d == pytest.approx(rayleigh_quotient(dom12, CRIT, s_min), rel=1e-12)
@@ -380,6 +387,11 @@ def _square(x):
     return x, float(np.dot(x, x)), 2.0 * x
 
 
+def _each(point_evaluation):
+    """descend's list evaluation from a one-point evaluation."""
+    return lambda raws: [point_evaluation(x) for x in raws]
+
+
 def test_descend_reports_line_search_exhaustion():
     """A value that rises with every evaluation stops the line search."""
     calls = itertools.count()
@@ -388,7 +400,7 @@ def test_descend_reports_line_search_exhaustion():
         return x, float(next(calls)), 2.0 * x
 
     x0 = np.array([1.0, -2.0])
-    run = descend(rising(x0), rising, StopRule(max_iter=50, flat_tol=1e-12))
+    [run] = descend([x0], _each(rising), StopRule(max_iter=50, flat_tol=1e-12))
     assert run.stop_reason == LINE_SEARCH_EXHAUSTED
     assert run.iterations == 0
     assert next(calls) == 61  # the start and 60 rejected proposals
@@ -396,17 +408,56 @@ def test_descend_reports_line_search_exhaustion():
 
 
 def test_descend_stops_on_gradient_and_budget():
-    start = _square(np.array([3.0, 4.0]))
+    x0 = np.array([3.0, 4.0])
     stop = StopRule(max_iter=50, flat_tol=-np.inf, grad_rtol=1e-8, armijo=1e-4)
     accepted = []
-    run = descend(start, _square, stop, on_accept=lambda x, value: accepted.append(value))
+    [run] = descend([x0], _each(_square), stop, on_accept=lambda k, evaluation: accepted.append(evaluation[1]))
     assert run.stop_reason == GRAD_TOL
     # the start and every accepted point, in order
     assert len(accepted) == run.iterations + 1
-    assert (accepted[0], accepted[-1]) == (start[1], run.value)
+    assert (accepted[0], accepted[-1]) == (_square(x0)[1], run.value)
     assert np.linalg.norm(run.grad) <= 1e-8 * 10.0
-    run = descend(start, _square, StopRule(max_iter=0, flat_tol=1e-12))
+    [run] = descend([x0], _each(_square), StopRule(max_iter=0, flat_tol=1e-12))
     assert (run.stop_reason, run.iterations) == (BUDGET, 0)
+
+
+def _bowl_or_wall(x):
+    """sum a x^2 with a = 1, 10, 100 and its gradient where x[0] >= -1/2;
+    elsewhere it is sum |x[1:]| with an uphill gradient, so from [-1, 0, 0]
+    every proposal is rejected; None for a point with a NaN."""
+    if np.isnan(x).any():
+        return None
+    if x[0] < -0.5:
+        return x, float(np.sum(np.abs(x[1:]))), np.array([0.0, -1.0, -1.0])
+    ax = np.array([1.0, 10.0, 100.0]) * x
+    return x, float(np.dot(ax, x)), 2.0 * ax
+
+
+def test_descend_lockstep_runs_equal_single_start_runs():
+    """Advancing the starts in lockstep, one list evaluation per round, gives
+    every start the Descent and the accepted points it gets alone; a start
+    whose own evaluation is None gets None and no trial."""
+    inits = [np.array(x) for x in ([1.0, 1.0, 1.0], [np.nan, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])]
+    stop = StopRule(max_iter=8, flat_tol=-np.inf, grad_rtol=1e-10, armijo=1e-4)
+    batches, accepted = [], {}
+
+    def evaluate(raws):
+        batches.append(len(raws))
+        return [_bowl_or_wall(x) for x in raws]
+
+    runs = descend(inits, evaluate, stop, on_accept=lambda k, ev: accepted.setdefault(k, []).append(ev[0]))
+    assert batches[0] == 4 and max(batches[1:]) == 3
+    assert runs[1] is None and 1 not in accepted
+    assert [run.stop_reason for run in runs if run is not None] == [BUDGET, GRAD_TOL, LINE_SEARCH_EXHAUSTED]
+    for k, x0 in enumerate(inits):
+        alone = []
+        [run] = descend([x0], _each(_bowl_or_wall), stop, on_accept=lambda j, ev: alone.append(ev[0]))
+        if run is None:
+            assert runs[k] is None
+            continue
+        assert (runs[k].value, runs[k].stop_reason, runs[k].iterations) == (run.value, run.stop_reason, run.iterations)
+        assert np.array_equal(runs[k].x, run.x) and np.array_equal(runs[k].grad, run.grad)
+        assert len(accepted[k]) == len(alone) and all(map(np.array_equal, accepted[k], alone))
 
 
 def test_compute_S_nonconvergence_attaches_iterate(monkeypatch):

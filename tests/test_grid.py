@@ -194,6 +194,33 @@ def test_slab_pass_against_pair_list(monkeypatch, p_exp, n, m, cap, several, sha
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+def test_fft_side_is_the_smallest_7_smooth_side():
+    assert [grid.fft_side(m) for m in (2, 11, 12, 13, 20, 113)] == [3, 21, 24, 25, 40, 225]
+
+
+@pytest.mark.parametrize("shape", ["box", "ball"])
+@pytest.mark.parametrize("n, m", [(1, 9), (1, 10), (2, 11), (2, 12), (2, 13), (3, 4), (3, 5)])
+@pytest.mark.parametrize("p_exp", [1.5, 2.0, 3.0])
+def test_stacked_pass_equals_row_passes_and_pair_list(p_exp, n, m, shape):
+    """plap_gradient of a (k, N) stack is each row's own pass, bit for bit, and
+    the pair sum to 1e-12.  At p = 2 the stack is one pruned FFT on the
+    fft_side(m) lattice, which is below 2m at m = 11 and 13 (L = 21, 25)."""
+    params = nf.ModelParams(n=n, p=p_exp, s=0.3, q=1.2, alpha=2.0, beta=2.0)
+    dom = nf.build_grid(n, m, 1.0, 1.0, params, shape=shape)
+    rng = np.random.default_rng(37)
+    stack = np.stack([random_field(dom, rng).values for _ in range(5)] + [bump_field(dom), np.zeros(dom.n_interior)])
+    got = plap_gradient(dom, stack)
+    assert got.shape == stack.shape
+    pair_i, pair_j, pair_w = pair_list(dom)
+    for u, g in zip(stack, got):
+        assert np.array_equal(g, plap_gradient(dom, u))
+        flux = pair_w * signed_pow(u[pair_i] - u[pair_j], p_exp - 1.0)
+        expected = np.bincount(pair_i, weights=flux, minlength=dom.n_interior)
+        expected -= np.bincount(pair_j, weights=flux, minlength=dom.n_interior)
+        expected += dom.collar_w * signed_pow(u, p_exp - 1.0)
+        assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_ball_shape_subset_of_box():
     p = nf.ModelParams(**DESK)
     box = nf.build_grid(2, 9, 1.0, 1.0, p)

@@ -3,7 +3,7 @@ import pytest
 
 import nehari_frac as nf
 from nehari_frac import fibering, solver
-from nehari_frac.constants import BUDGET, CONVERGED_STOPS
+from nehari_frac.constants import BUDGET, CONVERGED_STOPS, FLAT, LINE_SEARCH_EXHAUSTED
 from nehari_frac.errors import BranchLostError, ConvergenceError, SupportError
 from nehari_frac.fibering import NMINUS, NPLUS
 from nehari_frac.solver import pair_distance
@@ -47,6 +47,26 @@ def test_minimize_on_branch_nminus_above_d0(setup12):
     d0 = nf.d0_bound(params, s_d, dom.volume, params.lam, params.mu)
     assert d0.smallness_ok
     assert rep.energy >= d0.value > 0
+
+
+def test_lockstep_branch_starts_match_single_start_runs(setup12):
+    """solve_two descends from all starts of a branch in lockstep, with one
+    stacked kernel pass per round; each start's report equals, bit for bit,
+    minimize_on_branch from that start alone.  The zero pair, inserted as
+    start 1, cannot be projected."""
+    params, dom, _, _ = setup12
+    opts = nf.SolveOptions(max_iter=50)
+    starts = solver._starts_for_branch(params, dom, NPLUS, opts)
+    starts.insert(1, nf.FieldPair.zeros(dom))
+    reports = solver._branch_descents(params, dom, NPLUS, starts, opts)
+    assert reports[1] is None
+    with pytest.raises(BranchLostError):
+        nf.minimize_on_branch(params, dom, NPLUS, starts[1], opts)
+    for k, rep in enumerate(reports):
+        if rep is not None:
+            alone = nf.minimize_on_branch(params, dom, NPLUS, starts[k], opts, seed_index=k)
+            assert rep.to_dict() == alone.to_dict()  # field hashes included
+    assert [rep.stop_reason for rep in reports if rep is not None] == [LINE_SEARCH_EXHAUSTED, FLAT, BUDGET, BUDGET]
 
 
 def test_minimize_on_branch_reports_budget_stop(setup12):
