@@ -33,9 +33,10 @@ from .params import ModelParams
 SLAB_ELEMENTS = 2 ** 15
 SLAB_TEMP_BYTES = 17
 PAIR_BUDGET_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
-# Fields per p = 2 transform: at m = 20-56 (2-core Xeon, numpy 2.4) 9-12 took the
-# least time per field and 22 took 20-40% more.
-FFT_BATCH_ROWS = 12
+# A p = 2 pass transforms as many fields at once as keep their spectra within
+# FFT_BATCH_BYTES, at least one: larger batches ran up to 40% slower per field
+# (2-core Xeon, numpy 2.4, m = 20-80; smaller ones lose the batching gain).
+FFT_BATCH_BYTES = 3 * 2 ** 16
 
 
 def signed_pow(x, r):
@@ -336,8 +337,8 @@ def plap_gradient(dom: GridDomain, u) -> np.ndarray:
     """Vector of A(u, e_k) over canonical basis fields e_k, assembled in one
     pass, for one field u (N,) or for each row of a stack u (k, N).
 
-    At p = 2 it is diag * u - K * u, a pruned FFT convolution of up to
-    FFT_BATCH_ROWS rows at once, whose rounding error is of order
+    At p = 2 it is diag * u - K * u, a pruned FFT convolution of as many
+    rows at once as FFT_BATCH_BYTES allows, whose rounding error is of order
     eps * |diag * u| rather than eps times the result.  For p != 2, per row,
     c = W sign(du) |du|^(p-1) per slab, du = x[a:b, None] - x[None, a:], in
     one buffer pair: g[a:b] gains its row sums and g[a:] loses its column sums."""
@@ -348,8 +349,9 @@ def plap_gradient(dom: GridDomain, u) -> np.ndarray:
     if dom.kernel_hat is not None:
         block = np.zeros((rows.shape[0],) + (dom.m,) * dom.dim)
         block.reshape(rows.shape[0], -1)[:, dom.box_index] = rows
-        conv = np.concatenate([_convolve(dom.kernel_hat, block[i:i + FFT_BATCH_ROWS], fft_side(dom.m))
-                               for i in range(0, rows.shape[0], FFT_BATCH_ROWS)])
+        batch = max(1, FFT_BATCH_BYTES // dom.kernel_hat.nbytes)  # one field's spectrum is kernel_hat's size
+        conv = np.concatenate([_convolve(dom.kernel_hat, block[i:i + batch], fft_side(dom.m))
+                               for i in range(0, rows.shape[0], batch)])
         return dom.diag * v - conv.reshape(rows.shape[0], -1)[:, dom.box_index].reshape(v.shape)
     g = dom.collar_w * signed_pow(rows, dom.p - 1.0)
     du_buf, c_buf = np.empty((2, max((w.size for _, _, w in dom.slabs), default=0)))

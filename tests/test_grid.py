@@ -194,6 +194,19 @@ def test_slab_pass_against_pair_list(monkeypatch, p_exp, n, m, cap, several, sha
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+def _full_fft_pass(dom, u):
+    """The p = 2 pass without pruning: irfftn(rfftn(u zero-padded to the
+    fft_side(m)^n lattice) * kernel_hat), the reference of the pruned pass."""
+    m, n = dom.m, dom.dim
+    block = np.zeros(m ** n)
+    block[dom.box_index] = u
+    field = np.zeros((grid.fft_side(m),) * n)
+    field[(slice(m),) * n] = block.reshape((m,) * n)
+    axes = tuple(range(n))
+    conv = np.fft.irfftn(np.fft.rfftn(field, axes=axes) * dom.kernel_hat, s=field.shape, axes=axes)
+    return dom.diag * u - conv[(slice(m),) * n].ravel()[dom.box_index]
+
+
 def test_fft_side_is_the_smallest_7_smooth_side():
     assert [grid.fft_side(m) for m in (2, 11, 12, 13, 20, 113)] == [3, 21, 24, 25, 40, 225]
 
@@ -201,19 +214,26 @@ def test_fft_side_is_the_smallest_7_smooth_side():
 @pytest.mark.parametrize("shape", ["box", "ball"])
 @pytest.mark.parametrize("n, m", [(1, 9), (1, 10), (2, 11), (2, 12), (2, 13), (3, 4), (3, 5)])
 @pytest.mark.parametrize("p_exp", [1.5, 2.0, 3.0])
-def test_stacked_pass_equals_row_passes_and_pair_list(p_exp, n, m, shape):
+def test_stacked_pass_equals_row_passes_and_pair_list(monkeypatch, p_exp, n, m, shape):
     """plap_gradient of a (k, N) stack is each row's own pass, bit for bit, and
-    the pair sum to 1e-12.  At p = 2 the stack is one pruned FFT on the
-    fft_side(m) lattice, which is below 2m at m = 11 and 13 (L = 21, 25)."""
+    the pair sum to 1e-12.  At p = 2 the stack is a pruned FFT on the
+    fft_side(m) lattice, which is below 2m at m = 11 and 13 (L = 21, 25), in
+    batches of 2 when FFT_BATCH_BYTES holds two spectra; each row is bit for
+    bit the unpruned rfftn/irfftn pass."""
     params = nf.ModelParams(n=n, p=p_exp, s=0.3, q=1.2, alpha=2.0, beta=2.0)
     dom = nf.build_grid(n, m, 1.0, 1.0, params, shape=shape)
     rng = np.random.default_rng(37)
     stack = np.stack([random_field(dom, rng).values for _ in range(5)] + [bump_field(dom), np.zeros(dom.n_interior)])
     got = plap_gradient(dom, stack)
     assert got.shape == stack.shape
+    if dom.kernel_hat is not None:
+        monkeypatch.setattr(grid, "FFT_BATCH_BYTES", 2 * dom.kernel_hat.nbytes)
+        assert np.array_equal(plap_gradient(dom, stack), got)
     pair_i, pair_j, pair_w = pair_list(dom)
     for u, g in zip(stack, got):
         assert np.array_equal(g, plap_gradient(dom, u))
+        if dom.kernel_hat is not None:
+            assert np.array_equal(g, _full_fft_pass(dom, u))
         flux = pair_w * signed_pow(u[pair_i] - u[pair_j], p_exp - 1.0)
         expected = np.bincount(pair_i, weights=flux, minlength=dom.n_interior)
         expected -= np.bincount(pair_j, weights=flux, minlength=dom.n_interior)
