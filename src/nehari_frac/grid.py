@@ -10,9 +10,8 @@ to zero) by one lattice convolution.  At p = 2 a kernel pass is a pruned
 FFT convolution of a stack of fields; for p != 2 the interior weights are
 stored as upper-triangle slabs (a, b, W[a:b, a:]) of the N x N weight matrix
 (0 on and below the diagonal) and a pass makes a few dense out= operations
-per slab.  The kernel
-normalization constant is fixed to 1; every identity used downstream is
-invariant under that choice.
+per slab.  The kernel normalization constant is fixed to 1; every identity
+used downstream is invariant under that choice.
 """
 from __future__ import annotations
 
