@@ -48,7 +48,6 @@ from .constants import (
     compute_S,
     compute_S_alpha_beta,
     compute_S_coupled,
-    compute_constants_report,
     d0_bound,
     g_min,
     holder_bound_check,

@@ -5,7 +5,7 @@ is driven by one JSON config (--config), writes into --out, and is fully
 deterministic for a fixed config and seed: identical reruns produce
 byte-identical files.  JSON outputs embed the config hash; CSV outputs get a
 sidecar meta JSON; each run writes a manifest with the SHA-256 of every
-produced file, re-checkable with verify_output_dir().
+file the run wrote, re-checkable with verify_output_dir().
 
 Exit codes: 0 success (for solve: all cross-checks pass), 1 internal or
 numerical failure, 2 user or configuration error.
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bubbles, constants as consts, fibering, solver
 from .config import RunConfig, load_config
-from .errors import ConfigError, ConvergenceError, NehariFracError, ZeroPairError
+from .errors import ConfigError, NehariFracError, ZeroPairError
 from .fieldio import load_field, save_field
 from .grid import Field, FieldPair
 
@@ -72,8 +72,29 @@ def verify_output_dir(out_dir) -> bool:
                for name, digest in manifest["files"].items())
 
 
-def _primary_seed(cfg: RunConfig, override) -> int:
-    return int(override) if override is not None else int(cfg.seeds[0])
+class _Outputs:
+    """Writes a command's files into --out and records their names for the
+    manifest; each JSON payload gets the config hash.  The writers are looked
+    up as module globals at each call, so a wrapper installed on them from
+    outside sees every write."""
+
+    def __init__(self, out_dir: Path, config_hash: str):
+        self.dir = out_dir
+        self.config_hash = config_hash
+        self.files = []
+
+    def json(self, name: str, payload: dict) -> dict:
+        payload["config_hash"] = self.config_hash
+        _write_json(self.dir / name, payload)
+        self.files.append(name)
+        return payload
+
+    def csv(self, name: str, header, rows):
+        _write_csv(self.dir / name, header, rows)
+        self.files.append(name)
+
+    def field(self, dom, u, name: str):
+        self.files += [path.name for path in save_field(dom, u, self.dir / name)]
 
 
 def _quotient_tol(cfg: RunConfig) -> float:
@@ -81,34 +102,20 @@ def _quotient_tol(cfg: RunConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: cmd_*(cfg, dom, seed, args, out) -> (summary, exit code)
 # ---------------------------------------------------------------------------
 
-def cmd_constants(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
-    dom = cfg.build_domain()
-    seed = _primary_seed(cfg, seed_override)
-    report, s_min, pair_min = consts.compute_constants_report(dom, cfg.params, seed=seed, tol=_quotient_tol(cfg))
-    payload = report.to_dict()
-    payload["config_hash"] = cfg.config_hash
-    payload["seed"] = seed
-    payload["domain"] = dom.describe()
-    payload["domain_hash"] = dom.domain_hash()
-    _write_json(out / "constants.json", payload)
-    save_field(dom, s_min, out / "s_minimizer.field")
-    save_field(dom, pair_min.u, out / "s_ab_minimizer_u.field")
-    save_field(dom, pair_min.v, out / "s_ab_minimizer_v.field")
-    _write_manifest(out, cfg, "constants", [
-        "constants.json",
-        "s_minimizer.field", "s_minimizer.field.json",
-        "s_ab_minimizer_u.field", "s_ab_minimizer_u.field.json",
-        "s_ab_minimizer_v.field", "s_ab_minimizer_v.field.json",
-    ])
-    if not quiet:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+def cmd_constants(cfg: RunConfig, dom, seed: int, args, out: _Outputs):
+    s_d, s_min, s_ab_d, pair_min = consts.compute_S_coupled(dom, cfg.params, seed=seed, tol=_quotient_tol(cfg))
+    payload = consts.thresholds(cfg.params, dom.volume, s_d, s_ab_d).to_dict()
+    payload.update(seed=seed, domain=dom.describe(), domain_hash=dom.domain_hash())
+    out.field(dom, s_min, "s_minimizer.field")
+    out.field(dom, pair_min.u, "s_ab_minimizer_u.field")
+    out.field(dom, pair_min.v, "s_ab_minimizer_v.field")
+    return out.json("constants.json", payload), 0
 
 
-def _load_pair(cfg: RunConfig, dom, u_path, v_path) -> FieldPair:
+def _load_pair(dom, u_path, v_path) -> FieldPair:
     if not u_path or not v_path:
         raise ConfigError("field files needed: set u and v in the command's block (project also takes --u and --v)")
     return FieldPair(load_field(dom, u_path), load_field(dom, v_path))
@@ -138,58 +145,34 @@ def _curve_rows(triple, params, report, block):
 CURVE_HEADER = ("t", "phi", "phi_prime", "phi_second", "psi")
 
 
-def cmd_project(cfg: RunConfig, out: Path, seed_override, quiet: bool, u_path=None, v_path=None) -> int:
-    dom = cfg.build_domain()
+def cmd_project(cfg: RunConfig, dom, seed: int, args, out: _Outputs):
     block = cfg.project or {}
-    pair = _load_pair(cfg, dom, u_path or block.get("u"), v_path or block.get("v"))
-    report = fibering.project(cfg.params, dom, pair)
-    payload = report.to_dict()
-    payload["config_hash"] = cfg.config_hash
+    pair = _load_pair(dom, args.u or block.get("u"), args.v or block.get("v"))
+    payload = fibering.project(cfg.params, dom, pair).to_dict()
     payload["domain_hash"] = dom.domain_hash()
-    _write_json(out / "fibering_report.json", payload)
-    _write_manifest(out, cfg, "project", ["fibering_report.json"])
-    if not quiet:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return out.json("fibering_report.json", payload), 0
 
 
-def cmd_solve(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
+def cmd_solve(cfg: RunConfig, dom, seed: int, args, out: _Outputs):
     params = cfg.params
     if params.lam <= 0 or params.mu <= 0:
         raise ConfigError("parameters must be positive: solve needs lambda > 0 and mu > 0")
-    dom = cfg.build_domain()
-    seed = _primary_seed(cfg, seed_override)
     # the solve block holds max_iter and n_starts; every default lives in SolveOptions
     opts = solver.SolveOptions(seed=seed, **(cfg.solve or {}))
     s_d, _, s_ab_d, pair_min = consts.compute_S_coupled(dom, params, seed=seed, tol=_quotient_tol(cfg))
     limits = consts.thresholds(params, dom.volume, s_d, s_ab_d)
     plus, minus = solver.solve_two(params, dom, opts, constants=limits, s_ab_minimizer=pair_min)
 
-    files = []
     for tag, rep in (("plus", plus), ("minus", minus)):
         payload = rep.to_dict()
-        payload["config_hash"] = cfg.config_hash
-        payload["domain_hash"] = dom.domain_hash()
-        payload["S_d"] = s_d
-        payload["S_ab_d"] = s_ab_d
-        _write_json(out / f"solution_{tag}.json", payload)
-        save_field(dom, rep.pair.u, out / f"solution_{tag}_u.field")
-        save_field(dom, rep.pair.v, out / f"solution_{tag}_v.field")
-        files += [
-            f"solution_{tag}.json",
-            f"solution_{tag}_u.field", f"solution_{tag}_u.field.json",
-            f"solution_{tag}_v.field", f"solution_{tag}_v.field.json",
-        ]
-    _write_manifest(out, cfg, "solve", files)
-    ok = all(v for v in plus.checks.values() if isinstance(v, (bool, np.bool_)))
-    if not quiet:
-        print(json.dumps({
-            "energy_plus": plus.energy,
-            "energy_minus": minus.energy,
-            "checks": {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v) for k, v in plus.checks.items()},
-            "all_checks_pass": bool(ok),
-        }, indent=2, sort_keys=True))
-    return 0 if ok else 1
+        payload.update(domain_hash=dom.domain_hash(), S_d=s_d, S_ab_d=s_ab_d)
+        out.json(f"solution_{tag}.json", payload)
+        out.field(dom, rep.pair.u, f"solution_{tag}_u.field")
+        out.field(dom, rep.pair.v, f"solution_{tag}_v.field")
+    checks = {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v) for k, v in plus.checks.items()}
+    ok = all(v for v in checks.values() if isinstance(v, bool))
+    summary = {"energy_plus": plus.energy, "energy_minus": minus.energy, "checks": checks, "all_checks_pass": ok}
+    return summary, 0 if ok else 1
 
 
 BUBBLE_HEADER = (
@@ -198,10 +181,8 @@ BUBBLE_HEADER = (
 )
 
 
-def cmd_bubble_scan(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
+def cmd_bubble_scan(cfg: RunConfig, dom, seed: int, args, out: _Outputs):
     params = cfg.params
-    dom = cfg.build_domain()
-    seed = _primary_seed(cfg, seed_override)
     block = cfg.bubble_scan or {}
     delta = float(block.get("delta", dom.box_length / 4.0))
     theta = float(block.get("theta", 2.0))
@@ -237,9 +218,8 @@ def cmd_bubble_scan(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> in
             nr.eps, nr.seminorm_p_pow, nr.lpstar_pow, nr.excess, nr.deficit,
             sr.t_star, sr.sup_full, sr.q_regime, sr.c_infty, sr.below_c_infty,
         ))
-    _write_csv(out / "bubble_scan.csv", BUBBLE_HEADER, rows)
+    out.csv("bubble_scan.csv", BUBBLE_HEADER, rows)
     meta = {
-        "config_hash": cfg.config_hash,
         "method": norm.method,
         "delta": delta,
         "theta": theta,
@@ -254,42 +234,36 @@ def cmd_bubble_scan(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> in
         "excess_slope_predicted": norm.excess_slope_predicted,
         "deficit_slope_predicted": norm.deficit_slope_predicted,
     }
-    _write_json(out / "bubble_scan.meta.json", meta)
-    _write_manifest(out, cfg, "bubble-scan", ["bubble_scan.csv", "bubble_scan.meta.json"])
-    if not quiet:
-        print(json.dumps(meta, indent=2, sort_keys=True))
-    return 0
+    return out.json("bubble_scan.meta.json", meta), 0
 
 
-def cmd_curves(cfg: RunConfig, out: Path, seed_override, quiet: bool) -> int:
+def cmd_curves(cfg: RunConfig, dom, seed: int, args, out: _Outputs):
     params = cfg.params
-    dom = cfg.build_domain()
     block = cfg.curves or {}
     if block.get("seeded", False):
         if params.lam <= 0 or params.mu <= 0:
             raise ConfigError("seeded curves need lambda > 0 and mu > 0 for a two-root ray")
-        rng = np.random.default_rng(_primary_seed(cfg, seed_override))
+        rng = np.random.default_rng(seed)
         pair = FieldPair(
             Field(np.abs(rng.standard_normal(dom.n_interior)) + 1e-3),
             Field(np.abs(rng.standard_normal(dom.n_interior)) + 1e-3),
         )
     else:
-        pair = _load_pair(cfg, dom, block.get("u"), block.get("v"))
+        pair = _load_pair(dom, block.get("u"), block.get("v"))
     report = fibering.project(params, dom, pair)
     rows = _curve_rows(report.triple, params, report, block)
-    _write_csv(out / "curves.csv", CURVE_HEADER, rows)
-    meta = {
-        "config_hash": cfg.config_hash,
-        "t_max": report.t_max,
-        "t1": report.t1,
-        "t2": report.t2,
-        "outcome": report.outcome,
-    }
-    _write_json(out / "curves.meta.json", meta)
-    _write_manifest(out, cfg, "curves", ["curves.csv", "curves.meta.json"])
-    if not quiet:
-        print(json.dumps(meta, indent=2, sort_keys=True))
-    return 0
+    out.csv("curves.csv", CURVE_HEADER, rows)
+    meta = {"t_max": report.t_max, "t1": report.t1, "t2": report.t2, "outcome": report.outcome}
+    return out.json("curves.meta.json", meta), 0
+
+
+COMMANDS = {
+    "constants": cmd_constants,
+    "project": cmd_project,
+    "solve": cmd_solve,
+    "bubble-scan": cmd_bubble_scan,
+    "curves": cmd_curves,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +280,7 @@ def _seed(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nehari-frac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("constants", "project", "solve", "bubble-scan", "curves"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
@@ -322,23 +296,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.command == "constants":
-            return cmd_constants(cfg, out, args.seed, args.quiet)
-        if args.command == "project":
-            return cmd_project(cfg, out, args.seed, args.quiet, u_path=args.u, v_path=args.v)
-        if args.command == "solve":
-            return cmd_solve(cfg, out, args.seed, args.quiet)
-        if args.command == "bubble-scan":
-            return cmd_bubble_scan(cfg, out, args.seed, args.quiet)
-        if args.command == "curves":
-            return cmd_curves(cfg, out, args.seed, args.quiet)
-        raise ConfigError(f"unknown command {args.command!r}")
+        out = _Outputs(Path(args.out), cfg.config_hash)
+        out.dir.mkdir(parents=True, exist_ok=True)
+        dom = cfg.build_domain()
+        seed = int(cfg.seeds[0]) if args.seed is None else args.seed
+        summary, code = COMMANDS[args.command](cfg, dom, seed, args, out)
+        _write_manifest(out.dir, cfg, args.command, out.files)
+        if not args.quiet:
+            print(json.dumps(summary, indent=2, sort_keys=True))
+        return code
     except (ConfigError, ZeroPairError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, NehariFracError) as exc:
+    except NehariFracError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

@@ -359,10 +359,9 @@ def c0(params: ModelParams, s_value: float, volume: float) -> float:
 
 
 def c_infty(params: ModelParams, s_ab_value: float, c0_value: float, lam: float, mu: float) -> float:
-    """(2s/n) (S_ab/2)^(n/(ps)) - C_0 (lam^(p/(p-q)) + mu^(p/(p-q)))."""
-    p, q, s, n = params.p, params.q, params.s, params.n
-    sigma = lam ** (p / (p - q)) + mu ** (p / (p - q))
-    return (2.0 * s / n) * (s_ab_value / 2.0) ** (n / (p * s)) - c0_value * sigma
+    """(2s/n) (S_ab/2)^(n/(ps)) - C_0 sigma, sigma at the weights (lam, mu)."""
+    p, s, n = params.p, params.s, params.n
+    return (2.0 * s / n) * (s_ab_value / 2.0) ** (n / (p * s)) - c0_value * params.with_weights(lam, mu).sigma
 
 
 class D0Bound(NamedTuple):
@@ -379,7 +378,7 @@ def d0_bound(params: ModelParams, s_value: float, volume: float, lam: float, mu:
     """
     p, q = params.p, params.q
     ab = params.ab
-    sigma = lam ** (p / (p - q)) + mu ** (p / (p - q))
+    sigma = params.with_weights(lam, mu).sigma
     norm_lb = ((p - q) / (2.0 * (ab - q))) ** (1.0 / (ab - p)) * s_value ** (ab / (p * (ab - p)))
     bracket = (1.0 / p - 1.0 / ab) * ((p - q) / (2.0 * (ab - q))) ** ((p - q) / (ab - p)) * s_value ** (
         ab * (p - q) / (p * (ab - p))
@@ -399,8 +398,7 @@ def holder_bound_check(params: ModelParams, dom: GridDomain, pair: FieldPair, s_
     ab = params.ab
     triple = ray_triple(params, dom, pair.u, pair.v)
     norm = triple.P ** (1.0 / p)
-    sigma = params.lam ** (p / (p - q)) + params.mu ** (p / (p - q))
-    rhs = s_value ** (-q / p) * dom.volume ** ((ab - q) / ab) * sigma ** ((p - q) / p) * norm ** q
+    rhs = s_value ** (-q / p) * dom.volume ** ((ab - q) / ab) * params.sigma ** ((p - q) / p) * norm ** q
     return rhs - triple.B
 
 
@@ -551,18 +549,3 @@ def thresholds(params: ModelParams, volume: float, s_d: float, s_ab_d: float) ->
         critical_formula_exact=params.critical,
         hypotheses=hypotheses_check(params),
     )
-
-
-def compute_constants_report(
-    dom: GridDomain,
-    params: ModelParams,
-    seed: int = 0,
-    tol: float = QUOTIENT_FLAT_TOL,
-    restarts: int = QUOTIENT_RESTARTS,
-):
-    """Run both quotient solvers and evaluate every closed form.
-
-    Returns (report, s_minimizer, s_ab_minimizer).
-    """
-    s_d, s_min, s_ab_d, pair_min = compute_S_coupled(dom, params, seed=seed, tol=tol, restarts=restarts)
-    return thresholds(params, dom.volume, s_d, s_ab_d), s_min, pair_min

@@ -27,14 +27,6 @@ class EnergyBreakdown:
     coupling_term: float
     total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "gradient_term": self.gradient_term,
-            "concave_term": self.concave_term,
-            "coupling_term": self.coupling_term,
-            "total": self.total,
-        }
-
 
 @dataclass(frozen=True)
 class ReducedTriple:

@@ -16,8 +16,13 @@ from .errors import ConfigError
 from .grid import Field, GridDomain, as_values
 
 
-def save_field(dom: GridDomain, u, path) -> None:
-    path = Path(path)
+def _sidecar(path: Path) -> Path:
+    return Path(str(path) + ".json")
+
+
+def save_field(dom: GridDomain, u, path):
+    """Write the field and its sidecar; returns (field path, sidecar path)."""
+    path, sidecar_path = Path(path), _sidecar(path)
     v = as_values(u)
     if v.shape != (dom.n_interior,):
         raise ValueError("field length does not match the domain")
@@ -27,12 +32,13 @@ def save_field(dom: GridDomain, u, path) -> None:
         "count": int(v.shape[0]),
         "dtype": "f64le",
     }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+    return path, sidecar_path
 
 
 def load_field(dom: GridDomain, path) -> Field:
     path = Path(path)
-    sidecar_path = Path(str(path) + ".json")
+    sidecar_path = _sidecar(path)
     if not sidecar_path.exists():
         raise ConfigError(f"missing field sidecar {sidecar_path}")
     try:

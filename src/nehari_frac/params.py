@@ -60,6 +60,11 @@ class ModelParams:
         """
         return abs(self.ab - self.p_star) <= CRITICAL_RTOL * self.p_star
 
+    @property
+    def sigma(self) -> float:
+        """Combined weight lam^(p/(p-q)) + mu^(p/(p-q)) of the sublinear term."""
+        return self.lam ** (self.p / (self.p - self.q)) + self.mu ** (self.p / (self.p - self.q))
+
     def with_weights(self, lam: float, mu: float) -> "ModelParams":
         """Copy with different (lam, mu); all other fields unchanged."""
         return ModelParams(self.n, self.p, self.s, self.q, self.alpha, self.beta, lam, mu)

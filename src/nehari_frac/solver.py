@@ -260,8 +260,6 @@ def solve_two(
         best[branch] = reports[0]
 
     plus, minus = best[NPLUS], best[NMINUS]
-    p, q = params.p, params.q
-    sigma = params.lam ** (p / (p - q)) + params.mu ** (p / (p - q))
     dist = pair_distance(dom, plus.pair, minus.pair)
     checks = {
         "energy_plus_negative": plus.energy < 0,
@@ -274,7 +272,7 @@ def solve_two(
         "classified_minus": minus.classification == NMINUS,
     }
     if constants is not None:
-        floor = -constants.C0 * sigma
+        floor = -constants.C0 * params.sigma
         checks["energy_floor"] = floor
         checks["floor_plus_ok"] = plus.energy >= floor
         checks["floor_minus_ok"] = minus.energy >= floor

@@ -461,6 +461,24 @@ def test_verify_detects_tampering(tmp_path):
     assert not verify_output_dir(out)
 
 
+def test_manifest_lists_exactly_the_files_each_command_writes(tmp_path):
+    cfg = write_config(tmp_path, extra={
+        "solve": {"n_starts": 2, "max_iter": 600},
+        "curves": {"seeded": True, "samples": 100},
+        "bubble_scan": {"delta": 0.25, "theta": 2.0, "eps_list": [0.0625, 0.03125],
+                        "s_d": 8.8347, "s_ab_d": 17.6693},
+    })
+    fields = ["--u", str(tmp_path / "solve" / "solution_minus_u.field"),
+              "--v", str(tmp_path / "solve" / "solution_minus_v.field")]
+    # solve runs first: project reads its fields
+    for command, extra in (("solve", []), ("constants", []), ("project", fields), ("bubble-scan", []), ("curves", [])):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet", *extra]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(path.name for path in out.iterdir()) == sorted([*manifest["files"], "manifest.json"]), command
+        assert verify_output_dir(out)
+
+
 def _python(code, *args):
     """Run `python -c code *args` against this package's sources."""
     src = str(Path(nf.__file__).resolve().parents[1])

@@ -370,7 +370,8 @@ def test_young_bound_probes(dom12, sd12):
 
 def test_constants_report_fields(dom12):
     params = nf.ModelParams(**DESK, lam=0.5, mu=0.5)
-    report, s_min, pair_min = nf.compute_constants_report(dom12, params, seed=0, restarts=4)
+    s_d, _, s_ab_d, _ = nf.compute_S_coupled(dom12, params, seed=0, restarts=4)
+    report = nf.thresholds(params, dom12.volume, s_d, s_ab_d)
     d = report.to_dict()
     assert d["ratio_predicted"] == 2.0
     assert d["ratio_error"] <= 2e-6
