@@ -36,7 +36,6 @@ from .fibering import (
     phi_second_consistency,
     project,
     psi,
-    psi_prime,
     reduce_pair,
     t_max,
     xi_prime,
@@ -49,7 +48,6 @@ from .constants import (
     compute_S_alpha_beta,
     compute_S_coupled,
     d0_bound,
-    g_min,
     holder_bound_check,
     hypotheses_check,
     lambda1,

@@ -320,12 +320,6 @@ def ratio_check(s_value: float, s_ab_value: float, params: ModelParams) -> float
     return abs(s_ab_value - target) / target
 
 
-def g_min(params: ModelParams):
-    """Closed-form minimizer and minimum of g: x0 = (a/b)^(1/p), g(x0) = ratio factor."""
-    x0 = (params.alpha / params.beta) ** (1.0 / params.p)
-    return x0, ratio_predicted(params)
-
-
 def lambda1(params: ModelParams, s_value: float, volume: float) -> float:
     """Smallness threshold for the two-root regime (product of printed powers).
 

@@ -98,12 +98,6 @@ def psi(triple: ReducedTriple, params: ModelParams, t: float) -> float:
     return t ** (params.p - ab) * triple.P - t ** (params.q - ab) * triple.B
 
 
-def psi_prime(triple: ReducedTriple, params: ModelParams, t: float) -> float:
-    _check_t(t)
-    p, q, ab = params.p, params.q, params.ab
-    return (p - ab) * t ** (p - ab - 1) * triple.P - (q - ab) * t ** (q - ab - 1) * triple.B
-
-
 def t_max(triple: ReducedTriple, params: ModelParams) -> float:
     """Unique maximizer of Psi: ((a+b-q) B / ((a+b-p) P))^(1/(p-q))."""
     if triple.B <= 0:

@@ -9,9 +9,10 @@ into a single zero-extension weight (exact, because collar values are pinned
 to zero) by one lattice convolution.  At p = 2 a kernel pass is a pruned
 FFT convolution of a stack of fields; for p != 2 the interior weights are
 stored as upper-triangle slabs (a, b, W[a:b, a:]) of the N x N weight matrix
-(0 on and below the diagonal) and a pass makes a few dense out= operations
-per slab.  The kernel normalization constant is fixed to 1; every identity
-used downstream is invariant under that choice.
+(0 on and below the diagonal) and a pass forms each slab's differences as a
+rank-2 matrix product and its sums as matrix-vector products.  The kernel
+normalization constant is fixed to 1; every identity used downstream is
+invariant under that choice.
 """
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ from .errors import GridTooLargeError
 from .params import ModelParams
 
 # A p != 2 weight slab holds as many rows as fit SLAB_ELEMENTS float64 weights, at least
-# one (256 kB; 2^14 and 2^16 gave slower passes at m = 28 and 40).  Building peaks at the stored
-# slabs plus SLAB_TEMP_BYTES per weight of one slab (two float64 temporaries and a bool
-# mask; tracemalloc: 13-16 B) and may use half the physical memory.
+# one (256 kB; 2^14 gave slower passes at m = 28 and 40, 2^16 no faster one at m = 20-40).
+# Building peaks at the stored slabs plus SLAB_TEMP_BYTES per weight of one slab (two float64
+# temporaries and a bool mask; tracemalloc: 13-16 B) and may use half the physical memory.
 SLAB_ELEMENTS = 2 ** 15
 SLAB_TEMP_BYTES = 17
 PAIR_BUDGET_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
@@ -338,9 +339,12 @@ def plap_gradient(dom: GridDomain, u) -> np.ndarray:
 
     At p = 2 it is diag * u - K * u, a pruned FFT convolution of as many
     rows at once as FFT_BATCH_BYTES allows, whose rounding error is of order
-    eps * |diag * u| rather than eps times the result.  For p != 2, per row,
-    c = W sign(du) |du|^(p-1) per slab, du = x[a:b, None] - x[None, a:], in
-    one buffer pair: g[a:b] gains its row sums and g[a:] loses its column sums."""
+    eps * |diag * u| rather than eps times the result.  For p != 2, per row
+    and slab, du = x[a:b, None] - x[None, a:] is the rank-2 product
+    [x, 1][a:b] @ [1; -x][:, a:] (two exact products, one rounding: the
+    difference bit for bit, except that (-0) - (+0) gives +0), then
+    c = W sign(du) |du|^(p-1) in the same buffer pair; g[a:b] gains the row
+    sums c @ 1 and g[a:] loses the column sums 1 @ c."""
     v = as_values(u)
     if v.ndim not in (1, 2) or v.shape[-1] != dom.n_interior:
         raise ValueError(f"fields of shape {v.shape}, domain has {dom.n_interior} interior nodes")
@@ -354,17 +358,21 @@ def plap_gradient(dom: GridDomain, u) -> np.ndarray:
         return dom.diag * v - conv.reshape(rows.shape[0], -1)[:, dom.box_index].reshape(v.shape)
     g = dom.collar_w * signed_pow(rows, dom.p - 1.0)
     du_buf, c_buf = np.empty((2, max((w.size for _, _, w in dom.slabs), default=0)))
+    left, right = np.ones((dom.n_interior, 2)), np.ones((2, dom.n_interior))
+    ones = right[0]
     for x, gx in zip(rows, g):
+        left[:, 0] = x
+        np.negative(x, out=right[1])
         for a, b, w in dom.slabs:
-            du = np.subtract(x[a:b, None], x[None, a:], out=du_buf[:w.size].reshape(w.shape))
+            du = np.matmul(left[a:b], right[:, a:], out=du_buf[:w.size].reshape(w.shape))
             c = np.abs(du, out=c_buf[:w.size].reshape(w.shape))
             if dom.p == 3.0:
                 np.multiply(c, du, out=c)  # |du| du, bit for bit signed_pow(du, 2)
             else:  # sign(du) |du|^(p-1), exactly 0 at du = 0 as in signed_pow
                 np.copysign(np.power(c, dom.p - 1.0, out=c), du, out=c)
             np.multiply(c, w, out=c)
-            gx[a:b] += c.sum(axis=1)
-            gx[a:] -= c.sum(axis=0)
+            gx[a:b] += c @ ones[a:]
+            gx[a:] -= ones[a:b] @ c
     return g.reshape(v.shape)
 
 

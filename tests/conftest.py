@@ -41,6 +41,12 @@ def scale_pair(pair, t):
     return nf.FieldPair(nf.Field(t * pair.u.values), nf.Field(t * pair.v.values))
 
 
+def psi_prime(triple, params, t):
+    """Psi'(t) of Psi(t) = t^(p-ab) P - t^(q-ab) B, the oracle of the branch signs (Lemma 2.5)."""
+    p, q, ab = params.p, params.q, params.ab
+    return (p - ab) * t ** (p - ab - 1) * triple.P - (q - ab) * t ** (q - ab - 1) * triple.B
+
+
 def random_pair(dom, rng, positive=False):
     return nf.FieldPair(random_field(dom, rng, positive), random_field(dom, rng, positive))
 

@@ -17,7 +17,7 @@ import nehari_frac as nf
 from nehari_frac.cli import main as cli_main
 from nehari_frac.fibering import phi_second_expressions
 
-from conftest import DESK, balanced_params, random_pair, scale_pair
+from conftest import DESK, balanced_params, psi_prime, random_pair, scale_pair
 
 ACC_SEED = 20240
 
@@ -114,7 +114,7 @@ def test_criterion_2_fibering_suite(acc_dom, capsys):
             worst_root = max(worst_root, abs(nf.phi_prime(triple, params, root)) / scale)
             second_scale = triple.P + triple.B + triple.D
             resid = abs(
-                root ** (params.ab - 1) * nf.psi_prime(triple, params, root)
+                root ** (params.ab - 1) * psi_prime(triple, params, root)
                 - nf.phi_second(triple, params, root)
             )
             worst_28 = max(worst_28, resid / second_scale)

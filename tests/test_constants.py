@@ -35,6 +35,11 @@ def c0_via_chat(params, s_value, volume):
     return (1.0 / q - 1.0 / ps) * chat
 
 
+def g_min(params):
+    """Closed-form minimizer and minimum of g: x0 = (a/b)^(1/p), g(x0) = the ratio factor."""
+    return (params.alpha / params.beta) ** (1.0 / params.p), nf.ratio_predicted(params)
+
+
 def coupling_ratio_g(params, x):
     """g(x) = x^(p b/(a+b)) + x^(-p a/(a+b)), the pair-splitting cost function
     whose closed-form minimum g_min gives."""
@@ -141,13 +146,13 @@ def test_d0_bound_sign_change_matches_bisection():
 
 
 def test_g_min_values_and_oracle():
-    x0, gmin = nf.g_min(CRIT)
+    x0, gmin = g_min(CRIT)
     assert gmin == pytest.approx(2.0, rel=1e-14) and x0 == pytest.approx(1.0)
     # boundary arithmetic (alpha, beta) = (3, 1), p = 2, a+b = 4:
     # x0 = sqrt(3), gmin = 3^(1/4) + 3^(-3/4) ~ 1.75477
     assert math.sqrt(3.0) ** (2 * 1 / 4) + math.sqrt(3.0) ** (-2 * 3 / 4) == pytest.approx(1.75477, rel=1e-5)
     skew = nf.ModelParams(n=4, p=2.0, s=0.5, q=1.5, alpha=2.5, beta=1.5)  # a+b = p* = 4
-    x0, gmin = nf.g_min(skew)
+    x0, gmin = g_min(skew)
     assert x0 == pytest.approx(math.sqrt(2.5 / 1.5), rel=1e-14)
     assert gmin == pytest.approx((2.5 / 1.5) ** (1.5 / 4) + (1.5 / 2.5) ** (2.5 / 4), rel=1e-13)
     # golden-section oracle on g itself

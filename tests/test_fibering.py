@@ -23,7 +23,7 @@ from nehari_frac.fibering import (
     sample_curves,
 )
 
-from conftest import DESK, balanced_params, random_pair, scale_pair
+from conftest import DESK, balanced_params, psi_prime, random_pair, scale_pair
 
 TOY = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.5, alpha=2.0, beta=2.0, lam=1.0, mu=1.0)
 
@@ -79,7 +79,7 @@ def test_phi_prime_hand_value():
 
 
 def test_phi_positive_domain_only():
-    for fun in (nf.phi, nf.phi_prime, nf.phi_second, nf.psi, nf.psi_prime):
+    for fun in (nf.phi, nf.phi_prime, nf.phi_second, nf.psi):
         with pytest.raises(ValueError):
             fun(toy_triple(), TOY, 0.0)
         with pytest.raises(ValueError):
@@ -160,7 +160,7 @@ def test_eq_2_8_identity_at_roots():
     rep = project_triple(t, TOY)
     assert rep.outcome == TWO_ROOTS
     for root in (rep.t1, rep.t2):
-        lhs = root ** (TOY.ab - 1.0) * nf.psi_prime(t, TOY, root)
+        lhs = root ** (TOY.ab - 1.0) * psi_prime(t, TOY, root)
         rhs = nf.phi_second(t, TOY, root)
         scale = (TOY.p - 1) * t.P + (TOY.q - 1) * t.B + (TOY.ab - 1) * t.D
         assert abs(lhs - rhs) <= 1e-10 * scale
@@ -316,8 +316,8 @@ def test_lemma_2_5_branch_sign_characterization(params, dom):
     pair = random_pair(dom, np.random.default_rng(7))
     triple = nf.reduce_pair(params, dom, pair)
     rep = nf.project(params, dom, pair)
-    assert nf.psi_prime(triple, params, rep.t1) > 0
-    assert nf.psi_prime(triple, params, rep.t2) < 0
+    assert psi_prime(triple, params, rep.t1) > 0
+    assert psi_prime(triple, params, rep.t2) < 0
 
 
 def test_no_nzero_under_discrete_lambda1(dom12):

@@ -241,6 +241,84 @@ def test_stacked_pass_equals_row_passes_and_pair_list(monkeypatch, p_exp, n, m, 
         assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+# signed zeros, exact ties, huge, tiny, subnormal and overflowing values of both signs
+_ADVERSARIAL = np.array([0.0, -0.0, 1.0, -1.0, 3.0, 3.0, 0.1, 1.0 / 3.0, 1.0 + 2.0 ** -52, 1e300, -1e300,
+                         1e-300, -1e-300, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.5e308, -1.5e308])
+
+
+@pytest.mark.parametrize("cap", [None, 8])
+def test_factor_product_is_the_slab_difference(monkeypatch, cap):
+    """The pass forms du = x[a:b, None] - x[None, a:] as the rank-2 product
+    [x, 1][a:b] @ [1; -x][:, a:]: both products are exact and the one sum
+    rounds once, so du is the subtraction bit for bit (overflow included),
+    at the default slab cut and at one-row slabs (cap 8).  The one exception
+    is the sign of a zero: (-0) - (+0) is -0, the product's zero-started sum
+    +0; equal entries give +0 either way."""
+    if cap is not None:
+        monkeypatch.setattr(grid, "SLAB_ELEMENTS", cap)
+    n = 400
+    bounds = grid._slab_bounds(n)
+    assert (bounds[0] == (0, 1)) == (cap == 8) and len(bounds) > 1
+    rng = np.random.default_rng(41)
+    for x in [rng.choice(_ADVERSARIAL, n) for _ in range(4)] + [np.full(n, -0.0), np.repeat(_ADVERSARIAL, 22)[:n]]:
+        left, right = np.ones((n, 2)), np.ones((2, n))
+        left[:, 0], right[1] = x, -x
+        for a, b in bounds:
+            with np.errstate(over="ignore"):
+                want = x[a:b, None] - x[None, a:]
+                got = left[a:b] @ right[:, a:]
+            differ = got.view(np.int64) != want.view(np.int64)
+            signed = np.signbit(x)
+            assert np.array_equal(differ, (x[a:b, None] == 0) & signed[a:b, None] & (x[None, a:] == 0) & ~signed[None, a:])
+            assert np.all(got[differ] == 0.0) and not np.any(np.signbit(got[differ]))
+
+
+@pytest.mark.parametrize("cap", [None, 8])
+@pytest.mark.parametrize("p_exp", [1.5, 3.0])
+def test_slab_pass_on_adversarial_rows(monkeypatch, p_exp, cap):
+    """The pass on signed zeros, ties, subnormals and mixed scales: the sign
+    of a zero changes no bit of the result, and the pair sum agrees to 1e-13."""
+    if cap is not None:
+        monkeypatch.setattr(grid, "SLAB_ELEMENTS", cap)
+    params = nf.ModelParams(n=2, p=p_exp, s=0.3, q=1.2, alpha=2.0, beta=2.0)
+    dom = nf.build_grid(2, 20, 1.0, 1.0, params)
+    palette = _ADVERSARIAL[np.abs(_ADVERSARIAL) < 1e100]  # no overflow in |du|^(p-1) w
+    rng = np.random.default_rng(43)
+    stack = np.stack([rng.choice(palette, dom.n_interior) for _ in range(3)] + [np.full(dom.n_interior, -0.0)])
+    got = plap_gradient(dom, stack)
+    assert np.array_equal(got.view(np.int64), plap_gradient(dom, stack + 0.0).view(np.int64))  # -0 -> +0
+    pair_i, pair_j, pair_w = pair_list(dom)
+    for u, g in zip(stack, got):
+        flux = pair_w * signed_pow(u[pair_i] - u[pair_j], p_exp - 1.0)
+        expected = np.bincount(pair_i, weights=flux, minlength=dom.n_interior)
+        expected -= np.bincount(pair_j, weights=flux, minlength=dom.n_interior)
+        expected += dom.collar_w * signed_pow(u, p_exp - 1.0)
+        assert np.max(np.abs(g - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_slab_pass_allocates_one_buffer_pair():
+    """tracemalloc peak of a 12-row p = 3 pass at m = 20 (N = 400): the du and
+    c slab buffers (16 B per weight of the largest slab) plus at most two
+    (k, N) float64 stacks and sixteen float64 N-vectors; a slab-sized
+    temporary per slab (32,767 weights, 262 kB) would break it."""
+    import tracemalloc
+
+    params = nf.ModelParams(n=2, p=3.0, s=0.1, q=2.5, alpha=30.0 / 17.0, beta=30.0 / 17.0)
+    dom = nf.build_grid(2, 20, 1.0, 1.0, params)
+    k, n = 12, dom.n_interior
+    stack = np.random.default_rng(47).random((k, n))
+    plap_gradient(dom, stack)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        plap_gradient(dom, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    largest = max(w.size for _, _, w in dom.slabs)
+    assert len(dom.slabs) > 1
+    assert peak <= 16 * largest + 2 * 8 * k * n + 16 * 8 * n
+
+
 def test_ball_shape_subset_of_box():
     p = nf.ModelParams(**DESK)
     box = nf.build_grid(2, 9, 1.0, 1.0, p)

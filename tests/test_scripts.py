@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -17,3 +19,49 @@ def test_run_two_solutions_smoke():
     chain = [line for line in proc.stdout.splitlines() if line.startswith("chain: ")]
     assert len(chain) == 1
     assert " < 0 < " in chain[0] and " <= " in chain[0]
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(workload, pair, side, wall, rss, failed=0):
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    return {"workload": workload, "seed": 1, "pair": pair, "side": side, "trace": 0, "commit": side[0] * 40,
+            "result": {"attempted": 10, "failed": failed, "correct": failed == 0, "metrics": metrics}}
+
+
+def test_bench_pairs_summary_on_synthetic_runs():
+    """Four pairs with known medians, quartiles, wins and ratio; a metric
+    missing from a run is left out, and an unpaired run is not counted."""
+    walls = {"parent": [2.0, 4.0, 3.0, 5.0], "change": [1.0, 4.5, 2.0, 2.5]}
+    runs = [_run("p3_solve", k + 1, side, walls[side][k], 40.0 + (side == "change")) for k in range(4) for side in walls]
+    runs.append(_run("p3_solve", 5, "parent", 9.0, 40.0, failed=1))
+    runs.append(_run("quad_scan", 1, "parent", 1.0, 86.0))
+    runs.append(_run("quad_scan", 1, "change", 0.5, 86.0))
+    del runs[-1]["result"]["metrics"]["peak_rss_mb"]
+    summary = _bench_pairs().summarize(runs, {"wall_s": "lower", "peak_rss_mb": "lower", "setup_s": "lower"})
+    assert list(summary) == ["p3_solve seed 1", "quad_scan seed 1"]
+    p3 = summary["p3_solve seed 1"]
+    assert p3["change_commit"] == "c" * 40 and p3["pairs"] == 4
+    assert p3["failed_ops"] == {"parent": 1, "change": 0} and p3["attempted_ops"] == {"parent": 50, "change": 40}
+    assert p3["all_correct"] is False
+    assert p3["metrics"]["wall_s"] == {
+        "parent_median": 3.5, "change_median": 2.25,
+        "parent_q1_q3": [2.75, 4.25], "change_q1_q3": [1.75, 3.0], "parent_iqr": 1.5,
+        "change_wins": "3/4", "change_over_parent": 2.25 / 3.5,
+    }
+    assert p3["metrics"]["peak_rss_mb"]["change_wins"] == "0/4"
+    assert list(summary["quad_scan seed 1"]["metrics"]) == ["wall_s"]
+
+
+def test_bench_pairs_summary_reproduces_a_committed_record():
+    """The p3_solve summary of BENCH_pr15.json, rebuilt from its own runs."""
+    record = json.loads((ROOT / "BENCH_pr15.json").read_text())
+    want = record["summary"]["p3_solve seed 1"]
+    runs = [r for r in record["runs"] if r["workload"] == "p3_solve"]
+    metrics = {name: "lower" for name in want["metrics"]}
+    assert _bench_pairs().summarize(runs, metrics) == {"p3_solve seed 1": want}
