@@ -109,18 +109,20 @@ def main(argv=None) -> int:
     ap.add_argument("--series", action="append", default=[], metavar="WORKLOAD:PAIRS")
     ap.add_argument("--traced", action="append", default=[], metavar="WORKLOAD")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=45.0)
+    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--note", default="", help="appended to the record's 'what'")
     args = ap.parse_args(argv)
 
     commits = {"parent": git("rev-parse", args.parent + "^{commit}"), "change": git("rev-parse", args.change + "^{commit}")}
-    metrics = {m["name"]: m["better"] for m in json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads(Path("BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = args.seconds or bench["run_seconds"]
     runs, traced, env = [], [], {}
     plan = [(w, int(n), 0) for w, n in (s.split(":") for s in args.series)] + [(w, 1, 1) for w in args.traced]
     for workload, n_pairs, trace in plan:
         for pair in range(1, n_pairs + 1):
             for side in ("parent", "change") if pair % 2 else ("change", "parent"):
-                result, env = bench_run(commits[side], workload, args.seed, args.seconds, trace)
+                result, env = bench_run(commits[side], workload, args.seed, seconds, trace)
                 record = {"workload": workload, "seed": args.seed, "pair": pair, "side": side,
                           "trace": trace, "result": result, "commit": commits[side]}
                 (traced if trace else runs).append(record)
@@ -128,7 +130,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
     out = {
         "what": " ".join(filter(None, [WHAT, args.note])),
-        "command": COMMAND.format(seed=args.seed, seconds=args.seconds),
+        "command": COMMAND.format(seed=args.seed, seconds=seconds),
         "parent_commit": commits["parent"],
         "change_commits": [commits["change"]],
         "hardware": hardware(env),

@@ -35,10 +35,12 @@ def _run(workload, pair, side, wall, rss, failed=0):
 
 
 def test_bench_pairs_summary_on_synthetic_runs():
-    """Four pairs with known medians, quartiles, wins and ratio; a metric
-    missing from a run is left out, and an unpaired run is not counted."""
+    """Four pairs with known medians, quartiles, wins and ratio; a tie is
+    no win, a metric missing from a run is left out, and an unpaired run
+    counts in the op totals only."""
     walls = {"parent": [2.0, 4.0, 3.0, 5.0], "change": [1.0, 4.5, 2.0, 2.5]}
-    runs = [_run("p3_solve", k + 1, side, walls[side][k], 40.0 + (side == "change")) for k in range(4) for side in walls]
+    runs = [_run("p3_solve", k + 1, side, walls[side][k], 40.0 + (side == "change" and k > 0))
+            for k in range(4) for side in walls]
     runs.append(_run("p3_solve", 5, "parent", 9.0, 40.0, failed=1))
     runs.append(_run("quad_scan", 1, "parent", 1.0, 86.0))
     runs.append(_run("quad_scan", 1, "change", 0.5, 86.0))
