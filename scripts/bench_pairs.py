@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the benchmark, written to BENCH_<tag>.json.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --tag pr18 \\
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --tag NAME \\
         --series p3_solve:10 --series desk_solve:3 --traced p3_solve
 
-Run from the root of the git checkout.  Each run of the unchanged
+Run from the root of the git checkout.  Each run of
 `perfbench/run.py --workload W --seed S --seconds T --trace 0|1` gets a fresh
 `git archive` checkout of its commit (no __pycache__) in a temporary
 directory, removed after the run.  Pair k runs the parent first when k is odd
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 COMMAND = "python3 perfbench/run.py --workload <workload> --seed {seed} --seconds {seconds:g} --trace <0|1>"
-WHAT = ("Alternating parent/change pairs of the unchanged benchmark, each run in a fresh git-archive "
+WHAT = ("Alternating parent/change pairs of the benchmark, each run in a fresh git-archive "
         "checkout (no __pycache__), odd pairs parent first and even pairs change first; runs hold the "
         "last stdout line of perfbench/run.py.")
 
