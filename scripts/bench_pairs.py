@@ -5,14 +5,18 @@
         --series p3_solve:10 --series desk_solve:3 --traced p3_solve
 
 Run from the root of the git checkout.  Each run of
-`perfbench/run.py --workload W --seed S --seconds T --trace 0|1` gets a fresh
-`git archive` checkout of its commit (no __pycache__) in a temporary
-directory, removed after the run.  Pair k runs the parent first when k is odd
-and the change first when k is even.  A run keeps run.py's last stdout line,
-its JSON result.  The summary gives, per workload and end-to-end metric of
-BENCHMARK.json, the medians and quartiles (linear interpolation) of both sides,
-the parent's IQR, the pairs the change wins and the change/parent ratio of
-the medians.  A --traced workload gets one --trace 1 run per side.
+`perfbench/run.py --workload W --seed 1 --seconds T --trace 0|1`, with T the
+`run_seconds` of BENCHMARK.json, gets a fresh `git archive` checkout of its
+commit (no __pycache__) in a temporary directory, removed after the run.
+Pair k runs the parent first when k is odd and the change first when k is
+even.  A run keeps run.py's last stdout line, its JSON result; a run that
+exits non-zero is kept under "failed_runs" with its exit code and the tail
+of its stderr.  The record is rewritten after every run, so a series cut
+short keeps every run made.  The summary gives, per workload and end-to-end
+metric of BENCHMARK.json, the medians and quartiles (linear interpolation)
+of both sides, the parent's IQR, the pairs the change wins and the
+change/parent ratio of the medians.  A --traced workload gets one --trace 1
+run per side.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+SEED = 1
 COMMAND = "python3 perfbench/run.py --workload <workload> --seed {seed} --seconds {seconds:g} --trace <0|1>"
 WHAT = ("Alternating parent/change pairs of the benchmark, each run in a fresh git-archive "
         "checkout (no __pycache__), odd pairs parent first and even pairs change first; runs hold the "
@@ -38,19 +43,23 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], check=True, capture_output=True, text=True).stdout.strip()
 
 
-def bench_run(commit: str, workload: str, seed: int, seconds: float, trace: int) -> tuple:
-    """One run.py run in a fresh checkout of commit: (result, environment record)."""
+def bench_run(commit: str, workload: str, seconds: float, trace: int) -> tuple:
+    """One run.py run in a fresh checkout of commit: (record fields, environment
+    record); the fields are {"result": ...}, or {"exit_code", "stderr_tail"}."""
     work = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         archive = subprocess.run(["git", "archive", commit], check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(work)], input=archive, check=True)
-        argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
                 "--seconds", str(seconds), "--trace", str(trace)]
-        lines = subprocess.run(argv, cwd=work, check=True, capture_output=True, text=True).stdout.splitlines()
+        proc = subprocess.run(argv, cwd=work, capture_output=True, text=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    if proc.returncode:
+        return {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:]}, {}
+    lines = proc.stdout.splitlines()
     env = next((json.loads(line.split(" ", 1)[1]) for line in lines if line.startswith("environment: ")), {})
-    return json.loads(lines[-1]), env
+    return {"result": json.loads(lines[-1])}, env
 
 
 def _quartiles(values: list) -> list:
@@ -108,38 +117,38 @@ def main(argv=None) -> int:
     ap.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
     ap.add_argument("--series", action="append", default=[], metavar="WORKLOAD:PAIRS")
     ap.add_argument("--traced", action="append", default=[], metavar="WORKLOAD")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's run_seconds)")
-    ap.add_argument("--note", default="", help="appended to the record's 'what'")
     args = ap.parse_args(argv)
 
     commits = {"parent": git("rev-parse", args.parent + "^{commit}"), "change": git("rev-parse", args.change + "^{commit}")}
     bench = json.loads(Path("BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = args.seconds or bench["run_seconds"]
-    runs, traced, env = [], [], {}
+    seconds = bench["run_seconds"]
+    runs, traced, failed, env = [], [], [], {}
+    out = {
+        "what": WHAT,
+        "command": COMMAND.format(seed=SEED, seconds=seconds),
+        "parent_commit": commits["parent"],
+        "change_commits": [commits["change"]],
+        "hardware": hardware(env),
+        "summary": {},
+        "runs": runs,
+        "traced_runs": traced,
+        "failed_runs": failed,
+    }
     plan = [(w, int(n), 0) for w, n in (s.split(":") for s in args.series)] + [(w, 1, 1) for w in args.traced]
     for workload, n_pairs, trace in plan:
         for pair in range(1, n_pairs + 1):
             for side in ("parent", "change") if pair % 2 else ("change", "parent"):
-                result, env = bench_run(commits[side], workload, args.seed, seconds, trace)
-                record = {"workload": workload, "seed": args.seed, "pair": pair, "side": side,
-                          "trace": trace, "result": result, "commit": commits[side]}
-                (traced if trace else runs).append(record)
-                print(f"{workload} pair {pair} {side}: " + json.dumps(result.get("metrics", {}).get("wall_s", {})),
-                      file=sys.stderr)
-    out = {
-        "what": " ".join(filter(None, [WHAT, args.note])),
-        "command": COMMAND.format(seed=args.seed, seconds=seconds),
-        "parent_commit": commits["parent"],
-        "change_commits": [commits["change"]],
-        "hardware": hardware(env),
-        "summary": summarize(runs, metrics),
-        "runs": runs,
-        "traced_runs": traced,
-    }
-    Path(f"BENCH_{args.tag}.json").write_text(json.dumps(out, indent=2) + "\n")
-    return 0
+                fields, run_env = bench_run(commits[side], workload, seconds, trace)
+                env = run_env or env
+                record = {"workload": workload, "seed": SEED, "pair": pair, "side": side, "trace": trace,
+                          **fields, "commit": commits[side]}
+                (failed if "exit_code" in fields else traced if trace else runs).append(record)
+                wall = fields["result"].get("metrics", {}).get("wall_s") if "result" in fields else fields["exit_code"]
+                print(f"{workload} pair {pair} {side}: {json.dumps(wall)}", file=sys.stderr)
+                out["hardware"], out["summary"] = hardware(env), summarize(runs, metrics)
+                Path(f"BENCH_{args.tag}.json").write_text(json.dumps(out, indent=2) + "\n")
+    return 0 if not failed else 1
 
 
 if __name__ == "__main__":

@@ -342,9 +342,10 @@ def plap_gradient(dom: GridDomain, u) -> np.ndarray:
     eps * |diag * u| rather than eps times the result.  For p != 2, per row
     and slab, du = x[a:b, None] - x[None, a:] is the rank-2 product
     [x, 1][a:b] @ [1; -x][:, a:] (two exact products, one rounding: the
-    difference bit for bit, except that (-0) - (+0) gives +0), then
+    difference bit for bit, up to the sign of a zero), then
     c = W sign(du) |du|^(p-1) in the same buffer pair; g[a:b] gains the row
-    sums c @ 1 and g[a:] loses the column sums 1 @ c."""
+    sums c @ 1 and g[a:] loses the column sums 1 @ c, added in the order of
+    the BLAS kernel that OpenBLAS picks for the CPU type."""
     v = as_values(u)
     if v.ndim not in (1, 2) or v.shape[-1] != dom.n_interior:
         raise ValueError(f"fields of shape {v.shape}, domain has {dom.n_interior} interior nodes")

@@ -67,3 +67,34 @@ def test_bench_pairs_summary_reproduces_a_committed_record():
     runs = [r for r in record["runs"] if r["workload"] == "p3_solve"]
     metrics = {name: "lower" for name in want["metrics"]}
     assert _bench_pairs().summarize(runs, metrics) == {"p3_solve seed 1": want}
+
+
+def test_bench_pairs_main_keeps_every_run(monkeypatch, tmp_path):
+    """Two p3_solve pairs (the second change first) and a traced pair, with
+    the benchmark replaced by a stub: the failed run is kept with its exit
+    code, the record on disk holds every run made, and the exit status is 1."""
+    module = _bench_pairs()
+    calls = []
+
+    def fake_run(commit, workload, seconds, trace):
+        calls.append((commit, workload, seconds, trace))
+        if len(calls) == 3:
+            return {"exit_code": 2, "stderr_tail": "Traceback"}, {}
+        wall = {"value": 1.0 if commit == "c" * 40 else 2.0, "unit": "s"}
+        return {"result": {"attempted": 1, "failed": 0, "correct": True, "metrics": {"wall_s": wall}}}, {"nproc": 2}
+
+    monkeypatch.setattr(module, "git", lambda *args: ("p" if args[1].startswith("P") else "c") * 40)
+    monkeypatch.setattr(module, "bench_run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    bench = {"run_seconds": 45, "end_to_end": [{"name": "wall_s", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    assert module.main(["--parent", "P", "--change", "C", "--tag", "t", "--series", "p3_solve:2",
+                        "--traced", "p3_solve"]) == 1
+    assert [(c[0][0], c[3]) for c in calls] == [("p", 0), ("c", 0), ("c", 0), ("p", 0), ("p", 1), ("c", 1)]
+    assert all(c[2] == 45 for c in calls)
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["command"] == "python3 perfbench/run.py --workload <workload> --seed 1 --seconds 45 --trace <0|1>"
+    assert [(r["pair"], r["side"]) for r in record["runs"]] == [(1, "parent"), (1, "change"), (2, "parent")]
+    assert [(r["pair"], r["side"], r["exit_code"]) for r in record["failed_runs"]] == [(2, "change", 2)]
+    assert len(record["traced_runs"]) == 2
+    assert record["summary"]["p3_solve seed 1"]["pairs"] == 1
