@@ -19,13 +19,7 @@ from .grid import (
     pair_norm,
     seminorm_p,
 )
-from .energy import (
-    EnergyBreakdown,
-    energy,
-    first_variation,
-    gradient_vector,
-    nehari_constraint,
-)
+from .energy import EnergyBreakdown, energy
 from .fibering import (
     FiberingReport,
     ReducedTriple,

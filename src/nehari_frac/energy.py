@@ -1,12 +1,11 @@
-"""The functional J, its first variation, gradient assembly and the Nehari constraint.
+"""The functional J, its ray coefficients (P, B, D) and their gradient assembly.
 
 J(u, v) = (1/p)||(u,v)||^p - (1/q) sum(lam |u|^q + mu |v|^q)
           - (2/(alpha+beta)) sum |u|^alpha |v|^beta,
 
 with lattice sums weighted by h^n.  The first variation is assembled once per
-state as a pair of gradient vectors; pairing a test state is then a plain dot
-product, so the k-th gradient entry IS the variation against the k-th
-canonical basis pair, bit for bit.
+state as a pair of gradient vectors; pairing a test state is a plain dot
+product with them.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, FieldPair, GridDomain, as_values, plap_gradient, signed_pow
+from .grid import FieldPair, GridDomain, as_values, plap_gradient, signed_pow
 from .params import ModelParams
 
 
@@ -110,28 +109,3 @@ def constraint_gradient_arrays(params: ModelParams, dom: GridDomain, u: np.ndarr
     q = dP - dB - dD
     return q[: q.size // 2], q[q.size // 2:]
 
-
-def gradient_pair(params: ModelParams, dom: GridDomain, pair: FieldPair):
-    """Gradient vectors (dJ/du, dJ/dv); entry k equals the first variation
-    against the k-th canonical basis pair."""
-    return gradient_arrays(params, dom, as_values(pair.u), as_values(pair.v))
-
-
-def gradient_vector(params: ModelParams, dom: GridDomain, pair: FieldPair) -> FieldPair:
-    gu, gv = gradient_pair(params, dom, pair)
-    return FieldPair(Field(gu), Field(gv))
-
-
-def first_variation(params: ModelParams, dom: GridDomain, pair: FieldPair, test: FieldPair) -> float:
-    """<J'(u, v), (phi, psi)>."""
-    gu, gv = gradient_pair(params, dom, pair)
-    return float(np.dot(gu, as_values(test.u)) + np.dot(gv, as_values(test.v)))
-
-
-def nehari_constraint(params: ModelParams, dom: GridDomain, pair: FieldPair) -> float:
-    """||(u,v)||^p - sum(lam|u|^q + mu|v|^q) - 2 sum|u|^a|v|^b.
-
-    Zero exactly on the discrete Nehari manifold (the zero pair is excluded
-    from membership although the value vanishes there too).
-    """
-    return ray_triple(params, dom, pair.u, pair.v).constraint

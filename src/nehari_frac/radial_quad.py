@@ -13,8 +13,11 @@ squared relative gap e = ((r - rho)/(r + rho))^2, by numpy alone: its Gauss
 series in 1 - e for e > 1/2, the two series of the connection formula DLMF
 15.8.4 for e <= 1/2, and 2 E(1 - e)/(pi e) with E from the AGM at ps = 1,
 where those series have a pole.  Phi is homogeneous of degree -(n + ps), so
-below the diagonal one kernel row serves every outer node.  Values count
-each unordered point pair once (half the ordered double integral).
+below the diagonal one kernel row serves every outer node.  The planar
+integrand is assembled over blocks of outer nodes sized by grid.SLAB_ELEMENTS,
+so its temporaries stay in cache and its peak memory does not grow with the
+outer grid.  Values count each unordered point pair once (half the ordered
+double integral).
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import math
 
 import numpy as np
 
+from . import grid
 from .params import ModelParams
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -148,9 +152,12 @@ def gagliardo_pow_quad(
 
     The inner integral is split at the diagonal for each outer node and uses
     a geometric grid in the radial gap, where the integrand behaves like
-    gap^(p - 1 - ps), and one unit-gap kernel row below the diagonal; the
-    exterior contribution integrates the kernel tail explicitly up to
-    tail_factor * support_r plus an asymptotic remainder.
+    gap^(p - 1 - ps), and one unit-gap kernel row below the diagonal.  The
+    interior sum runs over blocks of max(1, grid.SLAB_ELEMENTS // (2 G))
+    outer nodes, G the gap nodes; only its summation order depends on the
+    block size.  The exterior contribution integrates the kernel tail
+    explicitly up to tail_factor * support_r, in one (R, T) kernel call,
+    plus an asymptotic remainder.
     """
     n, p = params.n, params.p
     ps = params.p * params.s
@@ -163,15 +170,21 @@ def gagliardo_pow_quad(
 
     # one unit gap rule g, scaled onto (0, r) and (r, support_r) of every outer node
     gap, gw = _panels(_radial_edges(1e-10, 1.0, gap_per_decade))
-    span = np.stack([-r_nodes, support_r - r_nodes], axis=1)[:, :, None]  # signed, (R, 2, 1)
-    rho = r_nodes[:, None, None] + span * gap  # (R, 2, G)
-    du = np.abs(u_nodes[:, None, None] - np.asarray(func(rho), dtype=np.float64)) ** p
     # below the diagonal rho = r (1 - g), and Phi is homogeneous of degree -(n + ps)
-    phi = np.empty(rho.shape)
-    phi[:, 0] = r_nodes[:, None] ** -(n + ps) * angular_kernel(n, ps, 1.0, 1.0 - gap)
-    phi[:, 1] = angular_kernel(n, ps, r_nodes[:, None], rho[:, 1])
-    weight = r_weights[:, None, None] * np.abs(span) * gw
-    interior = float(np.sum(weight * du * phi * (r_nodes[:, None, None] * rho) ** (n - 1)))
+    below = angular_kernel(n, ps, 1.0, 1.0 - gap)
+    # blocks of outer nodes whose (B, 2, G) arrays fit the slab budget, so every sweep stays in cache
+    block = max(1, grid.SLAB_ELEMENTS // (2 * gap.size))
+    interior = 0.0
+    for a in range(0, r_nodes.size, block):
+        r = r_nodes[a:a + block, None, None]
+        span = np.concatenate([-r, support_r - r], axis=1)  # signed, (B, 2, 1)
+        rho = r + span * gap  # (B, 2, G)
+        du = np.abs(u_nodes[a:a + block, None, None] - np.asarray(func(rho), dtype=np.float64)) ** p
+        phi = np.empty(rho.shape)
+        phi[:, 0] = r[:, 0] ** -(n + ps) * below
+        phi[:, 1] = angular_kernel(n, ps, r[:, 0], rho[:, 1])
+        weight = r_weights[a:a + block, None, None] * np.abs(span) * gw
+        interior += float(np.sum(weight * du * phi * (r * rho) ** (n - 1)))
 
     # exterior: |u(r) - 0|^p against the kernel mass beyond the support
     r_out = tail_factor * support_r

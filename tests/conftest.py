@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import nehari_frac as nf
+from nehari_frac.energy import gradient_arrays, ray_triple
+from nehari_frac.grid import as_values
 
 # Desk-scale configuration used throughout: p = 2, s = 0.4, n = 2 puts the
 # critical exponent at 10/3, and alpha = beta = 5/3 sits exactly on it.
@@ -45,6 +47,29 @@ def psi_prime(triple, params, t):
     """Psi'(t) of Psi(t) = t^(p-ab) P - t^(q-ab) B, the oracle of the branch signs (Lemma 2.5)."""
     p, q, ab = params.p, params.q, params.ab
     return (p - ab) * t ** (p - ab - 1) * triple.P - (q - ab) * t ** (q - ab - 1) * triple.B
+
+
+def gradient_pair(params, dom, pair):
+    """Gradient vectors (dJ/du, dJ/dv); entry k equals the first variation
+    against the k-th canonical basis pair."""
+    return gradient_arrays(params, dom, as_values(pair.u), as_values(pair.v))
+
+
+def gradient_vector(params, dom, pair):
+    gu, gv = gradient_pair(params, dom, pair)
+    return nf.FieldPair(nf.Field(gu), nf.Field(gv))
+
+
+def first_variation(params, dom, pair, test):
+    """<J'(u, v), (phi, psi)>."""
+    gu, gv = gradient_pair(params, dom, pair)
+    return float(np.dot(gu, as_values(test.u)) + np.dot(gv, as_values(test.v)))
+
+
+def nehari_constraint(params, dom, pair):
+    """||(u,v)||^p - sum(lam|u|^q + mu|v|^q) - 2 sum|u|^a|v|^b: zero exactly
+    on the discrete Nehari manifold (and at the zero pair, which is excluded)."""
+    return ray_triple(params, dom, pair.u, pair.v).constraint
 
 
 def random_pair(dom, rng, positive=False):

@@ -17,7 +17,7 @@ import nehari_frac as nf
 from nehari_frac.cli import main as cli_main
 from nehari_frac.fibering import phi_second_expressions
 
-from conftest import DESK, balanced_params, psi_prime, random_pair, scale_pair
+from conftest import DESK, balanced_params, first_variation, psi_prime, random_pair, scale_pair
 
 ACC_SEED = 20240
 
@@ -82,7 +82,7 @@ def test_criterion_1_gradient_consistency(acc_dom, capsys):
 
         h = 1e-5
         fd = (energy_at(h) - energy_at(-h)) / (2 * h)
-        fv = nf.first_variation(params, dom, pair, direction)
+        fv = first_variation(params, dom, pair, direction)
         worst = max(worst, abs(fv - fd) / max(1.0, abs(fv)))
     elapsed = time.time() - t0
     report(capsys, "criterion 1 (gradient consistency)",

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nehari_frac as nf
-from nehari_frac.energy import constraint_gradient_arrays, gradient_pair, ray_triple
+from nehari_frac.energy import constraint_gradient_arrays, ray_triple
 from nehari_frac.grid import pair_list
 
-from conftest import DESK, random_pair, scale_pair
+from conftest import (
+    DESK, first_variation, gradient_pair, gradient_vector, nehari_constraint, random_pair, scale_pair,
+)
 
 
 def manifold_energy_identity(params, dom, pair):
@@ -69,7 +71,7 @@ def test_energy_against_fsum_resummation(params, dom):
 
 def test_first_variation_zero_test(params, dom):
     pair = random_pair(dom, np.random.default_rng(3))
-    assert nf.first_variation(params, dom, pair, nf.FieldPair.zeros(dom)) == 0.0
+    assert first_variation(params, dom, pair, nf.FieldPair.zeros(dom)) == 0.0
 
 
 def test_first_variation_linearity(params, dom):
@@ -78,8 +80,8 @@ def test_first_variation_linearity(params, dom):
     t1 = random_pair(dom, rng)
     t2 = random_pair(dom, rng)
     combined = nf.FieldPair(nf.Field(t1.u.values + t2.u.values), nf.Field(t1.v.values + t2.v.values))
-    lhs = nf.first_variation(params, dom, pair, combined)
-    rhs = nf.first_variation(params, dom, pair, t1) + nf.first_variation(params, dom, pair, t2)
+    lhs = first_variation(params, dom, pair, combined)
+    rhs = first_variation(params, dom, pair, t1) + first_variation(params, dom, pair, t2)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -101,11 +103,11 @@ def test_gradient_check_central_differences(seed):
         return nf.energy(params, dom, shifted).total
 
     fd = (at(h) - at(-h)) / (2 * h)
-    fv = nf.first_variation(params, dom, pair, test)
+    fv = first_variation(params, dom, pair, test)
     assert abs(fv - fd) / max(1.0, abs(fv)) <= 1e-6
 
     def q_at(eps):
-        return nf.nehari_constraint(params, dom, nf.FieldPair(
+        return nehari_constraint(params, dom, nf.FieldPair(
             nf.Field(pair.u.values + eps * test.u.values),
             nf.Field(pair.v.values + eps * test.v.values),
         ))
@@ -118,29 +120,29 @@ def test_gradient_check_central_differences(seed):
 
 def test_gradient_vector_matches_basis_variations(params, dom):
     pair = random_pair(dom, np.random.default_rng(6))
-    gv = nf.gradient_vector(params, dom, pair)
+    gv = gradient_vector(params, dom, pair)
     n = dom.n_interior
     for k in (0, n // 2, n - 1):
         e = np.zeros(n)
         e[k] = 1.0
         basis_u = nf.FieldPair(nf.Field(e), nf.Field.zeros(dom))
         basis_v = nf.FieldPair(nf.Field.zeros(dom), nf.Field(e))
-        assert nf.first_variation(params, dom, pair, basis_u) == gv.u.values[k]
-        assert nf.first_variation(params, dom, pair, basis_v) == gv.v.values[k]
+        assert first_variation(params, dom, pair, basis_u) == gv.u.values[k]
+        assert first_variation(params, dom, pair, basis_v) == gv.v.values[k]
 
 
 def test_gradient_zero_at_origin_without_weights(dom):
     params0 = nf.ModelParams(**DESK)
-    gv = nf.gradient_vector(params0, dom, nf.FieldPair.zeros(dom))
+    gv = gradient_vector(params0, dom, nf.FieldPair.zeros(dom))
     assert np.all(gv.u.values == 0.0) and np.all(gv.v.values == 0.0)
 
 
 def test_nehari_constraint_identities(params, dom):
     pair = random_pair(dom, np.random.default_rng(7))
-    constraint = nf.nehari_constraint(params, dom, pair)
-    fv = nf.first_variation(params, dom, pair, pair)
+    constraint = nehari_constraint(params, dom, pair)
+    fv = first_variation(params, dom, pair, pair)
     assert constraint == pytest.approx(fv, rel=1e-12)
-    assert nf.nehari_constraint(params, dom, nf.FieldPair.zeros(dom)) == 0.0
+    assert nehari_constraint(params, dom, nf.FieldPair.zeros(dom)) == 0.0
 
 
 def test_nehari_zero_after_projection(params, dom):
@@ -149,7 +151,7 @@ def test_nehari_zero_after_projection(params, dom):
     assert rep.outcome == "two_roots"
     for t in (rep.t1, rep.t2):
         scaled = scale_pair(pair, t)
-        value = nf.nehari_constraint(params, dom, scaled)
+        value = nehari_constraint(params, dom, scaled)
         scale = nf.pair_norm(dom, scaled) ** params.p
         assert abs(value) <= 1e-10 * scale
 
@@ -169,7 +171,7 @@ def test_sublinear_power_no_nan_at_zeros(params, dom):
     pair = nf.FieldPair(nf.Field(u), nf.Field.zeros(dom))
     gu, gv = gradient_pair(params, dom, pair)
     assert np.all(np.isfinite(gu)) and np.all(np.isfinite(gv))
-    assert math.isfinite(nf.first_variation(params, dom, pair, pair))
+    assert math.isfinite(first_variation(params, dom, pair, pair))
 
 
 def test_gradient_check_noninteger_p():
@@ -188,5 +190,5 @@ def test_gradient_check_noninteger_p():
         return nf.energy(params, dom, shifted).total
 
     fd = (at(h) - at(-h)) / (2 * h)
-    fv = nf.first_variation(params, dom, pair, test)
+    fv = first_variation(params, dom, pair, test)
     assert abs(fv - fd) / max(1.0, abs(fv)) <= 1e-6

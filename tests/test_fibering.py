@@ -23,7 +23,9 @@ from nehari_frac.fibering import (
     sample_curves,
 )
 
-from conftest import DESK, balanced_params, psi_prime, random_pair, scale_pair
+from conftest import (
+    DESK, balanced_params, first_variation, nehari_constraint, psi_prime, random_pair, scale_pair,
+)
 
 TOY = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.5, alpha=2.0, beta=2.0, lam=1.0, mu=1.0)
 
@@ -98,7 +100,7 @@ def test_phi_prime_times_t_is_scaled_nehari(params, dom):
     for t in (0.3, 1.0, 2.7):
         scaled = scale_pair(pair, t)
         lhs = t * nf.phi_prime(triple, params, t)
-        assert lhs == pytest.approx(nf.nehari_constraint(params, dom, scaled), rel=1e-10)
+        assert lhs == pytest.approx(nehari_constraint(params, dom, scaled), rel=1e-10)
 
 
 def test_phi_prime_equals_first_variation_along_ray(params, dom):
@@ -106,7 +108,7 @@ def test_phi_prime_equals_first_variation_along_ray(params, dom):
     pair = random_pair(dom, np.random.default_rng(4))
     triple = nf.reduce_pair(params, dom, pair)
     for t in (0.4, 1.3):
-        fv = nf.first_variation(params, dom, scale_pair(pair, t), pair)
+        fv = first_variation(params, dom, scale_pair(pair, t), pair)
         assert nf.phi_prime(triple, params, t) == pytest.approx(fv, rel=1e-10)
 
 

@@ -4,6 +4,8 @@ import pytest
 from scipy import integrate, special
 
 import nehari_frac as nf
+from nehari_frac import grid, radial_quad
+from nehari_frac.bubbles import bubble_value, make_bubble, model_radial_profile
 from nehari_frac.radial_quad import (
     _ellipe_complement,
     _panels,
@@ -193,3 +195,49 @@ def test_gagliardo_vectorised_assembly_against_per_node_loop(n, p, s):
     params = nf.ModelParams(n=n, p=p, s=s, q=1.2, alpha=p, beta=p)
     args = (params, bump, 1.0, 0.5, (0.3,))
     assert gagliardo_pow_quad(*args) == pytest.approx(_gagliardo_per_node(*args), rel=1e-12)
+
+
+# 11 outer nodes per block: the 420 outer nodes of these cases leave a ragged last block of 2
+@pytest.mark.parametrize("budget", [1, 2 * 610 * 11])
+@pytest.mark.parametrize("n,p,s", [(1, 2.0, 0.4), (2, 2.0, 0.4), (2, 3.0, 0.1), (3, 1.5, 0.6)])
+def test_gagliardo_blocked_assembly_against_per_node_loop(monkeypatch, n, p, s, budget):
+    # one outer node per block, and blocks that do not divide the outer grid
+    params = nf.ModelParams(n=n, p=p, s=s, q=1.2, alpha=p, beta=p)
+    args = (params, bump, 1.0, 0.5, (0.3,))
+    outer = _panels(_radial_edges(0.5e-3, 1.0, 12, (0.3,)))[0].size
+    block = max(1, budget // (2 * 610))
+    assert block == 1 or outer % block not in (0, 1)
+    monkeypatch.setattr(grid, "SLAB_ELEMENTS", budget)
+    calls = []
+    monkeypatch.setattr(radial_quad, "angular_kernel", lambda *a: calls.append(a) or angular_kernel(*a))
+    assert gagliardo_pow_quad(*args) == pytest.approx(_gagliardo_per_node(*args), rel=1e-12)
+    # the unit row, one call per block of outer radii, the exterior tail
+    sizes = [block] * (outer // block) + [outer % block] * (outer % block > 0)
+    assert [np.shape(c[2])[0] for c in calls[1:-1]] == sizes and len(calls) == len(sizes) + 2
+
+
+@pytest.mark.parametrize("n,p,s", [(1, 2.0, 0.4), (2, 2.0, 0.4), (2, 3.0, 0.1), (3, 1.5, 0.6)])
+def test_gagliardo_default_blocks_agree_with_one_block(monkeypatch, n, p, s):
+    # only the summation order differs between block sizes
+    params = nf.ModelParams(n=n, p=p, s=s, q=1.2, alpha=p, beta=p)
+    args = (params, bump, 1.0, 0.5, (0.3,))
+    blocked = gagliardo_pow_quad(*args)
+    monkeypatch.setattr(grid, "SLAB_ELEMENTS", 2 * 420 * 610)
+    assert gagliardo_pow_quad(*args) == pytest.approx(blocked, rel=1e-14)
+
+
+@pytest.mark.parametrize("eps", [0.25 / 4, 0.25 / 256])
+def test_gagliardo_peak_memory_does_not_grow_with_the_outer_grid(eps):
+    # the desk model bubble (delta = 0.25, theta = 2); the outer grid grows
+    # from 490 to 710 nodes between these eps, one block stays 26 x 2 x 610
+    import tracemalloc
+
+    params = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.8, alpha=5 / 3, beta=5 / 3)
+    bub = make_bubble(model_radial_profile(params), eps, 0.25, 2.0)
+    tracemalloc.start()
+    try:
+        gagliardo_pow_quad(params, lambda r: bubble_value(bub, r), 0.5, eps, breakpoints=(0.25,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -8,7 +8,7 @@ from nehari_frac.errors import BranchLostError, ConvergenceError, SupportError
 from nehari_frac.fibering import NMINUS, NPLUS
 from nehari_frac.solver import pair_distance
 
-from conftest import DESK, random_pair
+from conftest import DESK, nehari_constraint, random_pair
 
 CRIT = nf.ModelParams(**DESK)
 
@@ -33,7 +33,7 @@ def test_minimize_on_branch_nplus(setup12):
     assert rep.energy < 0                      # minimum branch level is negative
     assert rep.classification == NPLUS
     assert np.isfinite(rep.iterate_norm_max)
-    constraint = nf.nehari_constraint(params, dom, rep.pair)
+    constraint = nehari_constraint(params, dom, rep.pair)
     assert abs(constraint) <= 1e-8 * nf.pair_norm(dom, rep.pair) ** params.p
 
 
