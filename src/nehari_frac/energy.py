@@ -108,4 +108,3 @@ def constraint_gradient_arrays(params: ModelParams, dom: GridDomain, u: np.ndarr
     dP, dB, dD = triple_gradients(params, dom, u, v)
     q = dP - dB - dD
     return q[: q.size // 2], q[q.size // 2:]
-
