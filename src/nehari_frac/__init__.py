@@ -13,26 +13,21 @@ from .grid import (
     Field,
     FieldPair,
     GridDomain,
-    a_form,
     build_grid,
     lr_norm,
     pair_norm,
     seminorm_p,
 )
-from .energy import EnergyBreakdown, energy
 from .fibering import (
     FiberingReport,
     ReducedTriple,
-    classify,
     phi,
     phi_prime,
     phi_second,
-    phi_second_consistency,
     project,
     psi,
     reduce_pair,
     t_max,
-    xi_prime,
 )
 from .constants import (
     ConstantsReport,
@@ -42,25 +37,21 @@ from .constants import (
     compute_S_alpha_beta,
     compute_S_coupled,
     d0_bound,
-    holder_bound_check,
     hypotheses_check,
     lambda1,
     ratio_check,
     ratio_predicted,
     thresholds,
-    young_bound_check,
 )
 from .bubbles import (
     BubbleProfile,
     bubble_field,
-    decay_check,
     make_bubble,
     model_profile,
     model_radial_profile,
     norm_estimate_scan,
     rescale,
     sup_energy_scan,
-    truncation,
 )
 from .solver import (
     SolutionReport,

@@ -31,7 +31,7 @@ def model_profile(params: ModelParams, r):
     """The conjectured minimizer shape; U(0) = 1, strictly decreasing.
 
     Proven to be the actual minimizer only for p = 2; for other p it is a
-    model profile and downstream reports flag it as such.
+    model profile, so the bubble scans at p != 2 probe that model.
     """
     r = np.asarray(r, dtype=np.float64)
     expo = params.p / (params.p - 1.0)
@@ -82,10 +82,6 @@ class BubbleProfile:
     u_at_theta_delta: float  # U_eps(theta*delta)
     m_eps_delta: float
 
-    @property
-    def kind(self) -> str:
-        return self.profile.kind
-
 
 def make_bubble(profile: RadialProfile, epsilon: float, delta: float, theta: float) -> BubbleProfile:
     if delta <= 0:
@@ -93,37 +89,13 @@ def make_bubble(profile: RadialProfile, epsilon: float, delta: float, theta: flo
     if theta <= 1:
         raise ValueError("theta must exceed 1")
     if not 0 < epsilon <= delta / 2.0:
-        raise ValueError("need 0 < epsilon <= delta/2")
+        raise ValueError(f"eps = {epsilon} violates 0 < eps <= delta/2 = {delta / 2.0}")
     u_d = float(rescale(profile, epsilon, delta))
     u_td = float(rescale(profile, epsilon, theta * delta))
     if not u_td < u_d:
         raise ValueError("profile is not strictly decreasing between delta and theta*delta")
     m = u_d / (u_d - u_td)
     return BubbleProfile(profile, epsilon, delta, theta, u_d, u_td, m)
-
-
-def truncation(profile: RadialProfile, epsilon: float, delta: float, theta: float, t):
-    """The cut maps (g, G) at level t >= 0.
-
-    g is the three-piece absolutely continuous map with slope m^p in the
-    transition band; G = integral of (g')^(1/p) collapses to 0 below the
-    outer level, m*(t - outer) in the band, and t above the inner level.
-    """
-    bub = make_bubble(profile, epsilon, delta, theta)
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0):
-        raise ValueError("truncation maps are defined for t >= 0")
-    p = profile.params.p
-    lo, hi, m = bub.u_at_theta_delta, bub.u_at_delta, bub.m_eps_delta
-    g = np.where(
-        t_arr <= lo,
-        0.0,
-        np.where(t_arr <= hi, m ** p * (t_arr - lo), t_arr + hi * (m ** (p - 1.0) - 1.0)),
-    )
-    G = np.where(t_arr <= lo, 0.0, np.where(t_arr <= hi, m * (t_arr - lo), t_arr))
-    if t_arr.ndim:
-        return g, G
-    return float(g), float(G)
 
 
 def bubble_value(bub: BubbleProfile, r):
@@ -151,38 +123,6 @@ def bubble_field(dom: GridDomain, params: ModelParams, epsilon: float, delta: fl
     bub = make_bubble(model_radial_profile(params), epsilon, delta, theta)
     r = np.linalg.norm(dom.interior - dom.box_length / 2.0, axis=1)
     return Field(bubble_value(bub, r))
-
-
-# ---------------------------------------------------------------------------
-# Decay diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecayReport:
-    c1_hat: float
-    c2_hat: float
-    halving_ok: bool
-    theta_min: Optional[float]
-
-
-def decay_check(profile: RadialProfile, r_grid, theta: float) -> DecayReport:
-    """Fit the decay envelope U(r) r^((n-ps)/(p-1)) on r_grid (all r > 1) and
-    check the halving property U(theta r) <= U(r)/2; also scan for the
-    smallest theta achieving the halving over the same grid."""
-    r = np.asarray(r_grid, dtype=np.float64)
-    if np.any(r <= 1.0):
-        raise ValueError("decay check needs radii > 1")
-    params = profile.params
-    decay = (params.n - params.p * params.s) / (params.p - 1.0)
-    envelope = profile.u(r) * r ** decay
-    c1, c2 = float(np.min(envelope)), float(np.max(envelope))
-    halving_ok = bool(np.all(profile.u(theta * r) <= 0.5 * profile.u(r)))
-    theta_min = None
-    for cand in np.geomspace(1.01, 8.0, 400):
-        if np.all(profile.u(cand * r) <= 0.5 * profile.u(r)):
-            theta_min = float(cand)
-            break
-    return DecayReport(c1, c2, halving_ok, theta_min)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +202,6 @@ def norm_estimate_scan(
     """
     if len(eps_list) == 0:
         raise ValueError("eps_list must not be empty")
-    for e in eps_list:
-        if not 0 < e <= delta / 2.0:
-            raise ValueError(f"eps = {e} violates 0 < eps <= delta/2 = {delta / 2.0}")
     if method not in ("lattice", "quadrature"):
         raise ValueError(f"unknown scan method {method!r}")
     n, p, s = params.n, params.p, params.s
@@ -385,12 +322,8 @@ def sup_energy_scan(
     """
     if len(eps_list) == 0:
         raise ValueError("eps_list must not be empty")
-    for e in eps_list:
-        if not 0 < e <= delta / 2.0:
-            raise ValueError(f"eps = {e} violates 0 < eps <= delta/2 = {delta / 2.0}")
 
     p, ab, n, s = params.p, params.ab, params.n, params.s
-    cell = dom.h ** dom.dim
     label = q_regime_label(params)
     weighted = params.with_weights(constants.lam, constants.mu)
 
@@ -416,7 +349,7 @@ def sup_energy_scan(
 
         h_expanded = None
         if params.critical:
-            lp_pow = cell * float(np.sum(np.abs(uv) ** params.p_star))
+            lp_pow = dom.cell * float(np.sum(np.abs(uv) ** params.p_star))
             # P0 = (a + b) [u]^p
             quotient = (P0 / ab) / lp_pow ** (p / params.p_star)
             h_expanded = (

@@ -1,12 +1,9 @@
-"""Discrete Sobolev constants, closed-form thresholds and inequality spot checks.
+"""Discrete Sobolev constants, closed-form thresholds and hypothesis flags.
 
 S_d and S_ab_d are minima of discrete Rayleigh quotients on one grid; they are
 grid-scoped values and are never presented as the continuum constants.  The
 closed forms (Lambda_1, C_0, c_infty, the d_0 bracket) are evaluated from the
-printed formulas with S replaced by its discrete counterpart; the
-Hoelder/Young spot checks are exact on the lattice in the critical case
-alpha + beta = p*, because every step of their proofs is a finite-sum
-inequality.
+printed formulas with S replaced by its discrete counterpart.
 """
 from __future__ import annotations
 
@@ -237,7 +234,7 @@ def compute_S(
     """
     p = params.p
     pstar = params.p_star
-    cell = dom.h ** dom.dim
+    cell = dom.cell
 
     def project(x):
         x = np.abs(x)
@@ -379,29 +376,6 @@ def d0_bound(params: ModelParams, s_value: float, volume: float, lam: float, mu:
     ) - (1.0 / q - 1.0 / ab) * s_value ** (-q / p) * volume ** ((ab - q) / ab) * sigma ** ((p - q) / p)
     ok = sigma < (q / p) ** (p / (p - q)) * lambda1(params, s_value, volume)
     return D0Bound(bracket * norm_lb ** q, ok)
-
-
-# ---------------------------------------------------------------------------
-# Inequality spot checks (exact on the lattice when alpha + beta = p*)
-# ---------------------------------------------------------------------------
-
-def holder_bound_check(params: ModelParams, dom: GridDomain, pair: FieldPair, s_value: float) -> float:
-    """Slack of sum(lam|u|^q + mu|v|^q) <= S^(-q/p) |Omega|^((a+b-q)/(a+b))
-    sigma^((p-q)/p) ||(u,v)||^q with the discrete S; nonnegative up to roundoff."""
-    p, q = params.p, params.q
-    ab = params.ab
-    triple = ray_triple(params, dom, pair.u, pair.v)
-    norm = triple.P ** (1.0 / p)
-    rhs = s_value ** (-q / p) * dom.volume ** ((ab - q) / ab) * params.sigma ** ((p - q) / p) * norm ** q
-    return rhs - triple.B
-
-
-def young_bound_check(params: ModelParams, dom: GridDomain, pair: FieldPair, s_value: float) -> float:
-    """Slack of 2 sum|u|^a|v|^b <= 2 S^(-(a+b)/p) ||(u,v)||^(a+b) with the discrete S."""
-    ab = params.ab
-    triple = ray_triple(params, dom, pair.u, pair.v)
-    rhs = 2.0 * s_value ** (-ab / params.p) * triple.P ** (ab / params.p)
-    return rhs - triple.D
 
 
 # ---------------------------------------------------------------------------

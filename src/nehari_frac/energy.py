@@ -1,11 +1,12 @@
-"""The functional J, its ray coefficients (P, B, D) and their gradient assembly.
+"""The ray coefficients (P, B, D) of the functional J and their gradient assembly.
 
 J(u, v) = (1/p)||(u,v)||^p - (1/q) sum(lam |u|^q + mu |v|^q)
           - (2/(alpha+beta)) sum |u|^alpha |v|^beta,
 
-with lattice sums weighted by h^n.  The first variation is assembled once per
-state as a pair of gradient vectors; pairing a test state is a plain dot
-product with them.
+with lattice sums weighted by the node cell h^n (GridDomain.cell); J itself
+is fibering.phi(ray_triple(...), params, 1).  The first variation is assembled
+once per state as a pair of gradient vectors; pairing a test state is a plain
+dot product with them.
 """
 from __future__ import annotations
 
@@ -13,18 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldPair, GridDomain, as_values, plap_gradient, signed_pow
+from .grid import GridDomain, as_values, plap_gradient, signed_pow
 from .params import ModelParams
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """The three terms of J and their signed total."""
-
-    gradient_term: float
-    concave_term: float
-    coupling_term: float
-    total: float
 
 
 @dataclass(frozen=True)
@@ -64,7 +55,7 @@ def ray_triple(params: ModelParams, dom: GridDomain, u, v, kernels=None) -> Redu
     u, v = as_values(u), as_values(v)
     ku, kv = kernels if kernels is not None else (plap_gradient(dom, u), plap_gradient(dom, v))
     P = float(np.dot(u, ku)) + float(np.dot(v, kv))
-    cell = dom.h ** dom.dim
+    cell = dom.cell
     au = np.abs(u)
     av = np.abs(v)
     B = cell * float(np.sum(params.lam * au ** params.q + params.mu * av ** params.q))
@@ -72,19 +63,12 @@ def ray_triple(params: ModelParams, dom: GridDomain, u, v, kernels=None) -> Redu
     return ReducedTriple(P, B, D)
 
 
-def energy(params: ModelParams, dom: GridDomain, pair: FieldPair) -> EnergyBreakdown:
-    """Evaluate J with its three named terms."""
-    t = ray_triple(params, dom, pair.u, pair.v)
-    grad, concave, coupling = t.P / params.p, t.B / params.q, t.D / params.ab
-    return EnergyBreakdown(grad, concave, coupling, grad - concave - coupling)
-
-
 def triple_gradients(params: ModelParams, dom: GridDomain, u, v, kernels=None):
     """Gradients (dP, dB, dD) of the ray coefficients of ray_triple over the
     stacked state (u, v); kernels as in ray_triple."""
     u, v = as_values(u), as_values(v)
     ku, kv = kernels if kernels is not None else (plap_gradient(dom, u), plap_gradient(dom, v))
-    cell = dom.h ** dom.dim
+    cell = dom.cell
     a, b = params.alpha, params.beta
     dP = params.p * np.concatenate([ku, kv])
     dB = cell * params.q * np.concatenate(
@@ -103,8 +87,8 @@ def gradient_arrays(params: ModelParams, dom: GridDomain, u: np.ndarray, v: np.n
     return g[: g.size // 2], g[g.size // 2:]
 
 
-def constraint_gradient_arrays(params: ModelParams, dom: GridDomain, u: np.ndarray, v: np.ndarray):
-    """Gradient of the Nehari constraint Q = P - B - D on raw value arrays."""
-    dP, dB, dD = triple_gradients(params, dom, u, v)
+def constraint_gradient_arrays(params: ModelParams, dom: GridDomain, u: np.ndarray, v: np.ndarray, kernels=None):
+    """Gradient of the Nehari constraint Q = P - B - D on raw value arrays; kernels as in ray_triple."""
+    dP, dB, dD = triple_gradients(params, dom, u, v, kernels)
     q = dP - dB - dD
     return q[: q.size // 2], q[q.size // 2:]

@@ -24,10 +24,6 @@ class ConvergenceError(NehariFracError):
         self.last_iterate = last_iterate
 
 
-class DegenerateDirectionError(NehariFracError):
-    """The implicit-map denominator is too close to zero (N0-degenerate)."""
-
-
 class SupportError(NehariFracError):
     """A bubble support ball does not fit inside the interior region."""
 

@@ -19,13 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import ReducedTriple, constraint_gradient_arrays, ray_triple
-from .errors import DegenerateDirectionError, NehariFracError, ZeroPairError
+from .energy import ReducedTriple, ray_triple
+from .errors import NehariFracError, ZeroPairError
 from .grid import FieldPair, GridDomain, as_values
 from .params import ModelParams
 
 ROOT_RTOL = 1e-12
-MANIFOLD_RTOL = 1e-8
 CLASSIFY_DEADBAND = 1e-8
 
 NPLUS = "Nplus"
@@ -207,13 +206,9 @@ def project_triple(triple: ReducedTriple, params: ModelParams, classification: s
     )
 
 
-def classify(params: ModelParams, dom: GridDomain, pair: FieldPair, tol: float = CLASSIFY_DEADBAND) -> str:
-    """Trichotomy by sign of phi''(1) with a dead-band, after a membership check."""
-    return classify_triple(reduce_pair(params, dom, pair), params, tol)
-
-
 def classify_triple(triple: ReducedTriple, params: ModelParams, tol: float = CLASSIFY_DEADBAND) -> str:
-    """classify() on precomputed (P, B, D)."""
+    """Trichotomy of a state by the sign of phi''(1) with a dead-band, after a
+    membership check, from its (P, B, D)."""
     if not triple.on_manifold(tol):
         return OFF_MANIFOLD
     second = phi_second(triple, params, 1.0)
@@ -223,77 +218,6 @@ def classify_triple(triple: ReducedTriple, params: ModelParams, tol: float = CLA
     if second < -band:
         return NMINUS
     return NZERO
-
-
-def phi_second_expressions(triple: ReducedTriple, params: ModelParams):
-    """The four equivalent forms of phi''(1) for on-manifold states (P = B + D)."""
-    p, q, ab = params.p, params.q, params.ab
-    P, B, D = triple.P, triple.B, triple.D
-    return (
-        (p - 1) * P - (q - 1) * B - (ab - 1) * D,
-        (p - ab) * D + (p - q) * B,
-        (p - q) * P - (ab - q) * D,
-        (p - ab) * P + (ab - q) * B,
-    )
-
-
-def phi_second_consistency(
-    params: ModelParams, dom: GridDomain, pair: FieldPair, tol: float = MANIFOLD_RTOL
-) -> float:
-    """Max pairwise discrepancy of the four phi''(1) forms, relative to term scale.
-
-    Only meaningful on the manifold; off-manifold input is rejected because
-    the four forms use the constraint P = B + D.
-    """
-    triple = reduce_pair(params, dom, pair)
-    if not triple.on_manifold(tol):
-        raise NehariFracError(
-            f"pair is off the manifold (relative constraint {abs(triple.constraint) / triple.P:.3e}); "
-            "the equivalent second-derivative forms require membership"
-        )
-    exprs = phi_second_expressions(triple, params)
-    scale = triple.scale_second()
-    worst = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            worst = max(worst, abs(exprs[i] - exprs[j]))
-    return worst / scale
-
-
-def xi_prime(params: ModelParams, dom: GridDomain, z: FieldPair, omega: FieldPair,
-             tol: float = MANIFOLD_RTOL, denom_floor: float = 1e-8) -> float:
-    """Derivative of the re-projection scale xi at an on-manifold state z.
-
-    xi(w) is the scale putting xi(w) (z - w) back on the manifold, xi(0) = 1.
-    The value is the constraint variation over phi''(1):
-
-        <xi'(0), omega> = DQ(z)[omega] / [(p-q) P - (a+b-q) D],
-
-    with DQ(z)[omega] the constraint gradient (constraint_gradient_arrays)
-    paired with omega:
-
-        DQ(z)[omega] = p A(u,w1) + p A(v,w2) - K(z,omega)
-                       - 2 sum(alpha |u|^(a-2) u |v|^b w1 + beta |u|^a |v|^(b-2) v w2)
-
-    and K(z,omega) = q sum(lam |u|^(q-2) u w1 + mu |v|^(q-2) v w2).  The sign
-    is fixed by the re-projection derivative itself: for omega = z the scale
-    map is xi(eps z) = 1/(1-eps), so <xi'(0), z> = +1.
-    """
-    triple = reduce_pair(params, dom, z)
-    if not triple.on_manifold(tol):
-        raise NehariFracError(
-            f"xi_prime needs an on-manifold state (relative constraint {abs(triple.constraint) / triple.P:.3e})"
-        )
-    p, q, ab = params.p, params.q, params.ab
-    denom = (p - q) * triple.P - (ab - q) * triple.D
-    if abs(denom) <= denom_floor * triple.scale_second():
-        raise DegenerateDirectionError(
-            "N0-degenerate direction: the implicit-map denominator is numerically zero"
-        )
-
-    qu, qv = constraint_gradient_arrays(params, dom, as_values(z.u), as_values(z.v))
-    numer = float(np.dot(qu, as_values(omega.u)) + np.dot(qv, as_values(omega.v)))
-    return numer / denom
 
 
 def sample_curves(triple: ReducedTriple, params: ModelParams, t_lo: float, t_hi: float, n_samples: int):

@@ -69,7 +69,6 @@ class GridDomain:
     collar: np.ndarray          # (M, dim) node coordinates, fields vanish here
     slabs: tuple | None         # p != 2: (a, b, W) with W[r, c] the weight of pair (a + r, a + c), 0 for c <= r
     collar_w: np.ndarray        # (N,) float64, sum of kernel weights into the collar
-    volume: float
     kernel_hat: np.ndarray | None = None    # p = 2: rfftn of the kernel on the (L,)*dim lattice, L = fft_side(m)
     box_index: np.ndarray | None = None     # p = 2: flat position of each interior node in the (m,)*dim block
     diag: np.ndarray | None = None          # p = 2: collar_w + K * 1_interior
@@ -81,6 +80,16 @@ class GridDomain:
     @property
     def n_collar(self) -> int:
         return self.collar.shape[0]
+
+    @property
+    def cell(self) -> float:
+        """Volume h^dim of one node's cell: the weight of every lattice sum."""
+        return self.h ** self.dim
+
+    @property
+    def volume(self) -> float:
+        """Lattice measure of the domain: cell times the interior node count."""
+        return self.cell * self.n_interior
 
     @property
     def n_pairs(self) -> int:
@@ -184,7 +193,7 @@ def slab_build_bytes(n: int) -> int:
 
 
 def _weight_slabs(coords: np.ndarray, kernel_exp: float, h: float, dim: int) -> tuple:
-    """The pair_list weights, bit for bit, as slabs (a, b, W[a:b, a:])."""
+    """The weights h^2n / d^(n + ps) of the interior pairs as slabs (a, b, W[a:b, a:])."""
     slabs = []
     for a, b in _slab_bounds(coords.shape[0]):
         w = np.zeros((b - a, coords.shape[0] - a))
@@ -194,14 +203,6 @@ def _weight_slabs(coords: np.ndarray, kernel_exp: float, h: float, dim: int) -> 
         np.divide(h ** (2 * dim), np.power(np.sqrt(w, out=w), kernel_exp, out=w), out=w)
         slabs.append((a, b, w))
     return tuple(slabs)
-
-
-def pair_list(dom: GridDomain):
-    """(pair_i, pair_j, pair_w) over the unordered interior pairs, pair_i < pair_j,
-    with weight h^2n / d^(n + ps): built on demand, the oracle of both kernel routes."""
-    ii, jj = np.triu_indices(dom.n_interior, k=1)
-    d = np.linalg.norm(dom.interior[ii] - dom.interior[jj], axis=1)
-    return ii, jj, dom.h ** (2 * dom.dim) / d ** (dom.dim + dom.p * dom.s)
 
 
 def _kernel_hat(shape: tuple, h: float, kernel_exp: float) -> np.ndarray:
@@ -305,7 +306,6 @@ def build_grid(
         collar=collar,
         slabs=None if fft else _weight_slabs(interior, kernel_exp, h, n),
         collar_w=cw,
-        volume=h ** n * n_int,
         **fft,
     )
 
@@ -322,24 +322,14 @@ def lr_norm(dom: GridDomain, u, r: float) -> float:
         raise ValueError("lr_norm needs r >= 1")
     v = as_values(u)
     _check_len(dom, v)
-    return float(dom.h ** dom.dim * np.sum(np.abs(v) ** r)) ** (1.0 / r)
-
-
-def a_form(dom: GridDomain, u, phi) -> float:
-    """The form A(u, phi): pairwise |du|^(p-2) du dphi against the kernel,
-    i.e. phi . plap_gradient(u).
-
-    Satisfies a_form(u, u) = seminorm_p(u)^p; pairs with u_i = u_j contribute
-    exactly zero for every p > 1.
-    """
-    pv = as_values(phi)
-    _check_len(dom, pv)
-    return float(np.dot(pv, plap_gradient(dom, u)))
+    return float(dom.cell * np.sum(np.abs(v) ** r)) ** (1.0 / r)
 
 
 def plap_gradient(dom: GridDomain, u) -> np.ndarray:
     """Vector of A(u, e_k) over canonical basis fields e_k, assembled in one
-    pass, for one field u (N,) or for each row of a stack u (k, N).
+    pass, for one field u (N,) or for each row of a stack u (k, N).  A is the
+    form sum over pairs of w |du|^(p-2) du dphi, so A(u, phi) = phi . g and
+    [u]^p = u . g for g = plap_gradient(u); pairs with u_i = u_j add exactly 0.
 
     At p = 2 it is diag * u - K * u, a pruned FFT convolution of as many
     rows at once as FFT_BATCH_BYTES allows, whose rounding error is of order

@@ -27,7 +27,7 @@ from .constants import (
 )
 from .energy import ReducedTriple, constraint_gradient_arrays, gradient_arrays, ray_triple
 from .errors import BranchLostError, ConvergenceError, SupportError
-from .fibering import NMINUS, NPLUS, branch_root, classify, phi, t_max
+from .fibering import NMINUS, NPLUS, branch_root, classify_triple, phi, t_max
 from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, pair_norm, plap_gradient, seminorm_p, signed_pow
 from .params import ModelParams
 
@@ -159,8 +159,9 @@ def _branch_report(params: ModelParams, dom: GridDomain, branch: str, run, norm_
                    seed_index: int) -> SolutionReport:
     n = dom.n_interior
     u, v = run.x[:n], run.x[n:]
+    kernels = plap_gradient(dom, run.x.reshape(2, n))  # one stacked pass serves both uses below
     # tangential residual: the gradient minus its part along the constraint gradient
-    q = np.concatenate(constraint_gradient_arrays(params, dom, u, v))
+    q = np.concatenate(constraint_gradient_arrays(params, dom, u, v, kernels=kernels))
     qn2 = float(np.dot(q, q))
     coef = float(np.dot(run.grad, q)) / qn2 if qn2 > 0 else 0.0
     pair = FieldPair(Field(u), Field(v))
@@ -175,7 +176,7 @@ def _branch_report(params: ModelParams, dom: GridDomain, branch: str, run, norm_
         iterations=run.iterations,
         stop_reason=run.stop_reason,
         semitrivial=semitrivial,
-        classification=classify(params, dom, pair),
+        classification=classify_triple(ray_triple(params, dom, u, v, kernels=kernels), params),
         iterate_norm_max=norm_max,
         pair=pair,
         seed_index=seed_index,
@@ -224,8 +225,7 @@ def pair_distance(dom: GridDomain, a: FieldPair, b: FieldPair) -> float:
         return float(na != nb)
     du = as_values(a.u) / na - as_values(b.u) / nb
     dv = as_values(a.v) / na - as_values(b.v) / nb
-    cell = dom.h ** dom.dim
-    return float(cell * np.sum(np.abs(du) ** p + np.abs(dv) ** p)) ** (1.0 / p)
+    return float(dom.cell * np.sum(np.abs(du) ** p + np.abs(dv) ** p)) ** (1.0 / p)
 
 
 def solve_two(
@@ -321,7 +321,7 @@ def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float):
     if lam <= 0:
         raise ValueError("the scalar sublinear problem needs lam > 0")
     p, q = params.p, params.q
-    cell = dom.h ** dom.dim
+    cell = dom.cell
 
     def evaluate(x):
         k = plap_gradient(dom, x)
@@ -377,10 +377,12 @@ def semitrivial_tmax_check(params: ModelParams, dom: GridDomain, u1, w) -> float
         raise ValueError("semitrivial check needs lam > 0 and mu > 0")
     p, q = params.p, params.q
     ab = params.ab
+    u1, w = as_values(u1), as_values(w)
     zero = np.zeros(dom.n_interior)
+    ku, kw = plap_gradient(dom, np.stack([u1, w]))
     # one component at a time: D = 0, so the constraint is P - B
-    tu = ray_triple(params, dom, u1, zero)
-    tw = ray_triple(params, dom, zero, w)
+    tu = ray_triple(params, dom, u1, zero, kernels=(ku, zero))
+    tw = ray_triple(params, dom, zero, w, kernels=(zero, kw))
     r1 = abs(tu.constraint) / tu.P
     r2 = abs(tw.constraint) / tw.P
     if max(r1, r2) > STATIONARITY_RTOL:

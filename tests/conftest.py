@@ -1,9 +1,16 @@
+import sys
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 
 import nehari_frac as nf
-from nehari_frac.energy import gradient_arrays, ray_triple
-from nehari_frac.grid import as_values
+from nehari_frac.bubbles import make_bubble
+from nehari_frac.energy import constraint_gradient_arrays, gradient_arrays, ray_triple
+from nehari_frac.errors import NehariFracError
+from nehari_frac.fibering import phi
+from nehari_frac.grid import as_values, plap_gradient
 
 # Desk-scale configuration used throughout: p = 2, s = 0.4, n = 2 puts the
 # critical exponent at 10/3, and alpha = beta = 5/3 sits exactly on it.
@@ -66,10 +73,31 @@ def first_variation(params, dom, pair, test):
     return float(np.dot(gu, as_values(test.u)) + np.dot(gv, as_values(test.v)))
 
 
+def energy(params, dom, pair):
+    """J(u, v): the fibering map at t = 1 of the pair's ray coefficients."""
+    return phi(ray_triple(params, dom, pair.u, pair.v), params, 1.0)
+
+
 def nehari_constraint(params, dom, pair):
     """||(u,v)||^p - sum(lam|u|^q + mu|v|^q) - 2 sum|u|^a|v|^b: zero exactly
     on the discrete Nehari manifold (and at the zero pair, which is excluded)."""
     return ray_triple(params, dom, pair.u, pair.v).constraint
+
+
+def record_plap_calls(monkeypatch):
+    """Route every plap_gradient call of the package through a recorder: the
+    returned list gains (rows, all-zero rows) of the stack each call gets."""
+    calls = []
+
+    def recorded(dom, u):
+        rows = as_values(u).reshape(-1, dom.n_interior)
+        calls.append((rows.shape[0], int(np.sum(~rows.any(axis=1)))))
+        return plap_gradient(dom, u)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nehari_frac" and getattr(module, "plap_gradient", None) is plap_gradient:
+            monkeypatch.setattr(module, "plap_gradient", recorded)
+    return calls
 
 
 def random_pair(dom, rng, positive=False):
@@ -90,3 +118,164 @@ def balanced_params(params, dom, pair, fill=0.5):
     target_B = (fill * K * t.P ** ((ab - q) / (p - q)) / t.D) ** ((p - q) / (ab - p))
     scale = target_B / t.B
     return params.with_weights(scale, scale)
+
+
+def pair_list(dom):
+    """(pair_i, pair_j, pair_w) over the unordered interior pairs, pair_i < pair_j,
+    with weight h^2n / d^(n + ps): the pair-sum oracle of both kernel routes."""
+    ii, jj = np.triu_indices(dom.n_interior, k=1)
+    d = np.linalg.norm(dom.interior[ii] - dom.interior[jj], axis=1)
+    return ii, jj, dom.h ** (2 * dom.dim) / d ** (dom.dim + dom.p * dom.s)
+
+
+# ---------------------------------------------------------------------------
+# Second-derivative forms and the implicit map
+# ---------------------------------------------------------------------------
+
+MANIFOLD_RTOL = 1e-8
+
+
+class DegenerateDirectionError(NehariFracError):
+    """The implicit-map denominator is too close to zero (N0-degenerate)."""
+
+
+def phi_second_expressions(triple, params):
+    """The four equivalent forms of phi''(1) for on-manifold states (P = B + D)."""
+    p, q, ab = params.p, params.q, params.ab
+    P, B, D = triple.P, triple.B, triple.D
+    return (
+        (p - 1) * P - (q - 1) * B - (ab - 1) * D,
+        (p - ab) * D + (p - q) * B,
+        (p - q) * P - (ab - q) * D,
+        (p - ab) * P + (ab - q) * B,
+    )
+
+
+def phi_second_consistency(params, dom, pair, tol=MANIFOLD_RTOL):
+    """Max pairwise discrepancy of the four phi''(1) forms, relative to term scale.
+
+    Only meaningful on the manifold; off-manifold input is rejected because
+    the four forms use the constraint P = B + D.
+    """
+    triple = nf.reduce_pair(params, dom, pair)
+    if not triple.on_manifold(tol):
+        raise NehariFracError(
+            f"pair is off the manifold (relative constraint {abs(triple.constraint) / triple.P:.3e}); "
+            "the equivalent second-derivative forms require membership"
+        )
+    exprs = phi_second_expressions(triple, params)
+    worst = max(abs(exprs[i] - exprs[j]) for i in range(4) for j in range(i + 1, 4))
+    return worst / triple.scale_second()
+
+
+def xi_prime(params, dom, z, omega, tol=MANIFOLD_RTOL, denom_floor=1e-8):
+    """Derivative of the re-projection scale xi at an on-manifold state z.
+
+    xi(w) is the scale putting xi(w) (z - w) back on the manifold, xi(0) = 1.
+    The value is the constraint variation over phi''(1):
+
+        <xi'(0), omega> = DQ(z)[omega] / [(p-q) P - (a+b-q) D],
+
+    with DQ(z)[omega] the constraint gradient (constraint_gradient_arrays)
+    paired with omega:
+
+        DQ(z)[omega] = p A(u,w1) + p A(v,w2) - K(z,omega)
+                       - 2 sum(alpha |u|^(a-2) u |v|^b w1 + beta |u|^a |v|^(b-2) v w2)
+
+    with A(u, w) = w . plap_gradient(u) and K(z,omega) = q sum(lam |u|^(q-2) u w1
+    + mu |v|^(q-2) v w2).  The sign is fixed by the re-projection derivative
+    itself: for omega = z the scale map is xi(eps z) = 1/(1-eps), so
+    <xi'(0), z> = +1.
+    """
+    triple = nf.reduce_pair(params, dom, z)
+    if not triple.on_manifold(tol):
+        raise NehariFracError(
+            f"xi_prime needs an on-manifold state (relative constraint {abs(triple.constraint) / triple.P:.3e})"
+        )
+    p, q, ab = params.p, params.q, params.ab
+    denom = (p - q) * triple.P - (ab - q) * triple.D
+    if abs(denom) <= denom_floor * triple.scale_second():
+        raise DegenerateDirectionError(
+            "N0-degenerate direction: the implicit-map denominator is numerically zero"
+        )
+    qu, qv = constraint_gradient_arrays(params, dom, as_values(z.u), as_values(z.v))
+    numer = float(np.dot(qu, as_values(omega.u)) + np.dot(qv, as_values(omega.v)))
+    return numer / denom
+
+
+# ---------------------------------------------------------------------------
+# Inequality spot checks (exact on the lattice when alpha + beta = p*)
+# ---------------------------------------------------------------------------
+
+def holder_bound_check(params, dom, pair, s_value):
+    """Slack of sum(lam|u|^q + mu|v|^q) <= S^(-q/p) |Omega|^((a+b-q)/(a+b))
+    sigma^((p-q)/p) ||(u,v)||^q with the discrete S; nonnegative up to roundoff."""
+    p, q, ab = params.p, params.q, params.ab
+    triple = ray_triple(params, dom, pair.u, pair.v)
+    norm = triple.P ** (1.0 / p)
+    rhs = s_value ** (-q / p) * dom.volume ** ((ab - q) / ab) * params.sigma ** ((p - q) / p) * norm ** q
+    return rhs - triple.B
+
+
+def young_bound_check(params, dom, pair, s_value):
+    """Slack of 2 sum|u|^a|v|^b <= 2 S^(-(a+b)/p) ||(u,v)||^(a+b) with the discrete S."""
+    ab = params.ab
+    triple = ray_triple(params, dom, pair.u, pair.v)
+    rhs = 2.0 * s_value ** (-ab / params.p) * triple.P ** (ab / params.p)
+    return rhs - triple.D
+
+
+# ---------------------------------------------------------------------------
+# Truncation maps and decay diagnostics of a radial profile
+# ---------------------------------------------------------------------------
+
+def truncation(profile, epsilon, delta, theta, t):
+    """The cut maps (g, G) at level t >= 0.
+
+    g is the three-piece absolutely continuous map with slope m^p in the
+    transition band; G = integral of (g')^(1/p) collapses to 0 below the
+    outer level, m*(t - outer) in the band, and t above the inner level.
+    """
+    bub = make_bubble(profile, epsilon, delta, theta)
+    t_arr = np.asarray(t, dtype=np.float64)
+    if np.any(t_arr < 0):
+        raise ValueError("truncation maps are defined for t >= 0")
+    p = profile.params.p
+    lo, hi, m = bub.u_at_theta_delta, bub.u_at_delta, bub.m_eps_delta
+    g = np.where(
+        t_arr <= lo,
+        0.0,
+        np.where(t_arr <= hi, m ** p * (t_arr - lo), t_arr + hi * (m ** (p - 1.0) - 1.0)),
+    )
+    G = np.where(t_arr <= lo, 0.0, np.where(t_arr <= hi, m * (t_arr - lo), t_arr))
+    if t_arr.ndim:
+        return g, G
+    return float(g), float(G)
+
+
+@dataclass(frozen=True)
+class DecayReport:
+    c1_hat: float
+    c2_hat: float
+    halving_ok: bool
+    theta_min: Optional[float]
+
+
+def decay_check(profile, r_grid, theta):
+    """Fit the decay envelope U(r) r^((n-ps)/(p-1)) on r_grid (all r > 1) and
+    check the halving property U(theta r) <= U(r)/2; also scan for the
+    smallest theta achieving the halving over the same grid."""
+    r = np.asarray(r_grid, dtype=np.float64)
+    if np.any(r <= 1.0):
+        raise ValueError("decay check needs radii > 1")
+    params = profile.params
+    decay = (params.n - params.p * params.s) / (params.p - 1.0)
+    envelope = profile.u(r) * r ** decay
+    c1, c2 = float(np.min(envelope)), float(np.max(envelope))
+    halving_ok = bool(np.all(profile.u(theta * r) <= 0.5 * profile.u(r)))
+    theta_min = None
+    for cand in np.geomspace(1.01, 8.0, 400):
+        if np.all(profile.u(cand * r) <= 0.5 * profile.u(r)):
+            theta_min = float(cand)
+            break
+    return DecayReport(c1, c2, halving_ok, theta_min)

@@ -15,9 +15,11 @@ import pytest
 
 import nehari_frac as nf
 from nehari_frac.cli import main as cli_main
-from nehari_frac.fibering import phi_second_expressions
 
-from conftest import DESK, balanced_params, first_variation, psi_prime, random_pair, scale_pair
+from conftest import (
+    DESK, balanced_params, decay_check, energy, first_variation, phi_second_expressions, psi_prime, random_pair,
+    scale_pair, xi_prime,
+)
 
 ACC_SEED = 20240
 
@@ -78,7 +80,7 @@ def test_criterion_1_gradient_consistency(acc_dom, capsys):
                 nf.Field(pair.u.values + eps * direction.u.values),
                 nf.Field(pair.v.values + eps * direction.v.values),
             )
-            return nf.energy(params, dom, shifted).total
+            return energy(params, dom, shifted)
 
         h = 1e-5
         fd = (energy_at(h) - energy_at(-h)) / (2 * h)
@@ -197,7 +199,7 @@ def test_criterion_6_xi_prime_oracle(acc_dom, capsys):
             nf.Field(amp * rng.standard_normal(dom.n_interior)),
             nf.Field(amp * rng.standard_normal(dom.n_interior)),
         )
-        value = nf.xi_prime(params, dom, z, omega)
+        value = xi_prime(params, dom, z, omega)
 
         def root_of(eps):
             shifted = nf.FieldPair(
@@ -223,7 +225,7 @@ def test_criterion_7_bubble_scans(acc_dom, acc_constants, capsys):
 
     # (a) decay envelope and halving ratio of the model profile
     prof = nf.model_radial_profile(params0)
-    decay = nf.decay_check(prof, np.geomspace(2.0, 500.0, 60), theta)
+    decay = decay_check(prof, np.geomspace(2.0, 500.0, 60), theta)
     ok_a = decay.halving_ok and decay.theta_min is not None and decay.c1_hat <= decay.c2_hat
 
     # (b) trend exponents from the resolved (quadrature) scan

@@ -14,7 +14,7 @@ from nehari_frac.bubbles import (
 )
 from nehari_frac.errors import SupportError
 
-from conftest import DESK
+from conftest import DESK, decay_check, truncation
 
 CRIT = nf.ModelParams(**DESK)
 
@@ -94,16 +94,16 @@ def test_truncation_piecewise_values():
     bub = make_bubble(prof, eps, delta, theta)
     hi, lo, m = bub.u_at_delta, bub.u_at_theta_delta, bub.m_eps_delta
     assert m > 1.0
-    g, G = nf.truncation(prof, eps, delta, theta, hi)
+    g, G = truncation(prof, eps, delta, theta, hi)
     assert G == pytest.approx(hi, rel=1e-14)          # continuity at the inner level
-    g, G = nf.truncation(prof, eps, delta, theta, lo)
+    g, G = truncation(prof, eps, delta, theta, lo)
     assert G == 0.0
     mid = 0.5 * (lo + hi)
-    g, G = nf.truncation(prof, eps, delta, theta, mid)
+    g, G = truncation(prof, eps, delta, theta, mid)
     assert G == pytest.approx(m * (mid - lo), rel=1e-14)
     assert g == pytest.approx(m ** CRIT.p * (mid - lo), rel=1e-14)
     top = 2.0 * hi
-    g, G = nf.truncation(prof, eps, delta, theta, top)
+    g, G = truncation(prof, eps, delta, theta, top)
     assert G == top
     assert g == pytest.approx(top + hi * (m ** (CRIT.p - 1.0) - 1.0), rel=1e-14)
 
@@ -111,11 +111,11 @@ def test_truncation_piecewise_values():
 def test_truncation_validation():
     prof = model_radial_profile(CRIT)
     with pytest.raises(ValueError):
-        nf.truncation(prof, 0.05, -1.0, 2.0, 0.5)
+        truncation(prof, 0.05, -1.0, 2.0, 0.5)
     with pytest.raises(ValueError):
-        nf.truncation(prof, 0.05, 0.25, 1.0, 0.5)
+        truncation(prof, 0.05, 0.25, 1.0, 0.5)
     with pytest.raises(ValueError):
-        nf.truncation(prof, 0.05, 0.25, 2.0, -0.5)
+        truncation(prof, 0.05, 0.25, 2.0, -0.5)
     with pytest.raises(ValueError):
         make_bubble(prof, 0.2, 0.25, 2.0)  # eps > delta/2
 
@@ -125,8 +125,8 @@ def test_truncation_validation():
 def test_truncation_maps_nondecreasing(t1, t2):
     prof = model_radial_profile(CRIT)
     lo, hi = sorted((t1, t2))
-    g_lo, G_lo = nf.truncation(prof, 0.05, 0.25, 2.0, lo)
-    g_hi, G_hi = nf.truncation(prof, 0.05, 0.25, 2.0, hi)
+    g_lo, G_lo = truncation(prof, 0.05, 0.25, 2.0, lo)
+    g_hi, G_hi = truncation(prof, 0.05, 0.25, 2.0, hi)
     assert g_hi >= g_lo - 1e-12
     assert G_hi >= G_lo - 1e-12
     # G is 1-Lipschitz above the inner level
@@ -165,7 +165,7 @@ def test_bubble_matches_piecewise_identity():
     r = np.linspace(0.0, 0.5, 500)
     vals = bubble_value(bub, r)
     t = nf.rescale(prof, 0.03, r)
-    _, G = nf.truncation(prof, 0.03, 0.2, 2.0, t)
+    _, G = truncation(prof, 0.03, 0.2, 2.0, t)
     assert np.allclose(vals, G, rtol=0, atol=0)  # same arithmetic path
 
 
@@ -176,7 +176,7 @@ def test_bubble_matches_piecewise_identity():
 def test_decay_check_model_profile():
     prof = model_radial_profile(CRIT)
     grid = np.geomspace(2.0, 500.0, 80)
-    rep = nf.decay_check(prof, grid, 2.0)
+    rep = decay_check(prof, grid, 2.0)
     assert rep.c1_hat <= rep.c2_hat
     assert rep.c2_hat <= 1.0 + 1e-12          # envelope tends to 1 from below
     assert rep.c1_hat > 0.85                   # already near the limit at r >= 2
@@ -190,7 +190,7 @@ def test_decay_check_model_profile():
 def test_decay_check_requires_radii_above_one():
     prof = model_radial_profile(CRIT)
     with pytest.raises(ValueError):
-        nf.decay_check(prof, np.array([0.5, 2.0]), 2.0)
+        decay_check(prof, np.array([0.5, 2.0]), 2.0)
 
 
 # ---------------------------------------------------------------------------

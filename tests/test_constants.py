@@ -17,7 +17,7 @@ from nehari_frac.constants import (
     rayleigh_quotient,
 )
 
-from conftest import DESK, random_pair
+from conftest import DESK, holder_bound_check, random_pair, young_bound_check
 
 mp.mp.dps = 50
 
@@ -339,7 +339,7 @@ def sd12(dom12):
 
 def test_holder_bound_zero_pair(dom12, sd12):
     params, s_d, _ = sd12
-    assert nf.holder_bound_check(params, dom12, nf.FieldPair.zeros(dom12), s_d) == 0.0
+    assert holder_bound_check(params, dom12, nf.FieldPair.zeros(dom12), s_d) == 0.0
 
 
 def test_holder_bound_random_probes(dom12, sd12):
@@ -347,26 +347,26 @@ def test_holder_bound_random_probes(dom12, sd12):
     rng = np.random.default_rng(21)
     for _ in range(1000):
         pair = random_pair(dom12, rng)
-        assert nf.holder_bound_check(params, dom12, pair, s_d) >= -1e-12
+        assert holder_bound_check(params, dom12, pair, s_d) >= -1e-12
 
 
 def test_holder_bound_at_minimizer_strictly_positive(dom12, sd12):
     params, s_d, s_min = sd12
     solo = params.with_weights(params.lam, 0.0)
     pair = nf.FieldPair(s_min, nf.Field.zeros(dom12))
-    slack = nf.holder_bound_check(solo, dom12, pair, s_d)
+    slack = holder_bound_check(solo, dom12, pair, s_d)
     assert slack > 0  # strict for q < p
 
 
 def test_young_bound_probes(dom12, sd12):
     params, s_d, s_min = sd12
-    assert nf.young_bound_check(params, dom12, nf.FieldPair.zeros(dom12), s_d) == 0.0
+    assert young_bound_check(params, dom12, nf.FieldPair.zeros(dom12), s_d) == 0.0
     rng = np.random.default_rng(22)
     for _ in range(1000):
         pair = random_pair(dom12, rng)
-        assert nf.young_bound_check(params, dom12, pair, s_d) >= -1e-12
+        assert young_bound_check(params, dom12, pair, s_d) >= -1e-12
     equal = nf.FieldPair(s_min, s_min)
-    assert nf.young_bound_check(params, dom12, equal, s_d) >= -1e-12
+    assert young_bound_check(params, dom12, equal, s_d) >= -1e-12
 
 
 # ---------------------------------------------------------------------------

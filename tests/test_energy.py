@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -7,39 +8,42 @@ from hypothesis import strategies as st
 
 import nehari_frac as nf
 from nehari_frac.energy import constraint_gradient_arrays, ray_triple
-from nehari_frac.grid import pair_list
+from nehari_frac.fibering import phi
 
 from conftest import (
-    DESK, first_variation, gradient_pair, gradient_vector, nehari_constraint, random_pair, scale_pair,
+    DESK, energy, first_variation, gradient_pair, gradient_vector, nehari_constraint, pair_list, random_pair,
+    scale_pair,
 )
 
 
 def manifold_energy_identity(params, dom, pair):
-    """J rewritten for on-manifold states, the oracle of energy():
+    """J rewritten for on-manifold states, the oracle of phi(triple, 1):
     ((1/p)-(1/(a+b))) ||(u,v)||^p - ((1/q)-(1/(a+b))) sum(lam|u|^q + mu|v|^q)."""
     t = ray_triple(params, dom, pair.u, pair.v)
     ab = params.ab
     return (1.0 / params.p - 1.0 / ab) * t.P - (1.0 / params.q - 1.0 / ab) * t.B
 
 
+def test_package_energy_is_the_module():
+    """J is fibering.phi at t = 1; the package exports no energy function
+    that would shadow the energy module."""
+    assert isinstance(nf.energy, types.ModuleType)
+    assert nf.energy.ray_triple is ray_triple
+
+
 def test_zero_pair_all_terms_zero(params, dom):
-    eb = nf.energy(params, dom, nf.FieldPair.zeros(dom))
-    assert (eb.gradient_term, eb.concave_term, eb.coupling_term, eb.total) == (0.0, 0.0, 0.0, 0.0)
-
-
-def test_breakdown_identity_is_exact(params, dom):
-    pair = random_pair(dom, np.random.default_rng(0))
-    eb = nf.energy(params, dom, pair)
-    assert eb.total == eb.gradient_term - eb.concave_term - eb.coupling_term
+    zero = nf.FieldPair.zeros(dom)
+    t = ray_triple(params, dom, zero.u, zero.v)
+    assert (t.P, t.B, t.D, phi(t, params, 1.0)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_unweighted_semitrivial_reduces_to_gradient(dom):
     params0 = nf.ModelParams(**DESK)  # lam = mu = 0
     rng = np.random.default_rng(1)
     u = nf.Field(rng.standard_normal(dom.n_interior))
-    eb = nf.energy(params0, dom, nf.FieldPair(u, nf.Field.zeros(dom)))
-    assert eb.concave_term == 0.0 and eb.coupling_term == 0.0
-    assert eb.total == pytest.approx(nf.seminorm_p(dom, u) ** 2 / 2, rel=1e-14)
+    t = ray_triple(params0, dom, u, nf.Field.zeros(dom))
+    assert t.B == 0.0 and t.D == 0.0
+    assert phi(t, params0, 1.0) == pytest.approx(nf.seminorm_p(dom, u) ** 2 / 2, rel=1e-14)
 
 
 def test_energy_against_fsum_resummation(params, dom):
@@ -47,7 +51,7 @@ def test_energy_against_fsum_resummation(params, dom):
     pair = random_pair(dom, np.random.default_rng(2))
     u, v = pair.u.values, pair.v.values
     p, q, ab = params.p, params.q, params.ab
-    cell = dom.h ** dom.dim
+    cell = dom.cell
 
     pair_i, pair_j, pair_w = pair_list(dom)
 
@@ -65,8 +69,7 @@ def test_energy_against_fsum_resummation(params, dom):
         cell * abs(float(a)) ** params.alpha * abs(float(b)) ** params.beta for a, b in zip(u, v)
     )
     expected = grad - concave - coupling
-    eb = nf.energy(params, dom, pair)
-    assert eb.total == pytest.approx(expected, rel=1e-13)
+    assert energy(params, dom, pair) == pytest.approx(expected, rel=1e-13)
 
 
 def test_first_variation_zero_test(params, dom):
@@ -100,7 +103,7 @@ def test_gradient_check_central_differences(seed):
             nf.Field(pair.u.values + eps * test.u.values),
             nf.Field(pair.v.values + eps * test.v.values),
         )
-        return nf.energy(params, dom, shifted).total
+        return energy(params, dom, shifted)
 
     fd = (at(h) - at(-h)) / (2 * h)
     fv = first_variation(params, dom, pair, test)
@@ -161,7 +164,7 @@ def test_manifold_energy_identity(params, dom):
     rep = nf.project(params, dom, pair)
     for t in (rep.t1, rep.t2):
         scaled = scale_pair(pair, t)
-        total = nf.energy(params, dom, scaled).total
+        total = energy(params, dom, scaled)
         assert total == pytest.approx(manifold_energy_identity(params, dom, scaled), rel=1e-10)
 
 
@@ -187,7 +190,7 @@ def test_gradient_check_noninteger_p():
             nf.Field(pair.u.values + eps * test.u.values),
             nf.Field(pair.v.values + eps * test.v.values),
         )
-        return nf.energy(params, dom, shifted).total
+        return energy(params, dom, shifted)
 
     fd = (at(h) - at(-h)) / (2 * h)
     fv = first_variation(params, dom, pair, test)

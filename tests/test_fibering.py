@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 import nehari_frac as nf
-from nehari_frac.errors import DegenerateDirectionError, NehariFracError, ZeroPairError
+from nehari_frac.errors import NehariFracError, ZeroPairError
 from nehari_frac.fibering import (
     ABOVE_THRESHOLD,
     MINUS_ONLY,
@@ -18,13 +18,14 @@ from nehari_frac.fibering import (
     TWO_ROOTS,
     ReducedTriple,
     branch_root,
-    phi_second_expressions,
+    classify_triple,
     project_triple,
     sample_curves,
 )
 
 from conftest import (
-    DESK, balanced_params, first_variation, nehari_constraint, psi_prime, random_pair, scale_pair,
+    DESK, DegenerateDirectionError, balanced_params, first_variation, nehari_constraint, phi_second_consistency,
+    phi_second_expressions, psi_prime, random_pair, scale_pair, xi_prime,
 )
 
 TOY = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.5, alpha=2.0, beta=2.0, lam=1.0, mu=1.0)
@@ -63,12 +64,16 @@ def test_reduce_scaling_homogeneity(params, dom):
 
 
 def test_reduce_cross_checked_against_energy_terms(params, dom):
+    """(P, B, D) against the three terms of J summed term by term."""
     pair = random_pair(dom, np.random.default_rng(2))
     t = nf.reduce_pair(params, dom, pair)
-    eb = nf.energy(params, dom, pair)
-    assert t.P == pytest.approx(params.p * eb.gradient_term, rel=1e-13)
-    assert t.B == pytest.approx(params.q * eb.concave_term, rel=1e-13)
-    assert t.D == pytest.approx(params.ab * eb.coupling_term, rel=1e-13)
+    u, v = np.abs(pair.u.values), np.abs(pair.v.values)
+    gradient_term = (nf.seminorm_p(dom, pair.u) ** params.p + nf.seminorm_p(dom, pair.v) ** params.p) / params.p
+    concave_term = dom.cell * (params.lam * np.sum(u ** params.q) + params.mu * np.sum(v ** params.q)) / params.q
+    coupling_term = 2.0 * dom.cell * np.sum(u ** params.alpha * v ** params.beta) / params.ab
+    assert t.P == pytest.approx(params.p * gradient_term, rel=1e-13)
+    assert t.B == pytest.approx(params.q * concave_term, rel=1e-13)
+    assert t.D == pytest.approx(params.ab * coupling_term, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +314,9 @@ def test_projected_points_classify_to_their_branch(params, dom):
         pair = random_pair(dom, rng)
         rep = nf.project(params, dom, pair)
         assert rep.outcome == TWO_ROOTS
-        assert nf.classify(params, dom, scale_pair(pair, rep.t1)) == NPLUS
-        assert nf.classify(params, dom, scale_pair(pair, rep.t2)) == NMINUS
-        assert nf.classify(params, dom, pair) == OFF_MANIFOLD
+        assert classify_triple(nf.reduce_pair(params, dom, scale_pair(pair, rep.t1)), params) == NPLUS
+        assert classify_triple(nf.reduce_pair(params, dom, scale_pair(pair, rep.t2)), params) == NMINUS
+        assert classify_triple(nf.reduce_pair(params, dom, pair), params) == OFF_MANIFOLD
 
 
 def test_lemma_2_5_branch_sign_characterization(params, dom):
@@ -336,7 +341,7 @@ def test_no_nzero_under_discrete_lambda1(dom12):
         rep = nf.project(params, dom12, pair)
         assert rep.outcome == TWO_ROOTS
         for t in (rep.t1, rep.t2):
-            assert nf.classify(params, dom12, scale_pair(pair, t)) != NZERO
+            assert classify_triple(nf.reduce_pair(params, dom12, scale_pair(pair, t)), params) != NZERO
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +359,7 @@ def test_phi_second_consistency_after_projection(params, dom):
     pair = random_pair(dom, np.random.default_rng(9))
     rep = nf.project(params, dom, pair)
     for t in (rep.t1, rep.t2):
-        assert nf.phi_second_consistency(params, dom, scale_pair(pair, t)) <= 1e-10
+        assert phi_second_consistency(params, dom, scale_pair(pair, t)) <= 1e-10
 
 
 def test_phi_second_consistency_rejects_off_manifold(params, dom):
@@ -362,14 +367,14 @@ def test_phi_second_consistency_rejects_off_manifold(params, dom):
     rep = nf.project(params, dom, pair)
     off = scale_pair(pair, rep.t1 * 1.05)
     with pytest.raises(NehariFracError, match="off the manifold"):
-        nf.phi_second_consistency(params, dom, off)
+        phi_second_consistency(params, dom, off)
 
 
 def test_xi_prime_zero_direction(params, dom):
     pair = random_pair(dom, np.random.default_rng(11))
     rep = nf.project(params, dom, pair)
     z = scale_pair(pair, rep.t2)
-    assert nf.xi_prime(params, dom, z, nf.FieldPair.zeros(dom)) == 0.0
+    assert xi_prime(params, dom, z, nf.FieldPair.zeros(dom)) == 0.0
 
 
 def test_xi_prime_along_state_is_one(params, dom):
@@ -378,7 +383,7 @@ def test_xi_prime_along_state_is_one(params, dom):
     rep = nf.project(params, dom, pair)
     for t in (rep.t1, rep.t2):
         z = scale_pair(pair, t)
-        assert nf.xi_prime(params, dom, z, z) == pytest.approx(1.0, rel=1e-9)
+        assert xi_prime(params, dom, z, z) == pytest.approx(1.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("branch_root", ["t1", "t2"])
@@ -395,7 +400,7 @@ def test_xi_prime_matches_reprojection_derivative(params, dom, branch_root):
         nf.Field(amp * rng.standard_normal(dom.n_interior)),
         nf.Field(amp * rng.standard_normal(dom.n_interior)),
     )
-    value = nf.xi_prime(bp, dom, z, omega)
+    value = xi_prime(bp, dom, z, omega)
 
     def scale_of(eps):
         shifted = nf.FieldPair(
@@ -413,7 +418,7 @@ def test_xi_prime_matches_reprojection_derivative(params, dom, branch_root):
 def test_xi_prime_requires_manifold_membership(params, dom):
     pair = random_pair(dom, np.random.default_rng(14))
     with pytest.raises(NehariFracError, match="on-manifold"):
-        nf.xi_prime(params, dom, pair, pair)
+        xi_prime(params, dom, pair, pair)
 
 
 def test_xi_prime_degenerate_denominator(params, dom):
@@ -424,7 +429,7 @@ def test_xi_prime_degenerate_denominator(params, dom):
     rep = nf.project(params, dom, pair)
     z = scale_pair(pair, rep.t2)
     with pytest.raises(DegenerateDirectionError):
-        nf.xi_prime(params, dom, z, z, denom_floor=1e12)
+        xi_prime(params, dom, z, z, denom_floor=1e12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from nehari_frac.constants import bump_field
 from nehari_frac.energy import gradient_arrays, ray_triple, triple_gradients
 from nehari_frac.errors import GridTooLargeError
 from nehari_frac import grid
-from nehari_frac.grid import pair_list, plap_gradient, signed_pow
+from nehari_frac.grid import plap_gradient, signed_pow
 
-from conftest import DESK, random_field
+from conftest import DESK, pair_list, random_field
 
 
 def test_1d_two_node_weight():
@@ -359,7 +361,7 @@ def test_a_form_two_node_hand_value():
     # du = 3, |du|^(p-2) du = 9, dphi = -2; collar: sign(u)|u|^(p-1) phi
     expected = w * 9.0 * (-2.0)
     expected += cw[0] * 4.0 * 1.0 + cw[1] * (-1.0) * 3.0
-    assert nf.a_form(dom, nf.Field(u), nf.Field(phi)) == pytest.approx(expected, rel=1e-13)
+    assert float(np.dot(phi, plap_gradient(dom, u))) == pytest.approx(expected, rel=1e-13)
 
 
 @settings(deadline=None, max_examples=30)
@@ -390,14 +392,15 @@ def test_a_form_matches_seminorm_power(seed):
     p = nf.ModelParams(**DESK)
     dom = nf.build_grid(2, 5, 1.0, 1.0, p)
     u = random_field(dom, np.random.default_rng(seed)).values
-    assert nf.a_form(dom, u, u) == pytest.approx(nf.seminorm_p(dom, u) ** p.p, rel=1e-12)
+    assert float(np.dot(u, plap_gradient(dom, u))) == pytest.approx(nf.seminorm_p(dom, u) ** p.p, rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", ["box", "ball"])
 @pytest.mark.parametrize("p_exp", [1.5, 2.0, 3.0])
 def test_kernel_against_brute_force_pair_sum(p_exp, shape):
-    """seminorm_p, a_form and plap_gradient against a double sum over every
-    sampled node, interior and collar, with the fields extended by zero."""
+    """seminorm_p, the form A(u, phi) = phi . plap_gradient(u) and plap_gradient
+    against a double sum over every sampled node, interior and collar, with
+    the fields extended by zero."""
     params = nf.ModelParams(n=2, p=p_exp, s=0.3, q=1.2, alpha=2.0, beta=2.0, lam=0.7, mu=0.4)
     dom = nf.build_grid(2, 5 if shape == "box" else 6, 1.0, 1.0, params, shape=shape)
     rng = np.random.default_rng(17)
@@ -415,7 +418,7 @@ def test_kernel_against_brute_force_pair_sum(p_exp, shape):
     flux = w * np.sign(dU) * np.abs(dU) ** (p_exp - 1.0)
     # each unordered pair appears twice in the full double sum
     assert nf.seminorm_p(dom, u) ** p_exp == pytest.approx(0.5 * np.sum(w * np.abs(dU) ** p_exp), rel=1e-12)
-    assert nf.a_form(dom, u, phi) == pytest.approx(0.5 * np.sum(flux * (Phi[:, None] - Phi[None, :])), rel=1e-12)
+    assert float(np.dot(phi, plap_gradient(dom, u))) == pytest.approx(0.5 * np.sum(flux * (Phi[:, None] - Phi[None, :])), rel=1e-12)
     expected = np.sum(flux, axis=1)[:n]
     assert np.max(np.abs(plap_gradient(dom, u) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -443,8 +446,8 @@ def test_a_form_homogeneity_in_first_argument():
     u = random_field(dom, rng).values
     phi = random_field(dom, rng).values
     t = -2.3
-    expected = abs(t) ** (p.p - 2) * t * nf.a_form(dom, u, phi)
-    assert nf.a_form(dom, t * u, phi) == pytest.approx(expected, rel=1e-12)
+    expected = abs(t) ** (p.p - 2) * t * float(np.dot(phi, plap_gradient(dom, u)))
+    assert float(np.dot(phi, plap_gradient(dom, t * u))) == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_extension_monotonicity():
@@ -463,7 +466,7 @@ def test_small_p_no_nan():
     dom = nf.build_grid(1, 4, 1.0, 1.0, p)
     u = nf.Field(np.array([1.0, 1.0, 0.0, -2.0]))  # equal neighbors: du = 0
     phi = nf.Field(np.ones(4))
-    assert math.isfinite(nf.a_form(dom, u, phi))
+    assert math.isfinite(float(np.dot(phi.values, plap_gradient(dom, u.values))))
     assert math.isfinite(nf.seminorm_p(dom, u))
     assert np.all(np.isfinite(plap_gradient(dom, u.values)))
 
@@ -494,3 +497,31 @@ def test_field_validation(dom):
         nf.seminorm_p(dom, nf.Field(np.zeros(dom.n_interior + 1)))
     with pytest.raises(ValueError):
         nf.FieldPair(nf.Field(np.zeros(3)), nf.Field(np.zeros(4)))
+
+
+def test_cell_is_the_node_volume(dom, dom1d):
+    """GridDomain.cell is h^dim and volume is cell * N; describe() and with it
+    the domain hash carry neither."""
+    for d in (dom, dom1d[1]):
+        assert d.cell == d.h ** d.dim
+        assert d.volume == d.cell * d.n_interior
+        assert not {"cell", "volume"} & set(d.describe())
+
+
+def test_only_grid_raises_h_to_a_power():
+    """The lattice measure has one owner: no src module but grid.py forms a
+    power of the spacing h (the node cell is GridDomain.cell)."""
+    offenders = []
+    for path in sorted(Path(nf.__file__).parent.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                base = node.left
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("power", "float_power") and node.args:
+                base = node.args[0]
+            else:
+                continue
+            if getattr(base, "id", None) == "h" or getattr(base, "attr", None) == "h":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -1,14 +1,18 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import nehari_frac as nf
 from nehari_frac import fibering, solver
+from nehari_frac.cli import main as cli_main
 from nehari_frac.constants import BUDGET, CONVERGED_STOPS, FLAT, LINE_SEARCH_EXHAUSTED
 from nehari_frac.errors import BranchLostError, ConvergenceError, SupportError
 from nehari_frac.fibering import NMINUS, NPLUS
 from nehari_frac.solver import pair_distance
 
-from conftest import DESK, nehari_constraint, random_pair
+from conftest import DESK, nehari_constraint, random_pair, record_plap_calls
 
 CRIT = nf.ModelParams(**DESK)
 
@@ -319,9 +323,44 @@ def test_semitrivial_tmax_identity(params, dom12):
     assert predicted == pytest.approx(2.0113571875, rel=1e-9)
 
 
+def test_semitrivial_tmax_check_makes_one_stacked_pass(params, dom12, monkeypatch):
+    """The two components go through plap_gradient as one stack of two rows,
+    and no all-zero row is passed in their place."""
+    u1, _ = nf.solve_scalar_sublinear(params, dom12, params.lam)
+    w, _ = nf.solve_scalar_sublinear(params, dom12, params.mu)
+    expected = nf.semitrivial_tmax_check(params, dom12, u1, w)
+    calls = record_plap_calls(monkeypatch)
+    assert nf.semitrivial_tmax_check(params, dom12, u1, w) == expected
+    assert calls == [(2, 0)]
+
+
 def test_semitrivial_tmax_rejects_nonstationary(params, dom12):
     rng = np.random.default_rng(31)
     u = nf.Field(np.abs(rng.standard_normal(dom12.n_interior)))
     w = nf.Field(np.abs(rng.standard_normal(dom12.n_interior)))
     with pytest.raises(ConvergenceError, match="not stationary"):
         nf.semitrivial_tmax_check(params, dom12, u, w)
+
+
+def test_branch_reports_make_one_stacked_pass_each(tmp_path, monkeypatch):
+    """On the desk config at m = 20 (seed 7) solve_two reports ten starts,
+    four on the minimum branch and six on the maximum branch; each report
+    reads its residual and classification from one plap_gradient call on the
+    stack (u, v)."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "desk.json").read_text())
+    cfg["grid"]["m"] = 20
+    path = tmp_path / "desk20.json"
+    path.write_text(json.dumps(cfg))
+    calls = record_plap_calls(monkeypatch)
+    per_report = []
+    branch_report = solver._branch_report
+
+    def recorded(*args):
+        start = len(calls)
+        out = branch_report(*args)
+        per_report.append(calls[start:])
+        return out
+
+    monkeypatch.setattr(solver, "_branch_report", recorded)
+    assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert per_report == [[(2, 0)]] * 10
