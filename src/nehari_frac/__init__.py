@@ -48,7 +48,6 @@ from .bubbles import (
     bubble_field,
     make_bubble,
     model_profile,
-    model_radial_profile,
     norm_estimate_scan,
     rescale,
     sup_energy_scan,

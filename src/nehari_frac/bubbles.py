@@ -9,18 +9,16 @@ radius delta; the bubbles on the grid are centred in the domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .constants import ConstantsReport, ratio_predicted
-from .energy import ReducedTriple, ray_triple
+from .constants import ConstantsReport
+from .energy import ray_triple
 from .errors import ConvergenceError, SupportError
 from .fibering import NMINUS, branch_root, phi
 from .grid import Field, GridDomain, lr_norm, seminorm_p
 from .params import ModelParams
-
-MODEL_KIND = "model_p"
 
 
 # ---------------------------------------------------------------------------
@@ -39,31 +37,12 @@ def model_profile(params: ModelParams, r):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """A radial profile U(r) with the parameters that set its scaling laws."""
-
-    params: ModelParams
-    kind: str
-    func: Callable[[np.ndarray], np.ndarray]
-
-    def u(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        out = np.asarray(self.func(r), dtype=np.float64)
-        return out if out.ndim else float(out)
-
-
-def model_radial_profile(params: ModelParams) -> RadialProfile:
-    return RadialProfile(params, MODEL_KIND, lambda r: model_profile(params, r))
-
-
-def rescale(profile: RadialProfile, epsilon: float, r):
-    """U_eps(r) = eps^(-(n-ps)/p) U(r/eps)."""
+def rescale(params: ModelParams, epsilon: float, r):
+    """U_eps(r) = eps^(-(n-ps)/p) U(r/eps) of the model profile."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    params = profile.params
     scale = epsilon ** (-(params.n - params.p * params.s) / params.p)
-    return scale * profile.u(np.asarray(r, dtype=np.float64) / epsilon)
+    return scale * model_profile(params, np.asarray(r, dtype=np.float64) / epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +51,9 @@ def rescale(profile: RadialProfile, epsilon: float, r):
 
 @dataclass(frozen=True)
 class BubbleProfile:
-    """A rescaled profile with its truncation levels precomputed."""
+    """The rescaled model profile with its truncation levels precomputed."""
 
-    profile: RadialProfile
+    params: ModelParams
     epsilon: float
     delta: float
     theta: float
@@ -83,25 +62,25 @@ class BubbleProfile:
     m_eps_delta: float
 
 
-def make_bubble(profile: RadialProfile, epsilon: float, delta: float, theta: float) -> BubbleProfile:
+def make_bubble(params: ModelParams, epsilon: float, delta: float, theta: float) -> BubbleProfile:
     if delta <= 0:
         raise ValueError("delta must be positive")
     if theta <= 1:
         raise ValueError("theta must exceed 1")
     if not 0 < epsilon <= delta / 2.0:
         raise ValueError(f"eps = {epsilon} violates 0 < eps <= delta/2 = {delta / 2.0}")
-    u_d = float(rescale(profile, epsilon, delta))
-    u_td = float(rescale(profile, epsilon, theta * delta))
+    u_d = float(rescale(params, epsilon, delta))
+    u_td = float(rescale(params, epsilon, theta * delta))
     if not u_td < u_d:
         raise ValueError("profile is not strictly decreasing between delta and theta*delta")
     m = u_d / (u_d - u_td)
-    return BubbleProfile(profile, epsilon, delta, theta, u_d, u_td, m)
+    return BubbleProfile(params, epsilon, delta, theta, u_d, u_td, m)
 
 
 def bubble_value(bub: BubbleProfile, r):
     """u_eps_delta(r) = G(U_eps(r)): U_eps inside delta, 0 outside theta*delta."""
     r = np.asarray(r, dtype=np.float64)
-    t = rescale(bub.profile, bub.epsilon, r)
+    t = rescale(bub.params, bub.epsilon, r)
     lo, hi, m = bub.u_at_theta_delta, bub.u_at_delta, bub.m_eps_delta
     out = np.where(t <= lo, 0.0, np.where(t <= hi, m * (t - lo), t))
     return out if out.ndim else float(out)
@@ -120,7 +99,7 @@ def bubble_field(dom: GridDomain, params: ModelParams, epsilon: float, delta: fl
         raise SupportError(
             f"support ball of radius {theta * delta:.6g} does not fit: clearance is {dom.box_length / 2.0:.6g}"
         )
-    bub = make_bubble(model_radial_profile(params), epsilon, delta, theta)
+    bub = make_bubble(params, epsilon, delta, theta)
     r = np.linalg.norm(dom.interior - dom.box_length / 2.0, axis=1)
     return Field(bubble_value(bub, r))
 
@@ -217,12 +196,11 @@ def norm_estimate_scan(
     else:
         from .radial_quad import gagliardo_pow_quad, lr_power_quad
 
-        profile = model_radial_profile(params)
         support = theta * delta
         aux = eps_sorted + [eps_sorted[-1] / 2.0, eps_sorted[-1] / 4.0]
         sems, lps = [], []
         for e in aux:
-            bub = make_bubble(profile, e, delta, theta)
+            bub = make_bubble(params, e, delta, theta)
             func = lambda r: bubble_value(bub, r)
             sems.append(gagliardo_pow_quad(params, func, support, e, breakpoints=(delta,)))
             lps.append(lr_power_quad(params, func, support, params.p_star, e, breakpoints=(delta,)))
@@ -261,32 +239,11 @@ def norm_estimate_scan(
 class SupScanRow:
     eps: float
     t_star: float
-    t_grid_argmax: float
     h_at_tstar: float
-    h_expanded: Optional[float]
     sup_full: float
     q_regime: str
     c_infty: float
     below_c_infty: bool
-
-
-def _golden_max(f, lo: float, hi: float, rtol: float = 1e-10) -> float:
-    """Golden-section maximizer on [lo, hi] for a unimodal function."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rtol * (abs(a) + abs(b)) / 2.0:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 def q_regime_label(params: ModelParams) -> str:
@@ -314,50 +271,27 @@ def sup_energy_scan(
 ):
     """Ray-energy maxima of the weighted bubble pair (a^(1/p) u, b^(1/p) u).
 
-    Per eps: the closed-form maximizer t_star of the coupling-only part and a
-    grid-search cross check, the full ray supremum including the concave
-    term at the weights of constants (a constants.thresholds record), the
-    q-regime label of the core concave mass, and the comparison against the
-    record's c_infty.
+    Per eps: the closed-form maximizer t_star of the coupling-only part and
+    its maximum h_at_tstar, the full ray supremum including the concave term
+    at the weights of constants (a constants.thresholds record), the q-regime
+    label of the core concave mass, and the comparison against the record's
+    c_infty.
     """
     if len(eps_list) == 0:
         raise ValueError("eps_list must not be empty")
 
-    p, ab, n, s = params.p, params.ab, params.n, params.s
+    p, ab = params.p, params.ab
     label = q_regime_label(params)
     weighted = params.with_weights(constants.lam, constants.mu)
 
     rows = []
     for e in sorted(eps_list, reverse=True):
-        u = bubble_field(dom, params, e, delta, theta)
-        uv = u.values
+        uv = bubble_field(dom, params, e, delta, theta).values
         triple = ray_triple(weighted, dom, params.alpha ** (1.0 / p) * uv, params.beta ** (1.0 / p) * uv)
         P0, B0, D0 = triple.P, triple.B, triple.D
-        coupling_only = ReducedTriple(P0, 0.0, D0)
 
         t_star = (P0 / D0) ** (1.0 / (ab - p))
         h_at_tstar = (1.0 / p - 1.0 / ab) * P0 ** (ab / (ab - p)) / D0 ** (p / (ab - p))
-
-        def h_of_t(t):
-            return phi(coupling_only, params, t)
-
-        coarse = np.geomspace(t_star / 8.0, 8.0 * t_star, 241)
-        k = int(np.argmax([h_of_t(t) for t in coarse]))
-        lo = coarse[max(k - 1, 0)]
-        hi = coarse[min(k + 1, coarse.size - 1)]
-        t_grid = _golden_max(h_of_t, lo, hi, rtol=1e-11)
-
-        h_expanded = None
-        if params.critical:
-            lp_pow = dom.cell * float(np.sum(np.abs(uv) ** params.p_star))
-            # P0 = (a + b) [u]^p
-            quotient = (P0 / ab) / lp_pow ** (p / params.p_star)
-            h_expanded = (
-                (s / n)
-                * 2.0 ** (-(n - p * s) / (p * s))
-                * ratio_predicted(params) ** (n / (p * s))
-                * quotient ** (n / (p * s))
-            )
 
         # sup over t >= 0 includes phi(0) = 0; with two roots the ray maximum
         # sits at the upper one, above the threshold phi is nonincreasing
@@ -371,9 +305,7 @@ def sup_energy_scan(
             SupScanRow(
                 eps=e,
                 t_star=t_star,
-                t_grid_argmax=t_grid,
                 h_at_tstar=h_at_tstar,
-                h_expanded=h_expanded,
                 sup_full=sup_full,
                 q_regime=label,
                 c_infty=constants.c_infty,

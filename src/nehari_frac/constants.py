@@ -15,7 +15,7 @@ import numpy as np
 
 from .energy import ray_triple, triple_gradients
 from .errors import ConvergenceError
-from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, plap_gradient, seminorm_p, signed_pow
+from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, plap_gradient, signed_pow
 from .params import ModelParams
 
 QUOTIENT_FLAT_TOL = 1e-6
@@ -27,23 +27,6 @@ _FLAT_PATIENCE = 4
 # ---------------------------------------------------------------------------
 # Rayleigh quotients and their minimization
 # ---------------------------------------------------------------------------
-
-def rayleigh_quotient(dom: GridDomain, params: ModelParams, u) -> float:
-    """seminorm_p(u)^p / lr_norm(u, p*)^p; scale-invariant."""
-    v = as_values(u)
-    den = lr_norm(dom, v, params.p_star)
-    if den == 0.0:
-        raise ValueError("Rayleigh quotient of the zero field is undefined")
-    return seminorm_p(dom, v) ** params.p / den ** params.p
-
-
-def coupled_quotient(dom: GridDomain, params: ModelParams, pair: FieldPair) -> float:
-    """||(u,v)||^p / (sum |u|^a |v|^b)^(p/(a+b)), i.e. P / (D/2)^(p/(a+b)); scale-invariant."""
-    triple = ray_triple(params, dom, pair.u, pair.v)
-    if triple.D == 0.0:
-        raise ValueError("coupled quotient undefined: coupling integral vanishes")
-    return triple.P / (triple.D / 2.0) ** (params.p / params.ab)
-
 
 def bump_field(dom: GridDomain) -> np.ndarray:
     """Smooth positive bump adapted to the domain shape; a good descent basin."""
@@ -202,17 +185,18 @@ def _minimize_quotient(inits, evaluate, tol, name, as_state):
     """Best descent over the starting points, QUOTIENT_MAX_ITER steps each.
 
     Raises ConvergenceError unless some start finished, i.e. stopped for any
-    reason but the budget (an exhausted line search counts as finished).
+    reason but the budget (an exhausted line search counts as finished); it
+    carries the best run's value and state.
     """
     if not inits:
         raise ValueError(f"{name}: no starting points")
     runs = descend(inits, evaluate, StopRule(max_iter=QUOTIENT_MAX_ITER, flat_tol=tol))
     if None in runs:
         raise ValueError(f"{name}: infeasible starting point")
+    best = min(runs, key=lambda run: run.value)  # the first of equal values
     if all(run.stop_reason == BUDGET for run in runs):
         raise ConvergenceError(f"{name} descent did not flatten within the iteration budget",
-                               last_iterate=as_state(runs[-1].x))
-    best = min(runs, key=lambda run: run.value)  # the first of equal values
+                               last_iterate=as_state(best.x), last_value=best.value)
     return best.value, as_state(best.x)
 
 
@@ -472,26 +456,25 @@ def compute_S_coupled(
     """
     s_d, s_min = compute_S(dom, params, seed=seed, tol=tol, restarts=restarts)
     s_ab_d, pair_min = compute_S_alpha_beta(dom, params, seed=seed + 1, tol=tol, restarts=restarts, s_minimizer=s_min)
-    back = _extra_start(compute_S, rayleigh_quotient, dom, params, seed=seed, tol=tol, extra_inits=(pair_min.v,))
+    back = _extra_start(compute_S, dom, params, seed=seed, tol=tol, extra_inits=(pair_min.v,))
     if back[0] < s_d:
         s_d, s_min = back
-        s_ab_d2, pair_min2 = _extra_start(compute_S_alpha_beta, coupled_quotient, dom, params, seed=seed + 1,
-                                          tol=tol, s_minimizer=s_min)
+        s_ab_d2, pair_min2 = _extra_start(compute_S_alpha_beta, dom, params, seed=seed + 1, tol=tol, s_minimizer=s_min)
         if s_ab_d2 < s_ab_d:
             s_ab_d, pair_min = s_ab_d2, pair_min2
     return s_d, s_min, s_ab_d, pair_min
 
 
-def _extra_start(solve, quotient, dom: GridDomain, params: ModelParams, **kwargs):
+def _extra_start(solve, dom: GridDomain, params: ModelParams, **kwargs):
     """solve from the caller's start alone (restarts=0) as (value, minimizer).
 
     The seeded starts have already run, and some of them finished, so a run
-    that hits its budget is still a candidate, valued by quotient.
+    that hits its budget is still a candidate, with the value it reached.
     """
     try:
         return solve(dom, params, restarts=0, **kwargs)
     except ConvergenceError as exc:
-        return quotient(dom, params, exc.last_iterate), exc.last_iterate
+        return exc.last_value, exc.last_iterate
 
 
 def thresholds(params: ModelParams, volume: float, s_d: float, s_ab_d: float) -> ConstantsReport:

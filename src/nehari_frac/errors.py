@@ -16,12 +16,14 @@ class ZeroPairError(NehariFracError):
 class ConvergenceError(NehariFracError):
     """An iterative solver exhausted its budget.
 
-    The last iterate is attached so callers can inspect or restart.
+    The last iterate, and its value where the solver has one, are attached
+    so callers can inspect or restart.
     """
 
-    def __init__(self, message, last_iterate=None):
+    def __init__(self, message, last_iterate=None, last_value=None):
         super().__init__(message)
         self.last_iterate = last_iterate
+        self.last_value = last_value
 
 
 class SupportError(NehariFracError):

@@ -129,10 +129,6 @@ class Field:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def zeros(cls, dom: GridDomain) -> "Field":
-        return cls(np.zeros(dom.n_interior))
-
 
 @dataclass(frozen=True)
 class FieldPair:
@@ -144,10 +140,6 @@ class FieldPair:
     def __post_init__(self):
         if self.u.values.shape != self.v.values.shape:
             raise ValueError("pair components must live on the same domain")
-
-    @classmethod
-    def zeros(cls, dom: GridDomain) -> "FieldPair":
-        return cls(Field.zeros(dom), Field.zeros(dom))
 
 
 def as_values(u) -> np.ndarray:

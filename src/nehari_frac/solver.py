@@ -26,7 +26,7 @@ from .constants import (
     CONVERGED_STOPS, ConstantsReport, StopRule, bump_field, descend, random_positive_starts, stacked_evaluate,
 )
 from .energy import ReducedTriple, constraint_gradient_arrays, gradient_arrays, ray_triple
-from .errors import BranchLostError, ConvergenceError, SupportError
+from .errors import BranchLostError, ConvergenceError
 from .fibering import NMINUS, NPLUS, branch_root, classify_triple, phi, t_max
 from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, pair_norm, plap_gradient, seminorm_p, signed_pow
 from .params import ModelParams
@@ -41,7 +41,7 @@ BUBBLE_EPS_FRAC = 0.25           # bubble start: eps as a fraction of delta
 BUBBLE_THETA = 2.0
 DISTINCT_TOL = 1e-6              # two solutions are distinct above this pair_distance
 SEMITRIVIAL_TOL = 1e-8           # a component with at most this share of the L^q norms is zero
-STATIONARITY_RTOL = 1e-6         # semitrivial_tmax_check: largest |P - B| / P of its inputs
+STATIONARITY_RTOL = 1e-6         # semitrivial_tmax_check: largest relative gradient of its inputs
 FD_STEP = 1e-7                   # scalar Newton: difference step of the Hessian product, times |u|/|d|
 CG_RTOL = 1e-8                   # scalar Newton: relative residual that stops conjugate gradients
 
@@ -196,18 +196,17 @@ def _starts_for_branch(params: ModelParams, dom: GridDomain, branch: str, opts: 
     if branch == NMINUS:
         if extra is not None:
             starts.append(extra)
+        # the support radius BUBBLE_THETA * BUBBLE_DELTA_FRAC * L is L/2 exactly,
+        # which bubbles.support_fits allows on every box and ball
         delta = BUBBLE_DELTA_FRAC * dom.box_length
         eps = BUBBLE_EPS_FRAC * delta
-        try:
-            ub = bubble_field(dom, params, eps, delta, BUBBLE_THETA).values
-            starts.append(
-                FieldPair(
-                    Field(params.alpha ** (1.0 / params.p) * ub),
-                    Field(params.beta ** (1.0 / params.p) * ub),
-                )
+        ub = bubble_field(dom, params, eps, delta, BUBBLE_THETA).values
+        starts.append(
+            FieldPair(
+                Field(params.alpha ** (1.0 / params.p) * ub),
+                Field(params.beta ** (1.0 / params.p) * ub),
             )
-        except SupportError:
-            pass  # bubble support may not fit exotic grids; random starts remain
+        )
     starts.append(FieldPair(Field(bump.copy()), Field(bump.copy())))
     n = dom.n_interior
     seq = np.random.SeedSequence(opts.seed, spawn_key=(0 if branch == NPLUS else 1,))
@@ -369,25 +368,31 @@ def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float):
 def semitrivial_tmax_check(params: ModelParams, dom: GridDomain, u1, w) -> float:
     """Deviation of t_max(u1, w) from ((a+b-q)/(a+b-p))^(1/(p-q)).
 
-    Assumes u1 is stationary for the scalar problem with weight lam and w
-    with weight mu, so each component's norm power equals its own weighted
-    q-integral and the fibering formula collapses to the closed form (> 1).
+    Requires u1 stationary for the scalar problem with weight lam and w with
+    weight mu: the gradient of J at (u1, 0) and at (0, w), relative to the
+    size lam cell sum|u1|^(q-1) (mu for w) of its concave term, is at most
+    STATIONARITY_RTOL.  Then each component's norm power equals its own
+    weighted q-integral and the fibering formula collapses to the closed
+    form (> 1).
     """
     if params.lam <= 0 or params.mu <= 0:
         raise ValueError("semitrivial check needs lam > 0 and mu > 0")
     p, q = params.p, params.q
     ab = params.ab
+    cell = dom.cell
     u1, w = as_values(u1), as_values(w)
     zero = np.zeros(dom.n_interior)
     ku, kw = plap_gradient(dom, np.stack([u1, w]))
-    # one component at a time: D = 0, so the constraint is P - B
+    # one component at a time: D = 0, and J's gradient is the scalar problem's
     tu = ray_triple(params, dom, u1, zero, kernels=(ku, zero))
     tw = ray_triple(params, dom, zero, w, kernels=(zero, kw))
-    r1 = abs(tu.constraint) / tu.P
-    r2 = abs(tw.constraint) / tw.P
+    gu = gradient_arrays(params, dom, u1, zero, kernels=(ku, zero))[0]
+    gw = gradient_arrays(params, dom, zero, w, kernels=(zero, kw))[1]
+    r1 = float(np.linalg.norm(gu)) / (params.lam * cell * float(np.sum(np.abs(u1) ** (q - 1.0))))
+    r2 = float(np.linalg.norm(gw)) / (params.mu * cell * float(np.sum(np.abs(w) ** (q - 1.0))))
     if max(r1, r2) > STATIONARITY_RTOL:
         raise ConvergenceError(
-            f"inputs are not stationary enough (relative residuals {r1:.3e}, {r2:.3e})"
+            f"inputs are not stationary enough (relative gradients {r1:.3e}, {r2:.3e})"
         )
     tm = t_max(ReducedTriple(tu.P + tw.P, tu.B + tw.B, 0.0), params)
     predicted = ((ab - q) / (ab - p)) ** (1.0 / (p - q))

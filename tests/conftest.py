@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import nehari_frac as nf
-from nehari_frac.bubbles import make_bubble
-from nehari_frac.energy import constraint_gradient_arrays, gradient_arrays, ray_triple
+from nehari_frac.bubbles import bubble_field, make_bubble, model_profile
+from nehari_frac.energy import ReducedTriple, constraint_gradient_arrays, gradient_arrays, ray_triple
 from nehari_frac.errors import NehariFracError
 from nehari_frac.fibering import phi
-from nehari_frac.grid import as_values, plap_gradient
+from nehari_frac.grid import as_values, lr_norm, plap_gradient, seminorm_p
 
 # Desk-scale configuration used throughout: p = 2, s = 0.4, n = 2 puts the
 # critical exponent at 10/3, and alpha = beta = 5/3 sits exactly on it.
@@ -82,6 +82,24 @@ def nehari_constraint(params, dom, pair):
     """||(u,v)||^p - sum(lam|u|^q + mu|v|^q) - 2 sum|u|^a|v|^b: zero exactly
     on the discrete Nehari manifold (and at the zero pair, which is excluded)."""
     return ray_triple(params, dom, pair.u, pair.v).constraint
+
+
+def rayleigh_quotient(dom, params, u):
+    """seminorm_p(u)^p / lr_norm(u, p*)^p; scale-invariant: the value compute_S minimizes."""
+    v = as_values(u)
+    den = lr_norm(dom, v, params.p_star)
+    if den == 0.0:
+        raise ValueError("Rayleigh quotient of the zero field is undefined")
+    return seminorm_p(dom, v) ** params.p / den ** params.p
+
+
+def coupled_quotient(dom, params, pair):
+    """||(u,v)||^p / (sum |u|^a |v|^b)^(p/(a+b)), i.e. P / (D/2)^(p/(a+b));
+    scale-invariant: the value compute_S_alpha_beta minimizes."""
+    triple = ray_triple(params, dom, pair.u, pair.v)
+    if triple.D == 0.0:
+        raise ValueError("coupled quotient undefined: coupling integral vanishes")
+    return triple.P / (triple.D / 2.0) ** (params.p / params.ab)
 
 
 def record_plap_calls(monkeypatch):
@@ -226,21 +244,21 @@ def young_bound_check(params, dom, pair, s_value):
 
 
 # ---------------------------------------------------------------------------
-# Truncation maps and decay diagnostics of a radial profile
+# Truncation maps and decay diagnostics of the model profile
 # ---------------------------------------------------------------------------
 
-def truncation(profile, epsilon, delta, theta, t):
+def truncation(params, epsilon, delta, theta, t):
     """The cut maps (g, G) at level t >= 0.
 
     g is the three-piece absolutely continuous map with slope m^p in the
     transition band; G = integral of (g')^(1/p) collapses to 0 below the
     outer level, m*(t - outer) in the band, and t above the inner level.
     """
-    bub = make_bubble(profile, epsilon, delta, theta)
+    bub = make_bubble(params, epsilon, delta, theta)
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0):
         raise ValueError("truncation maps are defined for t >= 0")
-    p = profile.params.p
+    p = params.p
     lo, hi, m = bub.u_at_theta_delta, bub.u_at_delta, bub.m_eps_delta
     g = np.where(
         t_arr <= lo,
@@ -261,21 +279,89 @@ class DecayReport:
     theta_min: Optional[float]
 
 
-def decay_check(profile, r_grid, theta):
-    """Fit the decay envelope U(r) r^((n-ps)/(p-1)) on r_grid (all r > 1) and
-    check the halving property U(theta r) <= U(r)/2; also scan for the
-    smallest theta achieving the halving over the same grid."""
+def decay_check(params, r_grid, theta):
+    """Fit the decay envelope U(r) r^((n-ps)/(p-1)) of the model profile on
+    r_grid (all r > 1) and check the halving property U(theta r) <= U(r)/2;
+    also scan for the smallest theta achieving the halving over the same grid."""
     r = np.asarray(r_grid, dtype=np.float64)
     if np.any(r <= 1.0):
         raise ValueError("decay check needs radii > 1")
-    params = profile.params
     decay = (params.n - params.p * params.s) / (params.p - 1.0)
-    envelope = profile.u(r) * r ** decay
+    envelope = model_profile(params, r) * r ** decay
     c1, c2 = float(np.min(envelope)), float(np.max(envelope))
-    halving_ok = bool(np.all(profile.u(theta * r) <= 0.5 * profile.u(r)))
+    halving_ok = bool(np.all(model_profile(params, theta * r) <= 0.5 * model_profile(params, r)))
     theta_min = None
     for cand in np.geomspace(1.01, 8.0, 400):
-        if np.all(profile.u(cand * r) <= 0.5 * profile.u(r)):
+        if np.all(model_profile(params, cand * r) <= 0.5 * model_profile(params, r)):
             theta_min = float(cand)
             break
     return DecayReport(c1, c2, halving_ok, theta_min)
+
+
+# ---------------------------------------------------------------------------
+# Cross-checks of the sup scan's coupling-only ray maximum
+# ---------------------------------------------------------------------------
+
+def coupling_ray(dom, params, delta, theta, eps):
+    """(P0, D0) of the weighted bubble pair (a^(1/p) u, b^(1/p) u) that
+    sup_energy_scan puts on its ray at eps; neither depends on lam or mu."""
+    uv = bubble_field(dom, params, eps, delta, theta).values
+    p = params.p
+    triple = ray_triple(params, dom, params.alpha ** (1.0 / p) * uv, params.beta ** (1.0 / p) * uv)
+    return triple.P, triple.D
+
+
+def _golden_max(f, lo, hi, rtol=1e-10):
+    """Golden-section maximizer on [lo, hi] for a unimodal function."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > rtol * (abs(a) + abs(b)) / 2.0:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def t_star_by_search(dom, params, delta, theta, eps):
+    """Maximizer of the coupling-only ray energy phi(P0, 0, D0; t) by a
+    241-point geometric grid over [t*/8, 8 t*] around the closed form t*,
+    refined by golden section: the cross-check of the scan's t_star."""
+    P0, D0 = coupling_ray(dom, params, delta, theta, eps)
+    coupling_only = ReducedTriple(P0, 0.0, D0)
+    t_star = (P0 / D0) ** (1.0 / (params.ab - params.p))
+
+    def h_of_t(t):
+        return phi(coupling_only, params, t)
+
+    coarse = np.geomspace(t_star / 8.0, 8.0 * t_star, 241)
+    k = int(np.argmax([h_of_t(t) for t in coarse]))
+    lo = coarse[max(k - 1, 0)]
+    hi = coarse[min(k + 1, coarse.size - 1)]
+    return _golden_max(h_of_t, lo, hi, rtol=1e-11)
+
+
+def h_expanded(dom, params, delta, theta, eps):
+    """The coupling-only ray maximum through the bubble's Rayleigh quotient
+    and the connection factor, (s/n) 2^(-(n-ps)/(ps)) (ratio Q)^(n/(ps)): the
+    second route to the scan's h_at_tstar, exact when a + b = p*."""
+    if not params.critical:
+        raise ValueError("the expansion holds only in the critical case")
+    n, p, s = params.n, params.p, params.s
+    P0, _ = coupling_ray(dom, params, delta, theta, eps)
+    uv = bubble_field(dom, params, eps, delta, theta).values
+    lp_pow = dom.cell * float(np.sum(np.abs(uv) ** params.p_star))
+    quotient = (P0 / params.ab) / lp_pow ** (p / params.p_star)  # P0 = (a + b) [u]^p
+    return (
+        (s / n)
+        * 2.0 ** (-(n - p * s) / (p * s))
+        * nf.ratio_predicted(params) ** (n / (p * s))
+        * quotient ** (n / (p * s))
+    )

@@ -18,7 +18,7 @@ from nehari_frac.cli import main as cli_main
 
 from conftest import (
     DESK, balanced_params, decay_check, energy, first_variation, phi_second_expressions, psi_prime, random_pair,
-    scale_pair, xi_prime,
+    scale_pair, t_star_by_search, xi_prime,
 )
 
 ACC_SEED = 20240
@@ -224,8 +224,7 @@ def test_criterion_7_bubble_scans(acc_dom, acc_constants, capsys):
     eps_list = [delta / 4, delta / 8, delta / 16, delta / 32]
 
     # (a) decay envelope and halving ratio of the model profile
-    prof = nf.model_radial_profile(params0)
-    decay = decay_check(prof, np.geomspace(2.0, 500.0, 60), theta)
+    decay = decay_check(params0, np.geomspace(2.0, 500.0, 60), theta)
     ok_a = decay.halving_ok and decay.theta_min is not None and decay.c1_hat <= decay.c2_hat
 
     # (b) trend exponents from the resolved (quadrature) scan
@@ -251,7 +250,7 @@ def test_criterion_7_bubble_scans(acc_dom, acc_constants, capsys):
         for lam in lam_scan
     }
     worst_c = max(
-        abs(r.t_star - r.t_grid_argmax) / r.t_star
+        abs(r.t_star - t_star_by_search(dom, params0, delta, theta, r.eps)) / r.t_star
         for rows in rows_by_lam.values()
         for r in rows
     )

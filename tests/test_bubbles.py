@@ -4,17 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nehari_frac as nf
-from nehari_frac.bubbles import (
-    RadialProfile,
-    _richardson_limit,
-    bubble_value,
-    make_bubble,
-    model_radial_profile,
-    q_regime_label,
-)
+from nehari_frac.bubbles import _richardson_limit, bubble_value, make_bubble, q_regime_label
 from nehari_frac.errors import SupportError
 
-from conftest import DESK, decay_check, truncation
+from conftest import DESK, decay_check, h_expanded, t_star_by_search, truncation
 
 CRIT = nf.ModelParams(**DESK)
 
@@ -32,54 +25,21 @@ def test_model_profile_values():
     assert np.all(np.diff(vals) < 0)
 
 
-def test_model_profile_kind_flag():
-    prof = model_radial_profile(CRIT)
-    assert prof.kind == "model_p"  # conjectured closed form, proven only for p = 2
-
-
-def tabulated_radial_profile(params, radii, values):
-    """Radial profile from a sample table, usable wherever a RadialProfile is
-    taken (rescale, make_bubble, truncation, decay_check); beyond the table it continues with the optimal decay power
-    r^(-(n-ps)/(p-1)) matched at the last sample."""
-    decay = (params.n - params.p * params.s) / (params.p - 1.0)
-    r_end, v_end = radii[-1], values[-1]
-
-    def func(r):
-        r = np.asarray(r, dtype=np.float64)
-        tail = v_end * (np.maximum(r, r_end) / r_end) ** (-decay)
-        return np.where(r <= r_end, np.interp(r, radii, values), tail)
-
-    return RadialProfile(params, "tabulated", func)
-
-
-def test_tabulated_profile_interpolation_and_tail():
-    prof0 = model_radial_profile(CRIT)
-    radii = np.geomspace(1e-3, 50.0, 800)
-    prof = tabulated_radial_profile(CRIT, radii, prof0.u(radii))
-    assert prof.kind == "tabulated"
-    assert prof.u(1.7) == pytest.approx(prof0.u(1.7), rel=1e-4)
-    # beyond the table the optimal decay power continues
-    decay = (CRIT.n - CRIT.p * CRIT.s) / (CRIT.p - 1.0)
-    assert prof.u(200.0) == pytest.approx(prof.u(50.0) * 4.0 ** -decay, rel=1e-10)
-
-
 def test_rescale_values():
-    prof = model_radial_profile(CRIT)
-    assert nf.rescale(prof, 1.0, 2.2) == pytest.approx(prof.u(2.2), rel=1e-15)
+    assert nf.rescale(CRIT, 1.0, 2.2) == pytest.approx(nf.model_profile(CRIT, 2.2), rel=1e-15)
     decay = (CRIT.n - CRIT.p * CRIT.s) / CRIT.p
     eps = 0.07
-    assert nf.rescale(prof, eps, 0.0) == pytest.approx(eps ** -decay, rel=1e-14)
+    assert nf.rescale(CRIT, eps, 0.0) == pytest.approx(eps ** -decay, rel=1e-14)
     with pytest.raises(ValueError):
-        nf.rescale(prof, -0.1, 1.0)
+        nf.rescale(CRIT, -0.1, 1.0)
 
 
 def test_rescale_lpstar_mass_eps_invariant():
     # continuum L^{p*} mass of U_eps does not depend on eps
     from nehari_frac.radial_quad import lr_power_quad
-    prof = model_radial_profile(CRIT)
     vals = []
     for eps in (1.0, 0.25):
-        func = lambda r: nf.rescale(prof, eps, r)
+        func = lambda r: nf.rescale(CRIT, eps, r)
         vals.append(lr_power_quad(CRIT, func, 600.0 * eps, CRIT.p_star, eps, per_decade=24))
     assert vals[0] == pytest.approx(vals[1], rel=1e-6)
 
@@ -89,48 +49,45 @@ def test_rescale_lpstar_mass_eps_invariant():
 # ---------------------------------------------------------------------------
 
 def test_truncation_piecewise_values():
-    prof = model_radial_profile(CRIT)
     eps, delta, theta = 0.05, 0.25, 2.0
-    bub = make_bubble(prof, eps, delta, theta)
+    bub = make_bubble(CRIT, eps, delta, theta)
     hi, lo, m = bub.u_at_delta, bub.u_at_theta_delta, bub.m_eps_delta
     assert m > 1.0
-    g, G = truncation(prof, eps, delta, theta, hi)
+    g, G = truncation(CRIT, eps, delta, theta, hi)
     assert G == pytest.approx(hi, rel=1e-14)          # continuity at the inner level
-    g, G = truncation(prof, eps, delta, theta, lo)
+    g, G = truncation(CRIT, eps, delta, theta, lo)
     assert G == 0.0
     mid = 0.5 * (lo + hi)
-    g, G = truncation(prof, eps, delta, theta, mid)
+    g, G = truncation(CRIT, eps, delta, theta, mid)
     assert G == pytest.approx(m * (mid - lo), rel=1e-14)
     assert g == pytest.approx(m ** CRIT.p * (mid - lo), rel=1e-14)
     top = 2.0 * hi
-    g, G = truncation(prof, eps, delta, theta, top)
+    g, G = truncation(CRIT, eps, delta, theta, top)
     assert G == top
     assert g == pytest.approx(top + hi * (m ** (CRIT.p - 1.0) - 1.0), rel=1e-14)
 
 
 def test_truncation_validation():
-    prof = model_radial_profile(CRIT)
     with pytest.raises(ValueError):
-        truncation(prof, 0.05, -1.0, 2.0, 0.5)
+        truncation(CRIT, 0.05, -1.0, 2.0, 0.5)
     with pytest.raises(ValueError):
-        truncation(prof, 0.05, 0.25, 1.0, 0.5)
+        truncation(CRIT, 0.05, 0.25, 1.0, 0.5)
     with pytest.raises(ValueError):
-        truncation(prof, 0.05, 0.25, 2.0, -0.5)
+        truncation(CRIT, 0.05, 0.25, 2.0, -0.5)
     with pytest.raises(ValueError):
-        make_bubble(prof, 0.2, 0.25, 2.0)  # eps > delta/2
+        make_bubble(CRIT, 0.2, 0.25, 2.0)  # eps > delta/2
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.floats(0.0, 30.0), st.floats(0.0, 30.0))
 def test_truncation_maps_nondecreasing(t1, t2):
-    prof = model_radial_profile(CRIT)
     lo, hi = sorted((t1, t2))
-    g_lo, G_lo = truncation(prof, 0.05, 0.25, 2.0, lo)
-    g_hi, G_hi = truncation(prof, 0.05, 0.25, 2.0, hi)
+    g_lo, G_lo = truncation(CRIT, 0.05, 0.25, 2.0, lo)
+    g_hi, G_hi = truncation(CRIT, 0.05, 0.25, 2.0, hi)
     assert g_hi >= g_lo - 1e-12
     assert G_hi >= G_lo - 1e-12
     # G is 1-Lipschitz above the inner level
-    bub = make_bubble(prof, 0.05, 0.25, 2.0)
+    bub = make_bubble(CRIT, 0.05, 0.25, 2.0)
     if lo >= bub.u_at_delta:
         assert G_hi - G_lo == pytest.approx(hi - lo, abs=1e-12)
 
@@ -140,11 +97,10 @@ def test_bubble_field_node_cases(dom12):
     center = np.array([0.5, 0.5])  # the bubble sits at the centre of the unit box
     field = nf.bubble_field(dom12, CRIT, eps, delta, theta)
     r = np.linalg.norm(dom12.interior - center, axis=1)
-    prof = model_radial_profile(CRIT)
     outside = r >= theta * delta
     assert np.all(field.values[outside] == 0.0)
     inside = r <= delta
-    expected = nf.rescale(prof, eps, r[inside])
+    expected = nf.rescale(CRIT, eps, r[inside])
     assert np.allclose(field.values[inside], expected, rtol=1e-14)
     # radial monotonicity on sorted shells
     order = np.argsort(r)
@@ -160,12 +116,11 @@ def test_bubble_field_support_check(dom12):
 
 
 def test_bubble_matches_piecewise_identity():
-    prof = model_radial_profile(CRIT)
-    bub = make_bubble(prof, 0.03, 0.2, 2.0)
+    bub = make_bubble(CRIT, 0.03, 0.2, 2.0)
     r = np.linspace(0.0, 0.5, 500)
     vals = bubble_value(bub, r)
-    t = nf.rescale(prof, 0.03, r)
-    _, G = truncation(prof, 0.03, 0.2, 2.0, t)
+    t = nf.rescale(CRIT, 0.03, r)
+    _, G = truncation(CRIT, 0.03, 0.2, 2.0, t)
     assert np.allclose(vals, G, rtol=0, atol=0)  # same arithmetic path
 
 
@@ -174,9 +129,8 @@ def test_bubble_matches_piecewise_identity():
 # ---------------------------------------------------------------------------
 
 def test_decay_check_model_profile():
-    prof = model_radial_profile(CRIT)
     grid = np.geomspace(2.0, 500.0, 80)
-    rep = decay_check(prof, grid, 2.0)
+    rep = decay_check(CRIT, grid, 2.0)
     assert rep.c1_hat <= rep.c2_hat
     assert rep.c2_hat <= 1.0 + 1e-12          # envelope tends to 1 from below
     assert rep.c1_hat > 0.85                   # already near the limit at r >= 2
@@ -188,9 +142,8 @@ def test_decay_check_model_profile():
 
 
 def test_decay_check_requires_radii_above_one():
-    prof = model_radial_profile(CRIT)
     with pytest.raises(ValueError):
-        decay_check(prof, np.array([0.5, 2.0]), 2.0)
+        decay_check(CRIT, np.array([0.5, 2.0]), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +208,11 @@ def test_sup_scan_rows(dom12):
     assert [r.eps for r in rows] == sorted(eps_list, reverse=True)
     for r in rows:
         # closed-form maximizer against the golden-refined grid search
-        assert abs(r.t_star - r.t_grid_argmax) <= 1e-6 * r.t_star
+        assert abs(r.t_star - t_star_by_search(dom12, CRIT, delta, 2.0, r.eps)) <= 1e-6 * r.t_star
         assert r.q_regime.startswith("supercritical-q")
         assert r.sup_full <= r.h_at_tstar + 1e-12
         # two-route expansion agrees in the critical case
-        assert r.h_expanded == pytest.approx(r.h_at_tstar, rel=1e-10)
+        assert h_expanded(dom12, CRIT, delta, 2.0, r.eps) == pytest.approx(r.h_at_tstar, rel=1e-10)
 
 
 def test_sup_scan_zero_weights_equals_coupling_part(dom12):
@@ -309,12 +262,11 @@ def test_rescale_lattice_lpstar_roughly_eps_invariant():
     """On a fine enough grid the lattice L^{p*} norm of the rescaled profile
     barely moves with eps (two-grid / two-eps comparison)."""
     params = CRIT
-    prof = model_radial_profile(params)
     dom = nf.build_grid(2, 32, 1.0, 1.0, params)
     center = np.full(2, 0.5)
     r = np.linalg.norm(dom.interior - center, axis=1)
     vals = []
     for eps in (0.05, 0.08):
-        u = nf.Field(np.asarray(nf.rescale(prof, eps, r)))
+        u = nf.Field(np.asarray(nf.rescale(params, eps, r)))
         vals.append(nf.lr_norm(dom, u, params.p_star))
     assert vals[0] == pytest.approx(vals[1], rel=0.05)

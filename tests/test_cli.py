@@ -269,7 +269,7 @@ def test_project_zero_field_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     config = load_config(cfg)
     dom = config.build_domain()
-    save_field(dom, nf.Field.zeros(dom), tmp_path / "z.field")
+    save_field(dom, nf.Field(np.zeros(dom.n_interior)), tmp_path / "z.field")
     code = main([
         "project", "--config", str(cfg), "--out", str(tmp_path / "out"),
         "--u", str(tmp_path / "z.field"), "--v", str(tmp_path / "z.field"), "--quiet",

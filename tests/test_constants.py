@@ -11,13 +11,11 @@ from nehari_frac.constants import (
     GRAD_TOL,
     LINE_SEARCH_EXHAUSTED,
     StopRule,
-    coupled_quotient,
     descend,
     random_positive_starts,
-    rayleigh_quotient,
 )
 
-from conftest import DESK, holder_bound_check, random_pair, young_bound_check
+from conftest import DESK, coupled_quotient, holder_bound_check, random_pair, rayleigh_quotient, young_bound_check
 
 mp.mp.dps = 50
 
@@ -339,7 +337,8 @@ def sd12(dom12):
 
 def test_holder_bound_zero_pair(dom12, sd12):
     params, s_d, _ = sd12
-    assert holder_bound_check(params, dom12, nf.FieldPair.zeros(dom12), s_d) == 0.0
+    zero = nf.Field(np.zeros(dom12.n_interior))
+    assert holder_bound_check(params, dom12, nf.FieldPair(zero, zero), s_d) == 0.0
 
 
 def test_holder_bound_random_probes(dom12, sd12):
@@ -353,14 +352,15 @@ def test_holder_bound_random_probes(dom12, sd12):
 def test_holder_bound_at_minimizer_strictly_positive(dom12, sd12):
     params, s_d, s_min = sd12
     solo = params.with_weights(params.lam, 0.0)
-    pair = nf.FieldPair(s_min, nf.Field.zeros(dom12))
+    pair = nf.FieldPair(s_min, nf.Field(np.zeros(dom12.n_interior)))
     slack = holder_bound_check(solo, dom12, pair, s_d)
     assert slack > 0  # strict for q < p
 
 
 def test_young_bound_probes(dom12, sd12):
     params, s_d, s_min = sd12
-    assert young_bound_check(params, dom12, nf.FieldPair.zeros(dom12), s_d) == 0.0
+    zero = nf.Field(np.zeros(dom12.n_interior))
+    assert young_bound_check(params, dom12, nf.FieldPair(zero, zero), s_d) == 0.0
     rng = np.random.default_rng(22)
     for _ in range(1000):
         pair = random_pair(dom12, rng)
@@ -467,6 +467,9 @@ def test_descend_lockstep_runs_equal_single_start_runs():
 
 
 def test_compute_S_nonconvergence_attaches_iterate(monkeypatch):
+    """With no step allowed every start stops at its budget; the error carries
+    the best start's value and state, not the last start's, and the value is
+    that state's quotient."""
     from nehari_frac import constants
     from nehari_frac.errors import ConvergenceError
 
@@ -474,6 +477,11 @@ def test_compute_S_nonconvergence_attaches_iterate(monkeypatch):
     dom = nf.build_grid(1, 6, 1.0, 1.0, params)
     monkeypatch.setattr(constants, "QUOTIENT_MAX_ITER", 0)
     with pytest.raises(ConvergenceError) as exc:
-        nf.compute_S(dom, params, seed=0, restarts=1)
-    assert exc.value.last_iterate is not None
-    assert exc.value.last_iterate.values.shape == (dom.n_interior,)
+        nf.compute_S(dom, params, seed=0, restarts=4)
+    err = exc.value
+    assert err.last_iterate.values.shape == (dom.n_interior,)
+    starts = [constants.bump_field(dom)] + random_positive_starts(np.random.SeedSequence(0), 3, dom.n_interior, 1e-6)
+    quotients = [rayleigh_quotient(dom, params, x) for x in starts]
+    assert min(quotients) < quotients[-1]
+    assert err.last_value == pytest.approx(min(quotients), rel=1e-12)
+    assert err.last_value == pytest.approx(rayleigh_quotient(dom, params, err.last_iterate), rel=1e-12)

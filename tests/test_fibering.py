@@ -40,14 +40,15 @@ def toy_triple(P=1.0, B=0.1, D=0.1):
 # ---------------------------------------------------------------------------
 
 def test_reduce_zero_pair_rejected(params, dom):
+    zero = nf.Field(np.zeros(dom.n_interior))
     with pytest.raises(ZeroPairError, match="zero pair"):
-        nf.reduce_pair(params, dom, nf.FieldPair.zeros(dom))
+        nf.reduce_pair(params, dom, nf.FieldPair(zero, zero))
 
 
 def test_reduce_semitrivial_has_no_coupling(params, dom):
     rng = np.random.default_rng(0)
     u = nf.Field(rng.standard_normal(dom.n_interior))
-    t = nf.reduce_pair(params, dom, nf.FieldPair(u, nf.Field.zeros(dom)))
+    t = nf.reduce_pair(params, dom, nf.FieldPair(u, nf.Field(np.zeros(dom.n_interior))))
     assert t.D == 0.0
     expected_B = params.lam * dom.h ** 2 * np.sum(np.abs(u.values) ** params.q)
     assert t.B == pytest.approx(expected_B, rel=1e-13)
@@ -227,7 +228,7 @@ def test_projection_pure_convex_ray():
 def test_projection_pure_concave_ray(params, dom):
     rng = np.random.default_rng(5)
     u = nf.Field(np.abs(rng.standard_normal(dom.n_interior)))
-    rep = nf.project(params, dom, nf.FieldPair(u, nf.Field.zeros(dom)))
+    rep = nf.project(params, dom, nf.FieldPair(u, nf.Field(np.zeros(dom.n_interior))))
     assert rep.outcome == PLUS_ONLY
     assert rep.t2 is None
     triple = rep.triple
@@ -374,7 +375,8 @@ def test_xi_prime_zero_direction(params, dom):
     pair = random_pair(dom, np.random.default_rng(11))
     rep = nf.project(params, dom, pair)
     z = scale_pair(pair, rep.t2)
-    assert xi_prime(params, dom, z, nf.FieldPair.zeros(dom)) == 0.0
+    zero = nf.Field(np.zeros(dom.n_interior))
+    assert xi_prime(params, dom, z, nf.FieldPair(zero, zero)) == 0.0
 
 
 def test_xi_prime_along_state_is_one(params, dom):

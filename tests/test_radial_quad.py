@@ -5,7 +5,7 @@ from scipy import integrate, special
 
 import nehari_frac as nf
 from nehari_frac import grid, radial_quad
-from nehari_frac.bubbles import bubble_value, make_bubble, model_radial_profile
+from nehari_frac.bubbles import bubble_value, make_bubble
 from nehari_frac.radial_quad import (
     _ellipe_complement,
     _panels,
@@ -233,7 +233,7 @@ def test_gagliardo_peak_memory_does_not_grow_with_the_outer_grid(eps):
     import tracemalloc
 
     params = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.8, alpha=5 / 3, beta=5 / 3)
-    bub = make_bubble(model_radial_profile(params), eps, 0.25, 2.0)
+    bub = make_bubble(params, eps, 0.25, 2.0)
     tracemalloc.start()
     try:
         gagliardo_pow_quad(params, lambda r: bubble_value(bub, r), 0.5, eps, breakpoints=(0.25,))

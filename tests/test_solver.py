@@ -61,7 +61,8 @@ def test_lockstep_branch_starts_match_single_start_runs(setup12):
     params, dom, _, _ = setup12
     opts = nf.SolveOptions(max_iter=50)
     starts = solver._starts_for_branch(params, dom, NPLUS, opts)
-    starts.insert(1, nf.FieldPair.zeros(dom))
+    zero = nf.Field(np.zeros(dom.n_interior))
+    starts.insert(1, nf.FieldPair(zero, zero))
     reports = solver._branch_descents(params, dom, NPLUS, starts, opts)
     assert reports[1] is None
     with pytest.raises(BranchLostError):
@@ -92,22 +93,29 @@ def test_minimize_on_branch_converged_matches_stop_reason(setup12):
     assert np.all(rep.pair.u.values >= 0) and np.all(rep.pair.v.values >= 0)
 
 
-def test_starts_skip_only_unfitting_bubbles(setup12, monkeypatch):
-    params, dom, _, _ = setup12
+@pytest.mark.parametrize("shape", ["box", "ball"])
+def test_minus_starts_carry_the_bubble(shape, monkeypatch):
+    """The bubble start's support radius BUBBLE_THETA * BUBBLE_DELTA_FRAC * L
+    is L/2 exactly, so it fits every box and ball: the minimum-branch starts
+    always carry the weighted bubble, and an error building it propagates."""
+    params = nf.ModelParams(**DESK, lam=1.0, mu=1.0)
     opts = nf.SolveOptions(n_starts=2)
-    with_bubble = solver._starts_for_branch(params, dom, NMINUS, opts)
+    p = params.p
+    for length in (0.1, 1.0 / 3.0, 1.0, 2.7, 1e3):
+        dom = nf.build_grid(2, 6, length, 1.0, params, shape=shape)
+        starts = solver._starts_for_branch(params, dom, NMINUS, opts)
+        delta = solver.BUBBLE_DELTA_FRAC * length
+        ub = nf.bubble_field(dom, params, solver.BUBBLE_EPS_FRAC * delta, delta, solver.BUBBLE_THETA).values
+        assert ub.any()
+        assert len(starts) == 1 + opts.n_starts
+        assert np.array_equal(starts[0].u.values, params.alpha ** (1.0 / p) * ub)
+        assert np.array_equal(starts[0].v.values, params.beta ** (1.0 / p) * ub)
 
     def unfitting(*args, **kwargs):
         raise SupportError("support ball does not fit")
 
     monkeypatch.setattr(solver, "bubble_field", unfitting)
-    assert len(solver._starts_for_branch(params, dom, NMINUS, opts)) == len(with_bubble) - 1
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("bubble construction bug")
-
-    monkeypatch.setattr(solver, "bubble_field", broken)
-    with pytest.raises(RuntimeError, match="bubble construction bug"):
+    with pytest.raises(SupportError, match="does not fit"):
         solver._starts_for_branch(params, dom, NMINUS, opts)
 
 
@@ -332,6 +340,24 @@ def test_semitrivial_tmax_check_makes_one_stacked_pass(params, dom12, monkeypatc
     calls = record_plap_calls(monkeypatch)
     assert nf.semitrivial_tmax_check(params, dom12, u1, w) == expected
     assert calls == [(2, 0)]
+
+
+def test_semitrivial_tmax_rejects_ray_projected_fields(params, dom12):
+    """Scaled onto its scalar ray minimum, any positive field has P = B.  The
+    input test is the gradient, not that ray identity, so two random fields
+    projected that way are rejected."""
+    rng = np.random.default_rng(31)
+    projected = []
+    for weight in (params.lam, params.mu):
+        x = np.abs(rng.standard_normal(dom12.n_interior))
+        P = nf.seminorm_p(dom12, x) ** params.p
+        B = weight * dom12.cell * float(np.sum(x ** params.q))
+        y = (B / P) ** (1.0 / (params.p - params.q)) * x
+        P, B = nf.seminorm_p(dom12, y) ** params.p, weight * dom12.cell * float(np.sum(y ** params.q))
+        assert abs(P - B) <= 1e-12 * P
+        projected.append(nf.Field(y))
+    with pytest.raises(ConvergenceError, match="not stationary"):
+        nf.semitrivial_tmax_check(params, dom12, *projected)
 
 
 def test_semitrivial_tmax_rejects_nonstationary(params, dom12):
