@@ -255,8 +255,11 @@ def solve_two(
                 f"no starting state on branch {branch} could be projected; "
                 "use smaller lambda and mu"
             )
-        reports.sort(key=lambda r: (r.energy, r.seed_index))
-        best[branch] = reports[0]
+        # starts that end within ENERGY_RTOL of the lowest energy reached the
+        # same minimum; rounding must not pick among them, so the first does
+        low = min(r.energy for r in reports)
+        best[branch] = min((r for r in reports if r.energy - low <= ENERGY_RTOL * abs(low)),
+                           key=lambda r: r.seed_index)
 
     plus, minus = best[NPLUS], best[NMINUS]
     dist = pair_distance(dom, plus.pair, minus.pair)

@@ -191,6 +191,26 @@ def test_solve_two_rejects_thresholds_of_other_weights(setup12):
             nf.solve_two(params, dom, nf.SolveOptions(), constants=nf.thresholds(other, volume, s_d, s_ab))
 
 
+@pytest.mark.parametrize("lead, expected", [(5e-14, 0), (2e-13, 2)])
+def test_solve_two_reports_the_first_start_of_a_tied_minimum(setup12, monkeypatch, lead, expected):
+    """Starts whose energies lie within ENERGY_RTOL (relative) of the lowest
+    reached the same minimum, and the first of them is reported: start 0 is
+    lead above the lowest (start 2), start 1 far above, start 3 1e-14 above."""
+    params, dom, _, _ = setup12
+    descents = solver._branch_descents
+
+    def shifted(*args):
+        reports = descents(*args)
+        low = reports[2].energy
+        for report, rel in zip(reports, (lead, 1e-12, 0.0, 1e-14)):
+            report.energy = low + rel * abs(low)
+        return reports
+
+    monkeypatch.setattr(solver, "_branch_descents", shifted)
+    plus, minus = nf.solve_two(params, dom, nf.SolveOptions(n_starts=3, max_iter=5))
+    assert plus.seed_index == minus.seed_index == expected
+
+
 def test_solve_two_swap_symmetry():
     """With alpha = beta, swapping (lam, mu) swaps the roles of u and v."""
     params0 = nf.ModelParams(**DESK)
