@@ -7,15 +7,15 @@ printed formulas with S replaced by its discrete counterpart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .energy import ray_triple, triple_gradients
+from .energy import component_powers, ray_triple, triple_gradients
 from .errors import ConvergenceError
-from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, plap_gradient, signed_pow
+from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, plap_gradient
 from .params import ModelParams
 
 QUOTIENT_FLAT_TOL = 1e-6
@@ -162,16 +162,22 @@ def descend(inits, evaluate, stop: StopRule, on_accept=None) -> list:
 
 def stacked_evaluate(dom: GridDomain, project, finish):
     """An evaluate for descend that makes one plap_gradient pass per call:
-    project(raw) gives a point or None, the length-N components of all points
-    go through plap_gradient as one stack, and finish(point, its kernel rows)
-    gives the evaluation or None."""
+    project(raw) gives a point or None, the live points go through
+    plap_gradient as one stack of their length-N components, and
+    finish(points, kernel rows), both (k, L) arrays, gives the k
+    evaluations (or None) of the round.  An evaluation holds copies of its
+    own rows: a view would keep the round's whole stack alive."""
     n = dom.n_interior
 
     def evaluate(raws):
         points = [project(raw) for raw in raws]
-        live = [x for x in points if x is not None]
-        rows = iter(plap_gradient(dom, np.concatenate(live).reshape(-1, n)) if live else ())
-        return [None if x is None else finish(x, [next(rows) for _ in range(x.size // n)]) for x in points]
+        placed = [x is not None for x in points]
+        if not any(placed):
+            return points
+        stack = np.stack([x for x in points if x is not None])
+        del points  # the stack holds the round's points from here on
+        done = iter(finish(stack, plap_gradient(dom, stack.reshape(-1, n)).reshape(stack.shape)))
+        return [next(done) if ok else None for ok in placed]
 
     return evaluate
 
@@ -226,9 +232,10 @@ def compute_S(
         return None if den == 0.0 or not np.isfinite(den) else x / den
 
     def finish(x, kernels):
-        # denominator is 1 on the constraint set
-        val = float(np.dot(x, kernels[0]))
-        return x, val, p * kernels[0] - val * (p * cell * signed_pow(x, pstar - 1.0))
+        # denominator is 1 on the constraint set, and x >= 0 after the projection
+        val = np.sum(x * kernels, axis=1)
+        grad = p * kernels - val[:, None] * (p * cell * x ** (pstar - 1.0))
+        return [(xk.copy(), float(vk), gk.copy()) for xk, vk, gk in zip(x, val, grad)]
 
     inits = [as_values(x).copy() for x in extra_inits]
     if restarts >= 1:
@@ -257,17 +264,20 @@ def compute_S_alpha_beta(
     ab = params.ab
     n = dom.n_interior
 
-    def finish(x, kernels):
-        triple = ray_triple(params, dom, x[:n], x[n:], kernels=kernels)
-        if not 0.0 < triple.D < np.inf:
-            return None
-        # rescale onto the constraint set D/2 = 1; the kernels scale by c^(p-1)
-        c = (triple.D / 2.0) ** (-1.0 / ab)
-        x = c * x
-        cp = c ** (p - 1.0)
+    def finish(a, kernels):
+        u, v, kernels = a[:, :n], a[:, n:], (kernels[:, :n], kernels[:, n:])
+        powers = component_powers(params, u, v)
+        triple = ray_triple(params, dom, u, v, kernels, powers)
+        placed = (0.0 < triple.D) & (triple.D < np.inf)
+        # rescale onto the constraint set D/2 = 1 (rows that cannot be placed stay put)
+        c = (np.where(placed, triple.D, 2.0) / 2.0) ** (-1.0 / ab)
         val = c ** p * triple.P
-        dP, _, dD = triple_gradients(params, dom, x[:n], x[n:], kernels=(cp * kernels[0], cp * kernels[1]))
-        return x, val, dP - val * (p / ab) * (dD / 2.0)
+        # dP - val (p/ab) dD/2, in place and without dB, as in triple_gradients
+        grad, dD = triple_gradients(params, dom, u, v, kernels, powers, t=c[:, None])[::2]
+        dD *= (val * (p / ab) / 2.0)[:, None]
+        grad -= dD
+        return [(ck * ak, float(vk), gk.copy()) if ok else None
+                for ok, ck, ak, vk, gk in zip(placed, c, a, val, grad)]
 
     ratio = (params.alpha / params.beta) ** (1.0 / p)
     inits = []
@@ -378,13 +388,7 @@ class HypothesesFlags:
         return self.dimension_ok and self.small_p_ok and self.q_range_ok and self.critical_ok
 
     def to_dict(self) -> dict:
-        return {
-            "dimension_ok": self.dimension_ok,
-            "small_p_ok": self.small_p_ok,
-            "q_range_ok": self.q_range_ok,
-            "critical_ok": self.critical_ok,
-            "all_ok": self.all_ok,
-        }
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def hypotheses_check(params: ModelParams) -> HypothesesFlags:
@@ -418,22 +422,9 @@ class ConstantsReport:
     hypotheses: HypothesesFlags
 
     def to_dict(self) -> dict:
-        return {
-            "S_d": self.S_d,
-            "S_ab_d": self.S_ab_d,
-            "ratio_predicted": self.ratio_predicted,
-            "ratio_error": self.ratio_error,
-            "lambda1": self.lambda1,
-            "C0": self.C0,
-            "c_infty": self.c_infty,
-            "d0_bound": self.d0_bound,
-            "d0_smallness_ok": self.d0_smallness_ok,
-            "volume": self.volume,
-            "lambda": self.lam,
-            "mu": self.mu,
-            "critical_formula_exact": self.critical_formula_exact,
-            "hypotheses_ok": self.hypotheses.to_dict(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update({"lambda": out.pop("lam"), "hypotheses_ok": out.pop("hypotheses").to_dict()})
+        return out
 
 
 def compute_S_coupled(

@@ -107,11 +107,15 @@ def t_max(triple: ReducedTriple, params: ModelParams) -> float:
     return ((ab - params.q) * triple.B / ((ab - params.p) * triple.P)) ** (1.0 / (params.p - params.q))
 
 
-def _root_bisect(triple: ReducedTriple, params: ModelParams, lo: float, hi: float, rtol: float = ROOT_RTOL) -> float:
-    """Bisection for phi' = 0 in [lo, hi] (sign change required), Newton-polished.
+def _root_newton(triple: ReducedTriple, params: ModelParams, lo: float, hi: float, rtol: float = ROOT_RTOL) -> float:
+    """Safeguarded Newton for phi' = 0 in [lo, hi] (sign change required).
 
-    Newton runs on the smooth scalar map t -> phi'(t) (smooth for every p > 1),
-    guarded to stay inside the bracket.
+    From the midpoint, each point replaces the bracket end of its sign; the
+    next is its Newton step on phi' (smooth for every p > 1), or the
+    bracket's midpoint when that step leaves the bracket.  Stops at a step
+    of at most rtol t (taken, and tested first: at the root phi' is rounding,
+    whose sign must not send t back to the midpoint), at a bracket that
+    narrow, or after 200 points.
     """
     flo = phi_prime(triple, params, lo)
     fhi = phi_prime(triple, params, hi)
@@ -121,30 +125,22 @@ def _root_bisect(triple: ReducedTriple, params: ModelParams, lo: float, hi: floa
         return hi
     if flo * fhi > 0:
         raise NehariFracError("root bracket does not straddle a sign change")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = phi_prime(triple, params, mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo <= rtol * mid:
-            break
     t = 0.5 * (lo + hi)
-    for _ in range(8):
+    for _ in range(200):
         f = phi_prime(triple, params, t)
+        if f == 0.0:
+            return t
+        if (f < 0.0) == (flo < 0.0):
+            lo = t
+        else:
+            hi = t
         df = phi_second(triple, params, t)
-        if df == 0.0:
-            break
-        step = f / df
-        t_new = t - step
-        if not lo <= t_new <= hi:
-            break
-        if t_new == t:
-            break
-        t = t_new
+        step = f / df if df != 0.0 else np.inf
+        if abs(step) <= rtol * t:
+            return t - step
+        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+        if hi - lo <= rtol * t:
+            return t
     return t
 
 
@@ -180,8 +176,8 @@ def branch_root(triple: ReducedTriple, params: ModelParams, branch: str) -> Opti
     # phi' < 0 below (B/P)^(1/(p-q)) and above (P/D)^(1/(a+b-p)); at those
     # points two of its three terms cancel exactly, so the brackets step past them
     if plus:
-        return _root_bisect(triple, params, 0.5 * (B / P) ** (1.0 / (p - q)), tm)
-    return _root_bisect(triple, params, tm, 2.0 * (P / D) ** (1.0 / (ab - p)))
+        return _root_newton(triple, params, 0.5 * (B / P) ** (1.0 / (p - q)), tm)
+    return _root_newton(triple, params, tm, 2.0 * (P / D) ** (1.0 / (ab - p)))
 
 
 def project_triple(triple: ReducedTriple, params: ModelParams, classification: str = OFF_MANIFOLD) -> FiberingReport:

@@ -6,7 +6,7 @@ The critical coupling case is alpha + beta = p* = n p / (n - p s).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 CRITICAL_RTOL = 1e-12
 
@@ -70,16 +70,9 @@ class ModelParams:
         return ModelParams(self.n, self.p, self.s, self.q, self.alpha, self.beta, lam, mu)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "s": self.s,
-            "q": self.q,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "lambda": self.lam,
-            "mu": self.mu,
-        }
+        out = asdict(self)
+        out["lambda"] = out.pop("lam")
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":

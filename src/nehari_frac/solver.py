@@ -16,7 +16,7 @@ every p: damped Newton-CG from the bump at its ray minimum.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -25,8 +25,8 @@ from .bubbles import bubble_field
 from .constants import (
     CONVERGED_STOPS, ConstantsReport, StopRule, bump_field, descend, random_positive_starts, stacked_evaluate,
 )
-from .energy import ReducedTriple, constraint_gradient_arrays, gradient_arrays, ray_triple
-from .errors import BranchLostError, ConvergenceError
+from .energy import ReducedTriple, component_powers, constraint_gradient_arrays, gradient_arrays, ray_triple
+from .errors import BranchLostError, ConvergenceError, ZeroPairError
 from .fibering import NMINUS, NPLUS, branch_root, classify_triple, phi, t_max
 from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, pair_norm, plap_gradient, seminorm_p, signed_pow
 from .params import ModelParams
@@ -77,21 +77,9 @@ class SolutionReport:
         return hashlib.sha256(blob).hexdigest()
 
     def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "energy": self.energy,
-            "residual": self.residual,
-            "grad_norm": self.grad_norm,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "semitrivial": self.semitrivial,
-            "classification": self.classification,
-            "iterate_norm_max": self.iterate_norm_max,
-            "seed_index": self.seed_index,
-            "field_hash": self.field_hash(),
-            "checks": dict(self.checks),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pair"}
+        out.update(converged=self.converged, field_hash=self.field_hash(), checks=dict(self.checks))
+        return out
 
 
 def minimize_on_branch(
@@ -131,16 +119,17 @@ def _branch_descents(params: ModelParams, dom: GridDomain, branch: str, inits, o
     norm_max = [0.0] * len(inits)  # per start: max norm over accepted points
 
     def finish(a, kernels):
-        triple = ray_triple(params, dom, a[:n], a[n:], kernels=kernels)
-        t = branch_root(triple, params, branch)
-        if t is None:
-            return None
-        triple = triple.scaled(t, params)
-        x = t * a
-        # plap_gradient(t a) = t^(p-1) plap_gradient(a): no second pass at x
-        tp = t ** (params.p - 1.0)
-        grad = gradient_arrays(params, dom, x[:n], x[n:], kernels=(tp * kernels[0], tp * kernels[1]))
-        return x, phi(triple, params, 1.0), np.concatenate(grad), triple.P
+        u, v, kernels = a[:, :n], a[:, n:], (kernels[:, :n], kernels[:, n:])
+        powers = component_powers(params, u, v)
+        triple = ray_triple(params, dom, u, v, kernels, powers)
+        rays = [ReducedTriple(*row) for row in zip(triple.P.tolist(), triple.B.tolist(), triple.D.tolist())]
+        roots = [branch_root(ray, params, branch) for ray in rays]
+        # the gradient at t a from the kernel rows and powers of a; a row without a root takes t = 1 and is dropped
+        t = np.array([1.0 if r is None else r for r in roots])
+        gu, gv = gradient_arrays(params, dom, u, v, kernels, powers, t=t[:, None])
+        return [None if r is None else (r * a[k], phi(ray, params, r), np.concatenate([gu[k], gv[k]]),
+                                        r ** params.p * ray.P)
+                for k, (r, ray) in enumerate(zip(roots, rays))]
 
     def accepted(k, evaluation):
         norm_max[k] = max(norm_max[k], evaluation[3] ** (1.0 / params.p))
@@ -160,8 +149,9 @@ def _branch_report(params: ModelParams, dom: GridDomain, branch: str, run, norm_
     n = dom.n_interior
     u, v = run.x[:n], run.x[n:]
     kernels = plap_gradient(dom, run.x.reshape(2, n))  # one stacked pass serves both uses below
+    powers = component_powers(params, u, v)
     # tangential residual: the gradient minus its part along the constraint gradient
-    q = np.concatenate(constraint_gradient_arrays(params, dom, u, v, kernels=kernels))
+    q = np.concatenate(constraint_gradient_arrays(params, dom, u, v, kernels, powers))
     qn2 = float(np.dot(q, q))
     coef = float(np.dot(run.grad, q)) / qn2 if qn2 > 0 else 0.0
     pair = FieldPair(Field(u), Field(v))
@@ -176,7 +166,7 @@ def _branch_report(params: ModelParams, dom: GridDomain, branch: str, run, norm_
         iterations=run.iterations,
         stop_reason=run.stop_reason,
         semitrivial=semitrivial,
-        classification=classify_triple(ray_triple(params, dom, u, v, kernels=kernels), params),
+        classification=classify_triple(ray_triple(params, dom, u, v, kernels, powers), params),
         iterate_norm_max=norm_max,
         pair=pair,
         seed_index=seed_index,
@@ -384,6 +374,9 @@ def semitrivial_tmax_check(params: ModelParams, dom: GridDomain, u1, w) -> float
     ab = params.ab
     cell = dom.cell
     u1, w = as_values(u1), as_values(w)
+    for name, x in (("u1", u1), ("w", w)):
+        if not x.any():
+            raise ZeroPairError(f"semitrivial check: {name} is the zero field, which has no fibering")
     zero = np.zeros(dom.n_interior)
     ku, kw = plap_gradient(dom, np.stack([u1, w]))
     # one component at a time: D = 0, and J's gradient is the scalar problem's

@@ -1,15 +1,17 @@
 import sys
 from dataclasses import dataclass
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import nehari_frac as nf
+from nehari_frac import fibering, solver
 from nehari_frac.bubbles import bubble_field, make_bubble, model_profile
 from nehari_frac.energy import ReducedTriple, constraint_gradient_arrays, gradient_arrays, ray_triple
 from nehari_frac.errors import NehariFracError
-from nehari_frac.fibering import phi
+from nehari_frac.fibering import ROOT_RTOL, phi, phi_prime, phi_second
 from nehari_frac.grid import as_values, lr_norm, plap_gradient, seminorm_p
 
 # Desk-scale configuration used throughout: p = 2, s = 0.4, n = 2 puts the
@@ -144,6 +146,62 @@ def pair_list(dom):
     ii, jj = np.triu_indices(dom.n_interior, k=1)
     d = np.linalg.norm(dom.interior[ii] - dom.interior[jj], axis=1)
     return ii, jj, dom.h ** (2 * dom.dim) / d ** (dom.dim + dom.p * dom.s)
+
+
+# ---------------------------------------------------------------------------
+# The bisection oracle of the Newton root search and the branch round
+# ---------------------------------------------------------------------------
+
+def root_bisect(triple, params, lo, hi, rtol=ROOT_RTOL):
+    """Bisection for phi' = 0 in [lo, hi] (sign change required), 200 steps
+    at most, then Newton-polished inside the final bracket."""
+    flo = phi_prime(triple, params, lo)
+    fhi = phi_prime(triple, params, hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0:
+        raise NehariFracError("root bracket does not straddle a sign change")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = phi_prime(triple, params, mid)
+        if fmid == 0.0:
+            return mid
+        if flo * fmid < 0:
+            hi, fhi = mid, fmid
+        else:
+            lo, flo = mid, fmid
+        if hi - lo <= rtol * mid:
+            break
+    t = 0.5 * (lo + hi)
+    for _ in range(8):
+        f = phi_prime(triple, params, t)
+        df = phi_second(triple, params, t)
+        if df == 0.0:
+            break
+        t_new = t - f / df
+        if not lo <= t_new <= hi or t_new == t:
+            break
+        t = t_new
+    return t
+
+
+def bisection_branch_root(triple, params, branch):
+    """fibering.branch_root with root_bisect in place of its Newton search:
+    the same closed forms and brackets, the oracle of the Newton roots."""
+    with mock.patch.object(fibering, "_root_newton", root_bisect):
+        return fibering.branch_root(triple, params, branch)
+
+
+def branch_round(params, dom, branch):
+    """The evaluate callback of the lockstep branch descent (solve_two,
+    minimize_on_branch): raws in, one evaluation or None per raw out."""
+    made = []
+    build = solver.stacked_evaluate
+    with mock.patch.object(solver, "stacked_evaluate", lambda *args: made.append(build(*args)) or made[-1]):
+        solver._branch_descents(params, dom, branch, [], solver.SolveOptions())
+    return made[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from nehari_frac.fibering import (
     NZERO,
     OFF_MANIFOLD,
     PLUS_ONLY,
+    ROOT_RTOL,
     TWO_ROOTS,
     ReducedTriple,
     branch_root,
@@ -24,8 +25,8 @@ from nehari_frac.fibering import (
 )
 
 from conftest import (
-    DESK, DegenerateDirectionError, balanced_params, first_variation, nehari_constraint, phi_second_consistency,
-    phi_second_expressions, psi_prime, random_pair, scale_pair, xi_prime,
+    DESK, DegenerateDirectionError, balanced_params, bisection_branch_root, first_variation, nehari_constraint,
+    phi_second_consistency, phi_second_expressions, psi_prime, random_pair, scale_pair, xi_prime,
 )
 
 TOY = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.5, alpha=2.0, beta=2.0, lam=1.0, mu=1.0)
@@ -293,6 +294,53 @@ def test_branch_root_is_the_projection_root(ray):
     if triple.B > 0 and triple.D > 0:
         assert (rep.outcome == ABOVE_THRESHOLD) == (triple.D >= rep.psi_at_tmax)
     assert (rep.outcome == NO_ROOTS) == (triple.B == 0 and triple.D == 0)
+
+
+@st.composite
+def two_root_rays(draw):
+    """(params, triple) with D a drawn fraction, 1e-6 to 0.999, of Psi(t_max)."""
+    params = draw(st.sampled_from(RAY_PARAMS))
+    base = ReducedTriple(draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-6, 1e3)), 0.0)
+    level = nf.psi(base, params, nf.t_max(base, params))
+    return params, ReducedTriple(base.P, base.B, level * draw(st.floats(1e-6, 0.999)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(two_root_rays() | rays())
+def test_newton_roots_match_the_bisection_oracle(ray):
+    """The safeguarded Newton root of each branch is the bisection oracle's
+    to ROOT_RTOL, and both find a root on the same rays."""
+    params, triple = ray
+    for branch in (NPLUS, NMINUS):
+        t = branch_root(triple, params, branch)
+        oracle = bisection_branch_root(triple, params, branch)
+        assert (t is None) == (oracle is None)
+        if t is not None:
+            assert abs(t - oracle) <= ROOT_RTOL * oracle
+
+
+def test_newton_root_search_is_short(monkeypatch):
+    """Over 200 two-root rays per parameter set, the Newton search of a root
+    evaluates phi' at most 14 times and 8 times on average, the two bracket
+    ends included (the bisection it replaced took about 49)."""
+    evals = []
+    prime = nf.fibering.phi_prime
+
+    def counted(*args):
+        evals[-1] += 1
+        return prime(*args)
+
+    monkeypatch.setattr(nf.fibering, "phi_prime", counted)
+    rng = np.random.default_rng(4)
+    for params in RAY_PARAMS:
+        for _ in range(200):
+            base = ReducedTriple(*(10.0 ** rng.uniform(-3, 3, 2)), 0.0)
+            level = nf.psi(base, params, nf.t_max(base, params))
+            triple = ReducedTriple(base.P, base.B, level * 10.0 ** rng.uniform(-6, -0.001))
+            for branch in (NPLUS, NMINUS):
+                evals.append(0)
+                assert branch_root(triple, params, branch) is not None
+    assert max(evals) <= 14 and np.mean(evals) <= 8
 
 
 @settings(deadline=None, max_examples=25)

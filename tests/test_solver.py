@@ -7,12 +7,16 @@ import pytest
 import nehari_frac as nf
 from nehari_frac import fibering, solver
 from nehari_frac.cli import main as cli_main
-from nehari_frac.constants import BUDGET, CONVERGED_STOPS, FLAT, LINE_SEARCH_EXHAUSTED
-from nehari_frac.errors import BranchLostError, ConvergenceError, SupportError
+from nehari_frac.constants import BUDGET, CONVERGED_STOPS, LINE_SEARCH_EXHAUSTED
+from nehari_frac.constants import bump_field
+from nehari_frac.energy import ray_triple, triple_gradients
+from nehari_frac.errors import BranchLostError, ConvergenceError, SupportError, ZeroPairError
 from nehari_frac.fibering import NMINUS, NPLUS
 from nehari_frac.solver import pair_distance
 
-from conftest import DESK, nehari_constraint, random_pair, record_plap_calls
+from conftest import (
+    DESK, balanced_params, bisection_branch_root, branch_round, nehari_constraint, random_pair, record_plap_calls,
+)
 
 CRIT = nf.ModelParams(**DESK)
 
@@ -71,7 +75,7 @@ def test_lockstep_branch_starts_match_single_start_runs(setup12):
         if rep is not None:
             alone = nf.minimize_on_branch(params, dom, NPLUS, starts[k], opts, seed_index=k)
             assert rep.to_dict() == alone.to_dict()  # field hashes included
-    assert [rep.stop_reason for rep in reports if rep is not None] == [LINE_SEARCH_EXHAUSTED, FLAT, BUDGET, BUDGET]
+    assert [rep.stop_reason for rep in reports if rep is not None] == [LINE_SEARCH_EXHAUSTED] * 2 + [BUDGET] * 2
 
 
 def test_minimize_on_branch_reports_budget_stop(setup12):
@@ -135,17 +139,17 @@ def test_branch_lost_at_huge_weights(setup12):
         nf.minimize_on_branch(params_big, dom, NMINUS, init, nf.SolveOptions())
 
 
-def test_one_bisection_per_branch_trial(setup12, monkeypatch):
+def test_one_root_search_per_branch_trial(setup12, monkeypatch):
     """A branch trial searches only for the root it projects onto."""
     params, dom, _, _ = setup12
     calls = []
-    bisect = fibering._root_bisect
+    search = fibering._root_newton
 
     def counted(*args, **kwargs):
         calls.append(args[2:])
-        return bisect(*args, **kwargs)
+        return search(*args, **kwargs)
 
-    monkeypatch.setattr(fibering, "_root_bisect", counted)
+    monkeypatch.setattr(fibering, "_root_newton", counted)
     init = random_pair(dom, np.random.default_rng(8), positive=True)
     for branch in (NPLUS, NMINUS):
         calls.clear()
@@ -155,6 +159,62 @@ def test_one_bisection_per_branch_trial(setup12, monkeypatch):
         (lo, hi), = calls
         t_max = nf.t_max(nf.reduce_pair(params, dom, init), params)
         assert (hi if branch == NPLUS else lo) == pytest.approx(t_max, rel=1e-12)
+
+
+ROUND_PARAMS = {
+    "p2": (nf.ModelParams(**DESK), 2, 8),
+    "p3": (nf.ModelParams(n=2, p=3.0, s=0.1, q=2.5, alpha=30 / 17, beta=30 / 17), 2, 8),
+    "p1.5": (nf.ModelParams(n=1, p=1.5, s=0.3, q=1.2, alpha=2.0, beta=2.0), 1, 9),
+}
+
+
+@pytest.mark.parametrize("branch", [NPLUS, NMINUS])
+@pytest.mark.parametrize("case", list(ROUND_PARAMS))
+def test_branch_round_matches_per_row_oracles(case, branch):
+    """One evaluation of a round's stack equals, row by row, the single-state
+    reduction at the bisection oracle's root t: the point t |a|, its energy,
+    its gradient (from a kernel pass at t |a|) and its P, each to 1e-13
+    relative to the size of its terms.  The rows: a pair whose D the weights
+    put at half Psi(t_max), that pair times 3 with random signs, the zero
+    state, the bump pair (above the threshold, no root) and a pair with a
+    zero component (a root on the minimum branch only).  The evaluations
+    hold their own arrays, not views of the round's stack."""
+    base, dim, m = ROUND_PARAMS[case]
+    dom = nf.build_grid(dim, m, 1.0, 1.0, base)
+    n = dom.n_interior
+    rng = np.random.default_rng(0)
+    pair = random_pair(dom, rng, positive=True)
+    params = balanced_params(base, dom, pair, fill=0.5)
+    p, q, ab = params.p, params.q, params.ab
+    bump = bump_field(dom)
+    a0 = np.concatenate([pair.u.values, pair.v.values])
+    raws = [
+        a0,
+        3.0 * np.where(rng.random(2 * n) < 0.5, -1.0, 1.0) * a0,
+        np.zeros(2 * n),
+        np.concatenate([bump, bump]),
+        np.concatenate([pair.u.values, np.zeros(n)]),
+    ]
+    found = []
+    for raw, evaluation in zip(raws, branch_round(params, dom, branch)(raws)):
+        a = np.abs(raw)
+        t = bisection_branch_root(ray_triple(params, dom, a[:n], a[n:]), params, branch)
+        found.append(t is not None)
+        assert (evaluation is None) == (t is None)
+        if t is None:
+            continue
+        x, value, grad, P = evaluation
+        assert x.base is None and grad.base is None
+        xo = t * a
+        ray = ray_triple(params, dom, xo[:n], xo[n:])
+        dP, dB, dD = triple_gradients(params, dom, xo[:n], xo[n:])
+        g = np.concatenate(nf.energy.gradient_arrays(params, dom, xo[:n], xo[n:]))
+        assert np.max(np.abs(x - xo)) <= 1e-13 * np.max(xo)
+        assert abs(value - nf.phi(ray, params, 1.0)) <= 1e-13 * (ray.P / p + ray.B / q + ray.D / ab)
+        scale = np.max(np.abs(dP)) / p + np.max(np.abs(dB)) / q + np.max(np.abs(dD)) / ab
+        assert np.max(np.abs(grad - g)) <= 1e-13 * scale
+        assert abs(P - ray.P) <= 1e-13 * ray.P
+    assert found == [True, True, False, False, branch == NPLUS]
 
 
 def test_solve_two_full_chain(setup12):
@@ -378,6 +438,17 @@ def test_semitrivial_tmax_rejects_ray_projected_fields(params, dom12):
         projected.append(nf.Field(y))
     with pytest.raises(ConvergenceError, match="not stationary"):
         nf.semitrivial_tmax_check(params, dom12, *projected)
+
+
+def test_semitrivial_tmax_rejects_a_zero_input(params, dom):
+    """A zero input has no fibering: ZeroPairError names it, whichever
+    component it is, before any quotient of its sums is formed."""
+    u, _ = nf.solve_scalar_sublinear(params, dom, params.lam)
+    zero = np.zeros(dom.n_interior)
+    with pytest.raises(ZeroPairError, match="u1 is the zero field"):
+        nf.semitrivial_tmax_check(params, dom, zero, u)
+    with pytest.raises(ZeroPairError, match="w is the zero field"):
+        nf.semitrivial_tmax_check(params, dom, u, nf.Field(zero))
 
 
 def test_semitrivial_tmax_rejects_nonstationary(params, dom12):
