@@ -15,7 +15,7 @@ import numpy as np
 
 from .energy import component_powers, ray_triple, triple_gradients
 from .errors import ConvergenceError
-from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, plap_gradient
+from .grid import Field, FieldPair, GridDomain, as_values, plap_gradient
 from .params import ModelParams
 
 QUOTIENT_FLAT_TOL = 1e-6
@@ -160,24 +160,20 @@ def descend(inits, evaluate, stop: StopRule, on_accept=None) -> list:
     return results
 
 
-def stacked_evaluate(dom: GridDomain, project, finish):
+def stacked_evaluate(dom: GridDomain, finish):
     """An evaluate for descend that makes one plap_gradient pass per call:
-    project(raw) gives a point or None, the live points go through
-    plap_gradient as one stack of their length-N components, and
-    finish(points, kernel rows), both (k, L) arrays, gives the k
-    evaluations (or None) of the round.  An evaluation holds copies of its
-    own rows: a view would keep the round's whole stack alive."""
+    the round's |raws| go through plap_gradient as one stack of their
+    length-N components, and finish(|raws|, kernel rows), both (k, L)
+    arrays, places each row and gives the k evaluations (or None) of the
+    round.  An evaluation holds copies of its own rows: a view would keep the
+    round's whole stack alive."""
     n = dom.n_interior
 
     def evaluate(raws):
-        points = [project(raw) for raw in raws]
-        placed = [x is not None for x in points]
-        if not any(placed):
-            return points
-        stack = np.stack([x for x in points if x is not None])
-        del points  # the stack holds the round's points from here on
-        done = iter(finish(stack, plap_gradient(dom, stack.reshape(-1, n)).reshape(stack.shape)))
-        return [next(done) if ok else None for ok in placed]
+        if not raws:
+            return []
+        stack = np.abs(np.stack(raws))
+        return finish(stack, plap_gradient(dom, stack.reshape(-1, n)).reshape(stack.shape))
 
     return evaluate
 
@@ -187,16 +183,36 @@ def random_positive_starts(seq: np.random.SeedSequence, count: int, size: int, f
     return [np.abs(np.random.default_rng(child).standard_normal(size)) + floor for child in seq.spawn(count)]
 
 
-def _minimize_quotient(inits, evaluate, tol, name, as_state):
-    """Best descent over the starting points, QUOTIENT_MAX_ITER steps each.
+def _minimize_quotient(dom: GridDomain, p: float, inits, denominator, degree: float, tol, name, as_state):
+    """Best descent of P(x) / den(x)^(p/degree), P(x) = x . plap_gradient(x),
+    over the starting points, QUOTIENT_MAX_ITER steps each.
+
+    denominator(x, kernels) gives den, homogeneous of degree `degree`, and
+    its gradient at each row of the round's stack |raws| with its kernel rows.
+    After the kernel pass a row is placed on den = 1 as c x, c =
+    den^(-1/degree), where the quotient is c^p x . k with gradient
+    p c^(p-1) k - value (p/degree) c^(degree-1) grad den(x); a row whose den
+    is not positive and finite cannot be placed.
 
     Raises ConvergenceError unless some start finished, i.e. stopped for any
     reason but the budget (an exhausted line search counts as finished); it
     carries the best run's value and state.
     """
+    def finish(x, kernels):
+        den, grad = denominator(x, kernels)
+        placed = (0.0 < den) & (den < np.inf)
+        c = np.where(placed, den, 1.0) ** (-1.0 / degree)
+        val = c ** p * np.sum(x * kernels, axis=1)
+        # in place: on a round's stack, temporaries of its size set the peak memory
+        grad *= (-val * (p / degree) * c ** (degree - 1.0))[:, None]
+        kernels *= (p * c ** (p - 1.0))[:, None]
+        grad += kernels
+        return [(ck * xk, float(vk), gk.copy()) if ok else None
+                for ok, ck, xk, vk, gk in zip(placed, c, x, val, grad)]
+
     if not inits:
         raise ValueError(f"{name}: no starting points")
-    runs = descend(inits, evaluate, StopRule(max_iter=QUOTIENT_MAX_ITER, flat_tol=tol))
+    runs = descend(inits, stacked_evaluate(dom, finish), StopRule(max_iter=QUOTIENT_MAX_ITER, flat_tol=tol))
     if None in runs:
         raise ValueError(f"{name}: infeasible starting point")
     best = min(runs, key=lambda run: run.value)  # the first of equal values
@@ -222,26 +238,17 @@ def compute_S(
     restarts=0 runs the caller's starts only).  The minimizer is reported
     nonnegative: replacing u by |u| never increases the quotient.
     """
-    p = params.p
     pstar = params.p_star
-    cell = dom.cell
 
-    def project(x):
-        x = np.abs(x)
-        den = lr_norm(dom, x, pstar)
-        return None if den == 0.0 or not np.isfinite(den) else x / den
-
-    def finish(x, kernels):
-        # denominator is 1 on the constraint set, and x >= 0 after the projection
-        val = np.sum(x * kernels, axis=1)
-        grad = p * kernels - val[:, None] * (p * cell * x ** (pstar - 1.0))
-        return [(xk.copy(), float(vk), gk.copy()) for xk, vk, gk in zip(x, val, grad)]
+    def denominator(x, kernels):  # |x|_{p*}^{p*} of x >= 0
+        powers = x ** (pstar - 1.0)
+        return dom.cell * np.sum(x * powers, axis=1), (pstar * dom.cell) * powers
 
     inits = [as_values(x).copy() for x in extra_inits]
     if restarts >= 1:
         inits.append(bump_field(dom))
     inits += random_positive_starts(np.random.SeedSequence(seed), max(restarts - 1, 0), dom.n_interior, 1e-6)
-    return _minimize_quotient(inits, stacked_evaluate(dom, project, finish), tol, "Rayleigh", Field)
+    return _minimize_quotient(dom, params.p, inits, denominator, pstar, tol, "Rayleigh", Field)
 
 
 def compute_S_alpha_beta(
@@ -260,26 +267,16 @@ def compute_S_alpha_beta(
     connection identity between the two quotients.  restarts counts the
     seeded starts as in compute_S.
     """
-    p = params.p
-    ab = params.ab
     n = dom.n_interior
 
-    def finish(a, kernels):
+    def denominator(a, kernels):  # D/2 = sum |u|^alpha |v|^beta
         u, v, kernels = a[:, :n], a[:, n:], (kernels[:, :n], kernels[:, n:])
         powers = component_powers(params, u, v)
-        triple = ray_triple(params, dom, u, v, kernels, powers)
-        placed = (0.0 < triple.D) & (triple.D < np.inf)
-        # rescale onto the constraint set D/2 = 1 (rows that cannot be placed stay put)
-        c = (np.where(placed, triple.D, 2.0) / 2.0) ** (-1.0 / ab)
-        val = c ** p * triple.P
-        # dP - val (p/ab) dD/2, in place and without dB, as in triple_gradients
-        grad, dD = triple_gradients(params, dom, u, v, kernels, powers, t=c[:, None])[::2]
-        dD *= (val * (p / ab) / 2.0)[:, None]
-        grad -= dD
-        return [(ck * ak, float(vk), gk.copy()) if ok else None
-                for ok, ck, ak, vk, gk in zip(placed, c, a, val, grad)]
+        dD = triple_gradients(params, dom, u, v, kernels, powers)[2]
+        dD *= 0.5
+        return ray_triple(params, dom, u, v, kernels, powers).D / 2.0, dD
 
-    ratio = (params.alpha / params.beta) ** (1.0 / p)
+    ratio = (params.alpha / params.beta) ** (1.0 / params.p)
     inits = []
     if s_minimizer is not None:
         w = as_values(s_minimizer)
@@ -289,7 +286,7 @@ def compute_S_alpha_beta(
         inits.append(np.concatenate([ratio * bump, bump]))
     inits += random_positive_starts(np.random.SeedSequence(seed), max(restarts - 1, 0), 2 * n, 1e-6)
     return _minimize_quotient(
-        inits, stacked_evaluate(dom, np.abs, finish), tol, "coupled quotient",
+        dom, params.p, inits, denominator, params.ab, tol, "coupled quotient",
         lambda x: FieldPair(Field(x[:n]), Field(x[n:])),
     )
 

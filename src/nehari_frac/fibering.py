@@ -107,15 +107,15 @@ def t_max(triple: ReducedTriple, params: ModelParams) -> float:
     return ((ab - params.q) * triple.B / ((ab - params.p) * triple.P)) ** (1.0 / (params.p - params.q))
 
 
-def _root_newton(triple: ReducedTriple, params: ModelParams, lo: float, hi: float, rtol: float = ROOT_RTOL) -> float:
+def _root_newton(triple: ReducedTriple, params: ModelParams, lo: float, hi: float) -> float:
     """Safeguarded Newton for phi' = 0 in [lo, hi] (sign change required).
 
     From the midpoint, each point replaces the bracket end of its sign; the
     next is its Newton step on phi' (smooth for every p > 1), or the
     bracket's midpoint when that step leaves the bracket.  Stops at a step
-    of at most rtol t (taken, and tested first: at the root phi' is rounding,
-    whose sign must not send t back to the midpoint), at a bracket that
-    narrow, or after 200 points.
+    of at most ROOT_RTOL t (taken, and tested first: at the root phi' is
+    rounding, whose sign must not send t back to the midpoint), at a bracket
+    that narrow, or after 200 points.
     """
     flo = phi_prime(triple, params, lo)
     fhi = phi_prime(triple, params, hi)
@@ -136,10 +136,10 @@ def _root_newton(triple: ReducedTriple, params: ModelParams, lo: float, hi: floa
             hi = t
         df = phi_second(triple, params, t)
         step = f / df if df != 0.0 else np.inf
-        if abs(step) <= rtol * t:
+        if abs(step) <= ROOT_RTOL * t:
             return t - step
         t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
-        if hi - lo <= rtol * t:
+        if hi - lo <= ROOT_RTOL * t:
             return t
     return t
 
@@ -202,13 +202,13 @@ def project_triple(triple: ReducedTriple, params: ModelParams, classification: s
     )
 
 
-def classify_triple(triple: ReducedTriple, params: ModelParams, tol: float = CLASSIFY_DEADBAND) -> str:
+def classify_triple(triple: ReducedTriple, params: ModelParams) -> str:
     """Trichotomy of a state by the sign of phi''(1) with a dead-band, after a
-    membership check, from its (P, B, D)."""
-    if not triple.on_manifold(tol):
+    membership check, from its (P, B, D); both take CLASSIFY_DEADBAND."""
+    if not triple.on_manifold(CLASSIFY_DEADBAND):
         return OFF_MANIFOLD
     second = phi_second(triple, params, 1.0)
-    band = tol * triple.scale_second()
+    band = CLASSIFY_DEADBAND * triple.scale_second()
     if second > band:
         return NPLUS
     if second < -band:

@@ -30,6 +30,9 @@ from .params import ModelParams
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _SERIES_TERMS = 50  # per Gauss series, each at |z| <= 1/2
+GAGLIARDO_PER_DECADE = 12  # gagliardo_pow_quad: outer panels per decade of r
+GAP_PER_DECADE = 6         # gagliardo_pow_quad: panels per decade of its unit gap rule
+TAIL_FACTOR = 64.0         # gagliardo_pow_quad: explicit exterior tail up to this times the support
 
 
 def sphere_surface(n: int) -> float:
@@ -143,9 +146,6 @@ def gagliardo_pow_quad(
     support_r: float,
     core_scale: float,
     breakpoints=(),
-    per_decade: int = 12,
-    gap_per_decade: int = 6,
-    tail_factor: float = 64.0,
 ) -> float:
     """Continuum Gagliardo seminorm^p of a radial function supported in
     [0, support_r] (unordered-pair convention, unit kernel constant).
@@ -156,7 +156,7 @@ def gagliardo_pow_quad(
     interior sum runs over blocks of max(1, grid.SLAB_ELEMENTS // (2 G))
     outer nodes, G the gap nodes; only its summation order depends on the
     block size.  The exterior contribution integrates the kernel tail
-    explicitly up to tail_factor * support_r, in one (R, T) kernel call,
+    explicitly up to TAIL_FACTOR * support_r, in one (R, T) kernel call,
     plus an asymptotic remainder.
     """
     n, p = params.n, params.p
@@ -164,12 +164,12 @@ def gagliardo_pow_quad(
     surf = sphere_surface(n)
 
     r_min = min(core_scale, support_r) * 1e-3
-    edges = _radial_edges(r_min, support_r, per_decade, breakpoints)
+    edges = _radial_edges(r_min, support_r, GAGLIARDO_PER_DECADE, breakpoints)
     r_nodes, r_weights = _panels(edges)
     u_nodes = np.asarray(func(r_nodes), dtype=np.float64)
 
     # one unit gap rule g, scaled onto (0, r) and (r, support_r) of every outer node
-    gap, gw = _panels(_radial_edges(1e-10, 1.0, gap_per_decade))
+    gap, gw = _panels(_radial_edges(1e-10, 1.0, GAP_PER_DECADE))
     # below the diagonal rho = r (1 - g), and Phi is homogeneous of degree -(n + ps)
     below = angular_kernel(n, ps, 1.0, 1.0 - gap)
     # blocks of outer nodes whose (B, 2, G) arrays fit the slab budget, so every sweep stays in cache
@@ -187,7 +187,7 @@ def gagliardo_pow_quad(
         interior += float(np.sum(weight * du * phi * (r * rho) ** (n - 1)))
 
     # exterior: |u(r) - 0|^p against the kernel mass beyond the support
-    r_out = tail_factor * support_r
+    r_out = TAIL_FACTOR * support_r
     tedges = _radial_edges(support_r, r_out, 8)
     tedges = tedges[tedges >= support_r]
     trho, tw = _panels(tedges)

@@ -139,7 +139,7 @@ def _branch_descents(params: ModelParams, dom: GridDomain, branch: str, inits, o
         grad_rtol=GRAD_RTOL, armijo=ARMIJO,
     )
     raws = [np.concatenate([as_values(init.u), as_values(init.v)]) for init in inits]
-    runs = descend(raws, stacked_evaluate(dom, np.abs, finish), stop, on_accept=accepted)
+    runs = descend(raws, stacked_evaluate(dom, finish), stop, on_accept=accepted)
     return [None if run is None else _branch_report(params, dom, branch, run, norm_max[k], k)
             for k, run in enumerate(runs)]
 

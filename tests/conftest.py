@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import nehari_frac as nf
-from nehari_frac import fibering, solver
+from nehari_frac import constants, fibering, solver
 from nehari_frac.bubbles import bubble_field, make_bubble, model_profile
 from nehari_frac.energy import ReducedTriple, constraint_gradient_arrays, gradient_arrays, ray_triple
-from nehari_frac.errors import NehariFracError
+from nehari_frac.errors import ConvergenceError, NehariFracError
 from nehari_frac.fibering import ROOT_RTOL, phi, phi_prime, phi_second
 from nehari_frac.grid import as_values, lr_norm, plap_gradient, seminorm_p
 
@@ -201,6 +201,18 @@ def branch_round(params, dom, branch):
     build = solver.stacked_evaluate
     with mock.patch.object(solver, "stacked_evaluate", lambda *args: made.append(build(*args)) or made[-1]):
         solver._branch_descents(params, dom, branch, [], solver.SolveOptions())
+    return made[0]
+
+
+def quotient_round(solve, dom, params):
+    """The evaluate callback of a quotient solve's lockstep descent
+    (compute_S, compute_S_alpha_beta): raws in, one evaluation or None per
+    raw out.  The solve it comes from runs no step (it raises on its budget)."""
+    made = []
+    build = constants.stacked_evaluate
+    with mock.patch.object(constants, "stacked_evaluate", lambda *args: made.append(build(*args)) or made[-1]), \
+            mock.patch.object(constants, "QUOTIENT_MAX_ITER", 0), pytest.raises(ConvergenceError):
+        solve(dom, params, restarts=1)
     return made[0]
 
 

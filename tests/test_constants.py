@@ -15,7 +15,12 @@ from nehari_frac.constants import (
     random_positive_starts,
 )
 
-from conftest import DESK, coupled_quotient, holder_bound_check, random_pair, rayleigh_quotient, young_bound_check
+from nehari_frac.energy import ray_triple
+from nehari_frac.grid import lr_norm
+
+from conftest import (
+    DESK, coupled_quotient, holder_bound_check, quotient_round, random_pair, rayleigh_quotient, young_bound_check,
+)
 
 mp.mp.dps = 50
 
@@ -289,6 +294,65 @@ def test_compute_S_alpha_beta_rejects_disjoint_supports(dom12):
     v = np.zeros(n); v[1] = 1.0
     with pytest.raises(ValueError, match="coupled quotient undefined"):
         coupled_quotient(dom12, params, nf.FieldPair(nf.Field(u), nf.Field(v)))
+
+
+QUOTIENT_PARAMS = {
+    "p2": (nf.ModelParams(**DESK), 2, 8),
+    "p2-asym": (nf.ModelParams(n=2, p=2.0, s=0.4, q=1.8, alpha=2.0, beta=4 / 3), 2, 8),
+    "p3": (nf.ModelParams(n=2, p=3.0, s=0.1, q=2.5, alpha=30 / 17, beta=30 / 17), 2, 8),
+    "p1.5": (nf.ModelParams(n=1, p=1.5, s=0.3, q=1.2, alpha=2.0, beta=2.0), 1, 9),
+}
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["S", "S_ab"])
+@pytest.mark.parametrize("case", list(QUOTIENT_PARAMS))
+def test_quotient_round_matches_per_row_oracles(case, pair):
+    """One evaluation of a quotient round (compute_S, compute_S_alpha_beta)
+    equals, row by row, the oracle quotient (rayleigh_quotient,
+    coupled_quotient) at |raw| placed on its constraint (|u|_{p*} = 1,
+    D/2 = 1): the point to 1e-13, the value to 1e-13 relative, and the
+    gradient against a central difference of the oracle along three random
+    directions (tangent and normal parts alike), to 1e-8 of |grad| |d|.  The rows:
+    a positive state, that state times 3 with random signs, the zero state
+    and, for the pair, two components with disjoint supports (D = 0); the
+    last two cannot be placed.  The evaluations hold their own arrays, and
+    an empty round gives no evaluations."""
+    params, dim, m = QUOTIENT_PARAMS[case]
+    dom = nf.build_grid(dim, m, 1.0, 1.0, params)
+    n = dom.n_interior
+    rng = np.random.default_rng(3)
+    size = 2 * n if pair else n
+    a0 = 7.0 * (np.abs(rng.standard_normal(size)) + 0.1)  # far off the constraint
+    raws = [a0, 3.0 * np.where(rng.random(size) < 0.5, -1.0, 1.0) * a0, np.zeros(size)]
+    if pair:
+        half = np.arange(n) < n // 2
+        raws.append(np.concatenate([np.where(half, a0[:n], 0.0), np.where(half, 0.0, a0[n:])]))
+
+    def quotient(x):
+        if pair:
+            return coupled_quotient(dom, params, nf.FieldPair(nf.Field(x[:n]), nf.Field(x[n:])))
+        return rayleigh_quotient(dom, params, x)
+
+    def placed(a):
+        """|raw| on the constraint."""
+        if pair:
+            return a * (ray_triple(params, dom, a[:n], a[n:]).D / 2.0) ** (-1.0 / params.ab)
+        return a / lr_norm(dom, a, params.p_star)
+
+    evaluate = quotient_round(nf.compute_S_alpha_beta if pair else nf.compute_S, dom, params)
+    evaluations = evaluate(raws)
+    assert [e is None for e in evaluations] == [False, False] + [True] * (len(raws) - 2)
+    for raw, (x, value, grad) in zip(raws, evaluations[:2]):
+        assert x.base is None and grad.base is None
+        xo = placed(np.abs(raw))
+        assert np.max(np.abs(x - xo)) <= 1e-13 * np.max(xo)
+        assert value == pytest.approx(quotient(xo), rel=1e-13)
+        for _ in range(3):
+            d = rng.standard_normal(size)
+            h = 1e-4 * np.min(xo) / np.max(np.abs(d))
+            slope = (quotient(xo + h * d) - quotient(xo - h * d)) / (2.0 * h)
+            assert abs(slope - grad @ d) <= 1e-8 * np.linalg.norm(grad) * np.linalg.norm(d)
+    assert evaluate([]) == []
 
 
 def test_split_pair_init_value_identity(dom12):

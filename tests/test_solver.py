@@ -7,7 +7,7 @@ import pytest
 import nehari_frac as nf
 from nehari_frac import fibering, solver
 from nehari_frac.cli import main as cli_main
-from nehari_frac.constants import BUDGET, CONVERGED_STOPS, LINE_SEARCH_EXHAUSTED
+from nehari_frac.constants import BUDGET, CONVERGED_STOPS, FLAT, LINE_SEARCH_EXHAUSTED
 from nehari_frac.constants import bump_field
 from nehari_frac.energy import ray_triple, triple_gradients
 from nehari_frac.errors import BranchLostError, ConvergenceError, SupportError, ZeroPairError
@@ -75,7 +75,7 @@ def test_lockstep_branch_starts_match_single_start_runs(setup12):
         if rep is not None:
             alone = nf.minimize_on_branch(params, dom, NPLUS, starts[k], opts, seed_index=k)
             assert rep.to_dict() == alone.to_dict()  # field hashes included
-    assert [rep.stop_reason for rep in reports if rep is not None] == [LINE_SEARCH_EXHAUSTED] * 2 + [BUDGET] * 2
+    assert [rep.stop_reason for rep in reports if rep is not None] == [FLAT, LINE_SEARCH_EXHAUSTED] + [BUDGET] * 2
 
 
 def test_minimize_on_branch_reports_budget_stop(setup12):
