@@ -269,7 +269,7 @@ def compute_S_alpha_beta(
     """
     n = dom.n_interior
 
-    def denominator(a, kernels):  # D/2 = sum |u|^alpha |v|^beta
+    def denominator(a, kernels):  # D/2 = cell sum |u|^alpha |v|^beta
         u, v, kernels = a[:, :n], a[:, n:], (kernels[:, :n], kernels[:, n:])
         powers = component_powers(params, u, v)
         dD = triple_gradients(params, dom, u, v, kernels, powers)[2]

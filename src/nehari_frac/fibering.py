@@ -204,7 +204,7 @@ def project_triple(triple: ReducedTriple, params: ModelParams, classification: s
 
 def classify_triple(triple: ReducedTriple, params: ModelParams) -> str:
     """Trichotomy of a state by the sign of phi''(1) with a dead-band, after a
-    membership check, from its (P, B, D); both take CLASSIFY_DEADBAND."""
+    membership check, from its (P, B, D); CLASSIFY_DEADBAND sets both."""
     if not triple.on_manifold(CLASSIFY_DEADBAND):
         return OFF_MANIFOLD
     second = phi_second(triple, params, 1.0)
