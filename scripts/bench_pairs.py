@@ -14,9 +14,10 @@ exits non-zero is kept under "failed_runs" with its exit code and the tail
 of its stderr.  The record is rewritten after every run, so a series cut
 short keeps every run made.  The summary gives, per workload and end-to-end
 metric of BENCHMARK.json, the medians and quartiles (linear interpolation)
-of both sides, the parent's IQR, the pairs the change wins and the
-change/parent ratio of the medians.  A --traced workload gets one --trace 1
-run per side.
+of both sides, the parent's IQR, the pairs the change wins, the
+change/parent ratio of the medians and the median of the per-pair
+change/parent ratios; a series of fewer than ten pairs is marked
+"indicative".  A --traced workload gets one --trace 1 run per side.
 """
 from __future__ import annotations
 
@@ -79,6 +80,7 @@ def summarize(runs: list, metrics: dict) -> dict:
         entry = {
             "change_commit": side["change"][pairs[0]]["commit"],
             "pairs": len(pairs),
+            "indicative": len(pairs) < 10,
             "failed_ops": {s: sum(r["result"]["failed"] for r in side[s].values()) for s in side},
             "attempted_ops": {s: sum(r["result"]["attempted"] for r in side[s].values()) for s in side},
             "all_correct": all(r["result"]["correct"] for r in group),
@@ -99,6 +101,7 @@ def summarize(runs: list, metrics: dict) -> dict:
                 "parent_iqr": q["parent"][1] - q["parent"][0],
                 "change_wins": f"{wins}/{len(pairs)}",
                 "change_over_parent": median["change"] / median["parent"],
+                "median_pair_ratio": statistics.median(c / p for p, c in zip(value["parent"], value["change"])),
             }
         summary[f"{key[0]} seed {key[1]}"] = entry
     return summary

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .constants import ConstantsReport
-from .energy import ray_triple
+from .energy import ReducedTriple, ray_triple
 from .errors import ConvergenceError, SupportError
 from .fibering import NMINUS, branch_root, phi
 from .grid import Field, GridDomain, lr_norm, seminorm_p
@@ -94,14 +94,21 @@ def support_fits(dom: GridDomain, delta: float, theta: float) -> bool:
 
 
 def bubble_field(dom: GridDomain, params: ModelParams, epsilon: float, delta: float, theta: float) -> Field:
-    """Sample the centred truncated model bubble on the interior nodes."""
+    """Sample the centred truncated model bubble on the interior nodes;
+    SupportError when its support does not fit or holds no node."""
     if not support_fits(dom, delta, theta):
         raise SupportError(
             f"support ball of radius {theta * delta:.6g} does not fit: clearance is {dom.box_length / 2.0:.6g}"
         )
     bub = make_bubble(params, epsilon, delta, theta)
     r = np.linalg.norm(dom.interior - dom.box_length / 2.0, axis=1)
-    return Field(bubble_value(bub, r))
+    values = bubble_value(bub, r)
+    if not values.any():
+        raise SupportError(
+            f"the bubble at eps = {epsilon:.6g} is zero on every interior node: its support radius "
+            f"theta*delta = {theta * delta:.6g} does not reach the nearest node, {r.min():.6g} from the centre"
+        )
+    return Field(values)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +278,16 @@ def sup_energy_scan(
 ):
     """Ray-energy maxima of the weighted bubble pair (a^(1/p) u, b^(1/p) u).
 
-    Per eps: the closed-form maximizer t_star of the coupling-only part and
-    its maximum h_at_tstar, the full ray supremum including the concave term
-    at the weights of constants (a constants.thresholds record), the q-regime
-    label of the core concave mass, and the comparison against the record's
-    c_infty.
+    Per eps: the maximizer t_star of the coupling-only part (its
+    fibering.branch_root) and its maximum h_at_tstar, the full ray supremum
+    including the concave term at the weights of constants (a
+    constants.thresholds record), the q-regime label of the core concave
+    mass, and the comparison against the record's c_infty.
     """
     if len(eps_list) == 0:
         raise ValueError("eps_list must not be empty")
 
-    p, ab = params.p, params.ab
+    p = params.p
     label = q_regime_label(params)
     weighted = params.with_weights(constants.lam, constants.mu)
 
@@ -288,18 +295,15 @@ def sup_energy_scan(
     for e in sorted(eps_list, reverse=True):
         uv = bubble_field(dom, params, e, delta, theta).values
         triple = ray_triple(weighted, dom, params.alpha ** (1.0 / p) * uv, params.beta ** (1.0 / p) * uv)
-        P0, B0, D0 = triple.P, triple.B, triple.D
-
-        t_star = (P0 / D0) ** (1.0 / (ab - p))
-        h_at_tstar = (1.0 / p - 1.0 / ab) * P0 ** (ab / (ab - p)) / D0 ** (p / (ab - p))
+        # the coupling-only ray (B = 0) has its one maximum at its NMINUS root
+        convex = ReducedTriple(triple.P, 0.0, triple.D)
+        t_star = branch_root(convex, params, NMINUS)
+        h_at_tstar = phi(convex, params, t_star)
 
         # sup over t >= 0 includes phi(0) = 0; with two roots the ray maximum
         # sits at the upper one, above the threshold phi is nonincreasing
-        if B0 > 0:
-            t2 = branch_root(triple, params, NMINUS)
-            sup_full = 0.0 if t2 is None else max(phi(triple, params, t2), 0.0)
-        else:
-            sup_full = h_at_tstar
+        t2 = branch_root(triple, params, NMINUS)
+        sup_full = 0.0 if t2 is None else max(phi(triple, params, t2), 0.0)
 
         rows.append(
             SupScanRow(

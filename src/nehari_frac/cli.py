@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bubbles, constants as consts, fibering, solver
 from .config import RunConfig, load_config
-from .errors import ConfigError, NehariFracError, ZeroPairError
+from .errors import ConfigError, NehariFracError, SupportError, ZeroPairError
 from .fieldio import load_field, save_field
 from .grid import Field, FieldPair
 
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(json.dumps(summary, indent=2, sort_keys=True))
         return code
-    except (ConfigError, ZeroPairError) as exc:
+    except (ConfigError, SupportError, ZeroPairError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NehariFracError as exc:

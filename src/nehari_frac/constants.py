@@ -21,6 +21,7 @@ from .params import ModelParams
 QUOTIENT_FLAT_TOL = 1e-6
 QUOTIENT_RESTARTS = 10
 QUOTIENT_MAX_ITER = 4000        # read at call time, so a test can lower it
+TIE_RTOL = 1e-13                # runs ending this close (relative) to the lowest reached the same minimum
 _FLAT_PATIENCE = 4
 
 
@@ -178,14 +179,27 @@ def stacked_evaluate(dom: GridDomain, finish):
     return evaluate
 
 
+def first_lowest(runs) -> Optional[int]:
+    """Index of the run a multi-start solve reports: the first, in start
+    order, whose value lies within TIE_RTOL (relative) of the lowest, so
+    that rounding does not choose among starts that reached the same
+    minimum; None when every run is None."""
+    values = {k: run.value for k, run in enumerate(runs) if run is not None}
+    if not values:
+        return None
+    low = min(values.values())
+    return next(k for k, value in values.items() if value - low <= TIE_RTOL * abs(low))
+
+
 def random_positive_starts(seq: np.random.SeedSequence, count: int, size: int, floor: float) -> list:
     """count vectors |N(0,1)| + floor of length size, one per child spawned from seq."""
     return [np.abs(np.random.default_rng(child).standard_normal(size)) + floor for child in seq.spawn(count)]
 
 
 def _minimize_quotient(dom: GridDomain, p: float, inits, denominator, degree: float, tol, name, as_state):
-    """Best descent of P(x) / den(x)^(p/degree), P(x) = x . plap_gradient(x),
-    over the starting points, QUOTIENT_MAX_ITER steps each.
+    """The descent of P(x) / den(x)^(p/degree), P(x) = x . plap_gradient(x),
+    that first_lowest picks among the starting points, QUOTIENT_MAX_ITER
+    steps each.
 
     denominator(x, kernels) gives den, homogeneous of degree `degree`, and
     its gradient at each row of the round's stack |raws| with its kernel rows.
@@ -215,7 +229,7 @@ def _minimize_quotient(dom: GridDomain, p: float, inits, denominator, degree: fl
     runs = descend(inits, stacked_evaluate(dom, finish), StopRule(max_iter=QUOTIENT_MAX_ITER, flat_tol=tol))
     if None in runs:
         raise ValueError(f"{name}: infeasible starting point")
-    best = min(runs, key=lambda run: run.value)  # the first of equal values
+    best = runs[first_lowest(runs)]
     if all(run.stop_reason == BUDGET for run in runs):
         raise ConvergenceError(f"{name} descent did not flatten within the iteration budget",
                                last_iterate=as_state(best.x), last_value=best.value)

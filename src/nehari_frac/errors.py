@@ -27,7 +27,7 @@ class ConvergenceError(NehariFracError):
 
 
 class SupportError(NehariFracError):
-    """A bubble support ball does not fit inside the interior region."""
+    """A bubble support ball does not fit inside the interior region, or holds no interior node."""
 
 
 class BranchLostError(NehariFracError):

@@ -23,7 +23,8 @@ import numpy as np
 
 from .bubbles import bubble_field
 from .constants import (
-    CONVERGED_STOPS, ConstantsReport, StopRule, bump_field, descend, random_positive_starts, stacked_evaluate,
+    CONVERGED_STOPS, ConstantsReport, StopRule, bump_field, descend, first_lowest, random_positive_starts,
+    stacked_evaluate,
 )
 from .energy import ReducedTriple, component_powers, constraint_gradient_arrays, gradient_arrays, ray_triple
 from .errors import BranchLostError, ConvergenceError, ZeroPairError
@@ -88,7 +89,6 @@ def minimize_on_branch(
     branch: str,
     init: FieldPair,
     opts: SolveOptions = SolveOptions(),
-    seed_index: int = 0,
 ) -> SolutionReport:
     """Projected Barzilai-Borwein descent of J restricted to one Nehari branch.
 
@@ -98,25 +98,19 @@ def minimize_on_branch(
     the run only aborts when the starting state itself cannot be projected.
     Accepted energies are nonincreasing by construction.
     """
-    [report] = _branch_descents(params, dom, branch, [init], opts)
-    if report is None:
-        raise BranchLostError(
-            "left the two-root regime: the requested root does not exist at the "
-            "starting state; use smaller lambda and mu"
-        )
-    report.seed_index = seed_index
-    return report
+    return _solve_branch(params, dom, branch, [np.concatenate([as_values(init.u), as_values(init.v)])], opts)
 
 
-def _branch_descents(params: ModelParams, dom: GridDomain, branch: str, inits, opts: SolveOptions) -> list:
-    """minimize_on_branch from each starting pair, all in one lockstep
-    descend: a report per start, None where the start cannot be projected."""
+def _solve_branch(params: ModelParams, dom: GridDomain, branch: str, starts, opts: SolveOptions) -> SolutionReport:
+    """minimize_on_branch from each raw (2N,) start, all in one lockstep
+    descend; reports the start constants.first_lowest picks, and raises
+    BranchLostError when no start can be projected."""
     if branch not in (NPLUS, NMINUS):
         raise ValueError(f"unknown branch {branch!r}")
     if params.lam <= 0 or params.mu <= 0:
         raise ValueError("parameters must be positive")
     n = dom.n_interior
-    norm_max = [0.0] * len(inits)  # per start: max norm over accepted points
+    norm_max = [0.0] * len(starts)  # per start: max norm over accepted points
 
     def finish(a, kernels):
         u, v, kernels = a[:, :n], a[:, n:], (kernels[:, :n], kernels[:, n:])
@@ -138,10 +132,14 @@ def _branch_descents(params: ModelParams, dom: GridDomain, branch: str, inits, o
         max_iter=opts.max_iter, flat_tol=ENERGY_RTOL, patience=BRANCH_FLAT_PATIENCE,
         grad_rtol=GRAD_RTOL, armijo=ARMIJO,
     )
-    raws = [np.concatenate([as_values(init.u), as_values(init.v)]) for init in inits]
-    runs = descend(raws, stacked_evaluate(dom, finish), stop, on_accept=accepted)
-    return [None if run is None else _branch_report(params, dom, branch, run, norm_max[k], k)
-            for k, run in enumerate(runs)]
+    runs = descend(starts, stacked_evaluate(dom, finish), stop, on_accept=accepted)
+    k = first_lowest(runs)
+    if k is None:
+        raise BranchLostError(
+            f"left the two-root regime: the {branch} root does not exist at any "
+            "starting state; use smaller lambda and mu"
+        )
+    return _branch_report(params, dom, branch, runs[k], norm_max[k], k)
 
 
 def _branch_report(params: ModelParams, dom: GridDomain, branch: str, run, norm_max: float,
@@ -175,34 +173,25 @@ def _branch_report(params: ModelParams, dom: GridDomain, branch: str, run, norm_
 
 def _starts_for_branch(params: ModelParams, dom: GridDomain, branch: str, opts: SolveOptions,
                        extra=None):
-    """Deterministic list of starting pairs.
+    """Deterministic list of raw (2N,) starting vectors (u then v).
 
     The maximum branch leads with the weighted bubble pair and, when
     available, the coupled-quotient minimizer (the natural candidate for the
     second solution); both branches include the smooth bump and seeded random
     positive pairs."""
     starts = []
-    bump = bump_field(dom)
     if branch == NMINUS:
         if extra is not None:
-            starts.append(extra)
+            starts.append(np.concatenate([as_values(extra.u), as_values(extra.v)]))
         # the support radius BUBBLE_THETA * BUBBLE_DELTA_FRAC * L is L/2 exactly,
         # which bubbles.support_fits allows on every box and ball
         delta = BUBBLE_DELTA_FRAC * dom.box_length
         eps = BUBBLE_EPS_FRAC * delta
         ub = bubble_field(dom, params, eps, delta, BUBBLE_THETA).values
-        starts.append(
-            FieldPair(
-                Field(params.alpha ** (1.0 / params.p) * ub),
-                Field(params.beta ** (1.0 / params.p) * ub),
-            )
-        )
-    starts.append(FieldPair(Field(bump.copy()), Field(bump.copy())))
-    n = dom.n_interior
+        starts.append(np.concatenate([params.alpha ** (1.0 / params.p) * ub, params.beta ** (1.0 / params.p) * ub]))
+    starts.append(np.tile(bump_field(dom), 2))
     seq = np.random.SeedSequence(opts.seed, spawn_key=(0 if branch == NPLUS else 1,))
-    for x in random_positive_starts(seq, max(opts.n_starts - 1, 0), 2 * n, 1e-3):
-        starts.append(FieldPair(Field(x[:n]), Field(x[n:])))
-    return starts
+    return starts + random_positive_starts(seq, max(opts.n_starts - 1, 0), 2 * dom.n_interior, 1e-3)
 
 
 def pair_distance(dom: GridDomain, a: FieldPair, b: FieldPair) -> float:
@@ -236,22 +225,8 @@ def solve_two(
     if constants is not None and (constants.lam, constants.mu, constants.volume) != (params.lam, params.mu, dom.volume):
         raise ValueError("the thresholds were evaluated at other weights or on another domain")
 
-    best = {}
-    for branch in (NPLUS, NMINUS):
-        starts = _starts_for_branch(params, dom, branch, opts, extra=s_ab_minimizer)
-        reports = [r for r in _branch_descents(params, dom, branch, starts, opts) if r is not None]
-        if not reports:
-            raise BranchLostError(
-                f"no starting state on branch {branch} could be projected; "
-                "use smaller lambda and mu"
-            )
-        # starts that end within ENERGY_RTOL of the lowest energy reached the
-        # same minimum; rounding must not pick among them, so the first does
-        low = min(r.energy for r in reports)
-        best[branch] = min((r for r in reports if r.energy - low <= ENERGY_RTOL * abs(low)),
-                           key=lambda r: r.seed_index)
-
-    plus, minus = best[NPLUS], best[NMINUS]
+    plus, minus = (_solve_branch(params, dom, b, _starts_for_branch(params, dom, b, opts, s_ab_minimizer), opts)
+                   for b in (NPLUS, NMINUS))
     dist = pair_distance(dom, plus.pair, minus.pair)
     checks = {
         "energy_plus_negative": plus.energy < 0,

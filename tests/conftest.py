@@ -10,7 +10,7 @@ import nehari_frac as nf
 from nehari_frac import constants, fibering, solver
 from nehari_frac.bubbles import bubble_field, make_bubble, model_profile
 from nehari_frac.energy import ReducedTriple, constraint_gradient_arrays, gradient_arrays, ray_triple
-from nehari_frac.errors import ConvergenceError, NehariFracError
+from nehari_frac.errors import BranchLostError, ConvergenceError, NehariFracError
 from nehari_frac.fibering import ROOT_RTOL, phi, phi_prime, phi_second
 from nehari_frac.grid import as_values, lr_norm, plap_gradient, seminorm_p
 
@@ -196,11 +196,13 @@ def bisection_branch_root(triple, params, branch):
 
 def branch_round(params, dom, branch):
     """The evaluate callback of the lockstep branch descent (solve_two,
-    minimize_on_branch): raws in, one evaluation or None per raw out."""
+    minimize_on_branch): raws in, one evaluation or None per raw out.  The
+    solve it comes from has no start (it raises BranchLostError)."""
     made = []
     build = solver.stacked_evaluate
-    with mock.patch.object(solver, "stacked_evaluate", lambda *args: made.append(build(*args)) or made[-1]):
-        solver._branch_descents(params, dom, branch, [], solver.SolveOptions())
+    with mock.patch.object(solver, "stacked_evaluate", lambda *args: made.append(build(*args)) or made[-1]), \
+            pytest.raises(BranchLostError):
+        solver._solve_branch(params, dom, branch, [], solver.SolveOptions())
     return made[0]
 
 

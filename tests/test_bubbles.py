@@ -115,6 +115,14 @@ def test_bubble_field_support_check(dom12):
     nf.bubble_field(dom12, CRIT, 0.0625, 0.25, 2.0)
 
 
+def test_bubble_field_that_misses_every_node():
+    # m = 6: the nodes nearest the centre lie 0.101 from it, beyond theta * delta = 0.02
+    dom = nf.build_grid(2, 6, 1.0, 1.0, CRIT)
+    with pytest.raises(SupportError, match=r"eps = 0.005 is zero on every interior node: .* theta\*delta = 0.02 "
+                                           r"does not reach the nearest node, 0.101015 from the centre"):
+        nf.bubble_field(dom, CRIT, 0.005, 0.01, 2.0)
+
+
 def test_bubble_matches_piecewise_identity():
     bub = make_bubble(CRIT, 0.03, 0.2, 2.0)
     r = np.linspace(0.0, 0.5, 500)

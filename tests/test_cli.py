@@ -168,6 +168,21 @@ def test_negative_seed_and_unfit_bubble_name_the_key(tmp_path, capsys):
     assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
+def test_bubble_that_misses_every_node_exits_2(tmp_path, capsys):
+    """At m = 6 the nearest node lies 0.101 from the centre, beyond the
+    support radius theta * delta = 0.02: a user error naming eps, not a
+    traceback from the sup scan."""
+    doc = json.loads(DESK.read_text())
+    doc["grid"]["m"] = 6
+    doc["bubble_scan"].update(delta=0.01, eps_list=[0.005, 0.0025])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert main(["bubble-scan", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the bubble at eps = 0.005 is zero on every interior node")
+    assert "Traceback" not in err
+
+
 def test_curves_empty_t_interval_exits_2(tmp_path, capsys):
     # t_lo >= t_hi, given both ways or against the default t_hi = 3 t2
     for bounds in ({"t_lo": 5.0, "t_hi": 1.0}, {"t_lo": 2.0, "t_hi": 2.0}, {"t_lo": 1e6}):

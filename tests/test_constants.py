@@ -8,10 +8,14 @@ import pytest
 import nehari_frac as nf
 from nehari_frac.constants import (
     BUDGET,
+    FLAT,
     GRAD_TOL,
     LINE_SEARCH_EXHAUSTED,
+    TIE_RTOL,
+    Descent,
     StopRule,
     descend,
+    first_lowest,
     random_positive_starts,
 )
 
@@ -238,6 +242,42 @@ def test_random_positive_starts_split_like_per_component_draws():
         rng = np.random.default_rng(child)
         assert np.array_equal(x[:n], np.abs(rng.standard_normal(n)) + 1e-3)
         assert np.array_equal(x[n:], np.abs(rng.standard_normal(n)) + 1e-3)
+
+
+@pytest.mark.parametrize("low", [3.0, -3.0])
+def test_first_lowest_picks_the_first_start_within_tie_rtol(low):
+    """The one rule that picks the start a lockstep solve reports: None runs
+    are skipped, a value 5e-14 (relative) above the lowest ties with it and
+    one 2e-13 above does not, and among ties the first start wins."""
+    assert TIE_RTOL == 1e-13
+    run = lambda rel: Descent(np.zeros(1), low + rel * abs(low), np.zeros(1), FLAT, 0)
+    assert first_lowest([]) is None and first_lowest([None, None]) is None
+    assert first_lowest([None, run(0.0)]) == 1
+    assert first_lowest([run(2e-13), None, run(0.0), run(5e-14)]) == 2
+    assert first_lowest([None, run(5e-14), run(1.0), run(0.0)]) == 1
+    assert first_lowest([run(1e-14), run(0.0), None, run(1e-14)]) == 0
+
+
+def test_compute_S_reports_the_first_start_of_a_tied_minimum(dom12, monkeypatch):
+    """compute_S picks its start by first_lowest: with start 2 made the
+    lowest and start 0 set 5e-14 (relative) above it, start 0 is reported."""
+    from nehari_frac import constants
+
+    real, made = constants.descend, []
+
+    def tied(*args, **kwargs):
+        runs = real(*args, **kwargs)
+        low = min(run.value for run in runs) * (1.0 - 1e-9)
+        runs[2] = runs[2]._replace(value=low)
+        runs[0] = runs[0]._replace(value=low + 5e-14 * low)
+        made.append(runs)
+        return runs
+
+    monkeypatch.setattr(constants, "descend", tied)
+    s_d, s_min = nf.compute_S(dom12, CRIT, seed=0, restarts=4)
+    [runs] = made
+    assert s_d == runs[0].value
+    assert np.array_equal(s_min.values, runs[0].x)
 
 
 def test_compute_S_coupled_runs_each_start_once(dom12, monkeypatch):

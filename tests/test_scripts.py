@@ -48,25 +48,32 @@ def test_bench_pairs_summary_on_synthetic_runs():
     summary = _bench_pairs().summarize(runs, {"wall_s": "lower", "peak_rss_mb": "lower", "setup_s": "lower"})
     assert list(summary) == ["p3_solve seed 1", "quad_scan seed 1"]
     p3 = summary["p3_solve seed 1"]
-    assert p3["change_commit"] == "c" * 40 and p3["pairs"] == 4
+    assert p3["change_commit"] == "c" * 40 and p3["pairs"] == 4 and p3["indicative"] is True
     assert p3["failed_ops"] == {"parent": 1, "change": 0} and p3["attempted_ops"] == {"parent": 50, "change": 40}
     assert p3["all_correct"] is False
     assert p3["metrics"]["wall_s"] == {
         "parent_median": 3.5, "change_median": 2.25,
         "parent_q1_q3": [2.75, 4.25], "change_q1_q3": [1.75, 3.0], "parent_iqr": 1.5,
         "change_wins": "3/4", "change_over_parent": 2.25 / 3.5,
+        "median_pair_ratio": (0.5 + 2.0 / 3.0) / 2,  # of the pair ratios 1/2, 9/8, 2/3, 1/2
     }
     assert p3["metrics"]["peak_rss_mb"]["change_wins"] == "0/4"
     assert list(summary["quad_scan seed 1"]["metrics"]) == ["wall_s"]
 
 
 def test_bench_pairs_summary_reproduces_a_committed_record():
-    """The p3_solve summary of BENCH_pr15.json, rebuilt from its own runs."""
+    """The p3_solve summary of BENCH_pr15.json, rebuilt from its own runs;
+    the record predates the indicative label and the median pair ratio."""
     record = json.loads((ROOT / "BENCH_pr15.json").read_text())
     want = record["summary"]["p3_solve seed 1"]
     runs = [r for r in record["runs"] if r["workload"] == "p3_solve"]
     metrics = {name: "lower" for name in want["metrics"]}
-    assert _bench_pairs().summarize(runs, metrics) == {"p3_solve seed 1": want}
+    summary = _bench_pairs().summarize(runs, metrics)
+    got = summary["p3_solve seed 1"]
+    assert got.pop("indicative") is (want["pairs"] < 10)
+    for entry in got["metrics"].values():
+        del entry["median_pair_ratio"]
+    assert summary == {"p3_solve seed 1": want}
 
 
 def test_bench_pairs_main_keeps_every_run(monkeypatch, tmp_path):

@@ -57,25 +57,36 @@ def test_minimize_on_branch_nminus_above_d0(setup12):
     assert rep.energy >= d0.value > 0
 
 
-def test_lockstep_branch_starts_match_single_start_runs(setup12):
+def test_lockstep_branch_starts_match_single_start_runs(setup12, monkeypatch):
     """solve_two descends from all starts of a branch in lockstep, with one
-    stacked kernel pass per round; each start's report equals, bit for bit,
-    minimize_on_branch from that start alone.  The zero pair, inserted as
+    stacked kernel pass per round; each start's Descent equals, bit for bit,
+    the Descent from that start alone, and the reported start's report
+    equals minimize_on_branch from it alone.  The zero pair, inserted as
     start 1, cannot be projected."""
     params, dom, _, _ = setup12
     opts = nf.SolveOptions(max_iter=50)
+    n = dom.n_interior
+    as_pair = lambda x: nf.FieldPair(nf.Field(x[:n]), nf.Field(x[n:]))
     starts = solver._starts_for_branch(params, dom, NPLUS, opts)
-    zero = nf.Field(np.zeros(dom.n_interior))
-    starts.insert(1, nf.FieldPair(zero, zero))
-    reports = solver._branch_descents(params, dom, NPLUS, starts, opts)
-    assert reports[1] is None
+    starts.insert(1, np.zeros(2 * n))
+    made = []
+    descend = solver.descend
+    monkeypatch.setattr(solver, "descend", lambda *args, **kwargs: made.append(descend(*args, **kwargs)) or made[-1])
+    report = solver._solve_branch(params, dom, NPLUS, starts, opts)
+    runs = made[-1]
+    assert runs[1] is None
     with pytest.raises(BranchLostError):
-        nf.minimize_on_branch(params, dom, NPLUS, starts[1], opts)
-    for k, rep in enumerate(reports):
-        if rep is not None:
-            alone = nf.minimize_on_branch(params, dom, NPLUS, starts[k], opts, seed_index=k)
-            assert rep.to_dict() == alone.to_dict()  # field hashes included
-    assert [rep.stop_reason for rep in reports if rep is not None] == [FLAT, LINE_SEARCH_EXHAUSTED] + [BUDGET] * 2
+        nf.minimize_on_branch(params, dom, NPLUS, as_pair(starts[1]), opts)
+    for k, run in enumerate(runs):
+        if run is not None:
+            solver._solve_branch(params, dom, NPLUS, [starts[k]], opts)
+            [alone] = made[-1]
+            assert run.x.tobytes() == alone.x.tobytes() and run.grad.tobytes() == alone.grad.tobytes()
+            assert run[1:2] + run[3:] == alone[1:2] + alone[3:]  # value, stop reason, iterations
+    k = report.seed_index
+    alone = nf.minimize_on_branch(params, dom, NPLUS, as_pair(starts[k]), opts)
+    assert report.to_dict() == {**alone.to_dict(), "seed_index": k}  # field hashes included
+    assert [run.stop_reason for run in runs if run is not None] == [FLAT, LINE_SEARCH_EXHAUSTED] + [BUDGET] * 2
 
 
 def test_minimize_on_branch_reports_budget_stop(setup12):
@@ -112,8 +123,8 @@ def test_minus_starts_carry_the_bubble(shape, monkeypatch):
         ub = nf.bubble_field(dom, params, solver.BUBBLE_EPS_FRAC * delta, delta, solver.BUBBLE_THETA).values
         assert ub.any()
         assert len(starts) == 1 + opts.n_starts
-        assert np.array_equal(starts[0].u.values, params.alpha ** (1.0 / p) * ub)
-        assert np.array_equal(starts[0].v.values, params.beta ** (1.0 / p) * ub)
+        assert np.array_equal(starts[0][:dom.n_interior], params.alpha ** (1.0 / p) * ub)
+        assert np.array_equal(starts[0][dom.n_interior:], params.beta ** (1.0 / p) * ub)
 
     def unfitting(*args, **kwargs):
         raise SupportError("support ball does not fit")
@@ -253,20 +264,19 @@ def test_solve_two_rejects_thresholds_of_other_weights(setup12):
 
 @pytest.mark.parametrize("lead, expected", [(5e-14, 0), (2e-13, 2)])
 def test_solve_two_reports_the_first_start_of_a_tied_minimum(setup12, monkeypatch, lead, expected):
-    """Starts whose energies lie within ENERGY_RTOL (relative) of the lowest
-    reached the same minimum, and the first of them is reported: start 0 is
-    lead above the lowest (start 2), start 1 far above, start 3 1e-14 above."""
+    """Starts whose energies lie within constants.TIE_RTOL (relative) of the
+    lowest reached the same minimum, and the first of them is reported:
+    start 0 is lead above the lowest (start 2), start 1 far above, start 3
+    1e-14 above."""
     params, dom, _, _ = setup12
-    descents = solver._branch_descents
+    descend = solver.descend
 
-    def shifted(*args):
-        reports = descents(*args)
-        low = reports[2].energy
-        for report, rel in zip(reports, (lead, 1e-12, 0.0, 1e-14)):
-            report.energy = low + rel * abs(low)
-        return reports
+    def shifted(*args, **kwargs):
+        runs = descend(*args, **kwargs)
+        low = runs[2].value
+        return [run._replace(value=low + rel * abs(low)) for run, rel in zip(runs, (lead, 1e-12, 0.0, 1e-14))]
 
-    monkeypatch.setattr(solver, "_branch_descents", shifted)
+    monkeypatch.setattr(solver, "descend", shifted)
     plus, minus = nf.solve_two(params, dom, nf.SolveOptions(n_starts=3, max_iter=5))
     assert plus.seed_index == minus.seed_index == expected
 
@@ -460,10 +470,10 @@ def test_semitrivial_tmax_rejects_nonstationary(params, dom12):
 
 
 def test_branch_reports_make_one_stacked_pass_each(tmp_path, monkeypatch):
-    """On the desk config at m = 20 (seed 7) solve_two reports ten starts,
-    four on the minimum branch and six on the maximum branch; each report
-    reads its residual and classification from one plap_gradient call on the
-    stack (u, v)."""
+    """On the desk config at m = 20 (seed 7) solve_two descends from ten
+    starts, four on the minimum branch and six on the maximum branch, and
+    reports one start per branch; each report reads its residual and
+    classification from one plap_gradient call on the stack (u, v)."""
     cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "desk.json").read_text())
     cfg["grid"]["m"] = 20
     path = tmp_path / "desk20.json"
@@ -480,4 +490,4 @@ def test_branch_reports_make_one_stacked_pass_each(tmp_path, monkeypatch):
 
     monkeypatch.setattr(solver, "_branch_report", recorded)
     assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    assert per_report == [[(2, 0)]] * 10
+    assert per_report == [[(2, 0)]] * 2
