@@ -82,7 +82,7 @@ def test_lockstep_branch_starts_match_single_start_runs(setup12, monkeypatch):
             solver._solve_branch(params, dom, NPLUS, [starts[k]], opts)
             [alone] = made[-1]
             assert run.x.tobytes() == alone.x.tobytes() and run.grad.tobytes() == alone.grad.tobytes()
-            assert run[1:2] + run[3:] == alone[1:2] + alone[3:]  # value, stop reason, iterations
+            assert (run.value, run.stop_reason, run.iterations) == (alone.value, alone.stop_reason, alone.iterations)
     k = report.seed_index
     alone = nf.minimize_on_branch(params, dom, NPLUS, as_pair(starts[k]), opts)
     assert report.to_dict() == {**alone.to_dict(), "seed_index": k}  # field hashes included
