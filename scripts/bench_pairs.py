@@ -15,14 +15,16 @@ of its stderr.  The record is rewritten after every run, so a series cut
 short keeps every run made.  The summary gives, per workload and end-to-end
 metric of BENCHMARK.json, the medians and quartiles (linear interpolation)
 of both sides, the parent's IQR, the pairs the change wins, the
-change/parent ratio of the medians and the median of the per-pair
-change/parent ratios; a series of fewer than ten pairs is marked
-"indicative".  A --traced workload gets one --trace 1 run per side.
+change/parent ratio of the medians, the median of the per-pair
+change/parent ratios and the exact two-sided sign-test p-value of the wins
+over the pairs that are not tied; a series of fewer than ten pairs is
+marked "indicative".  A --traced workload gets one --trace 1 run per side.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -67,6 +69,13 @@ def _quartiles(values: list) -> list:
     return [float(q) for q in np.percentile(values, [25, 75])]
 
 
+def sign_test(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of wins against losses (ties left out):
+    the chance under a fair coin of a split at least this uneven; 1 with no pairs."""
+    n, k = wins + losses, min(wins, losses)
+    return min(1.0, 2.0 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n)
+
+
 def summarize(runs: list, metrics: dict) -> dict:
     """Per "<workload> seed <seed>": pairs, ops, correctness and, for each metric
     name -> "lower" | "higher" present in every run, the pair statistics."""
@@ -92,6 +101,7 @@ def summarize(runs: list, metrics: dict) -> dict:
             value = {s: [side[s][k]["result"]["metrics"][name]["value"] for k in pairs] for s in side}
             q = {s: _quartiles(value[s]) for s in side}
             wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(value["parent"], value["change"]))
+            ties = sum(c == p for p, c in zip(value["parent"], value["change"]))
             median = {s: statistics.median(value[s]) for s in side}
             entry["metrics"][name] = {
                 "parent_median": median["parent"],
@@ -102,6 +112,7 @@ def summarize(runs: list, metrics: dict) -> dict:
                 "change_wins": f"{wins}/{len(pairs)}",
                 "change_over_parent": median["change"] / median["parent"],
                 "median_pair_ratio": statistics.median(c / p for p, c in zip(value["parent"], value["change"])),
+                "sign_test_p": sign_test(wins, len(pairs) - wins - ties),
             }
         summary[f"{key[0]} seed {key[1]}"] = entry
     return summary

@@ -195,6 +195,8 @@ def cmd_bubble_scan(cfg: RunConfig, dom, seed: int, args, out: _Outputs):
     if not bubbles.support_fits(dom, delta, theta):
         raise ConfigError(f"{cfg.where('bubble_scan')}: bubble_scan.theta * bubble_scan.delta = {theta * delta!r} "
                           f"exceeds half the box length {dom.box_length / 2.0!r}: the centred bubble does not fit")
+    for e in eps_list:  # SupportError (exit 2) for a bubble that misses every node, before any quotient solve
+        bubbles.bubble_field(dom, params, e, delta, theta)
     lam = float(block.get("lambda", params.lam))
     mu = float(block.get("mu", params.mu))
     method = block.get("method", "lattice")

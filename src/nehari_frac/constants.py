@@ -88,7 +88,9 @@ def descent_steps(start, stop: StopRule, on_accept=None):
     full, so an accepted trial already carries its gradient.  Each proposal
     x - s g is halved up to 60 times until its value passes the acceptance
     test of stop.  on_accept(evaluation) is called for the start and for each
-    accepted point.
+    accepted point.  The step is 1/max(1, |g0|) at first, then dx.dx / dx.dg
+    (BB1) where the curvature dx.dg is positive and |dx| / |dg| where it is
+    not (a nonconvex branch; keeping the last step there froze it).
     """
     x, val, g = start[:3]
     if on_accept is not None:
@@ -105,9 +107,11 @@ def descent_steps(start, stop: StopRule, on_accept=None):
         if x_prev is not None:
             dx = x - x_prev
             dg = g - g_prev
-            denom = float(np.dot(dx, dg))
+            denom, dxdx, dgdg = float(np.dot(dx, dg)), float(np.dot(dx, dx)), float(np.dot(dg, dg))
             if denom > 0:
-                step = float(np.dot(dx, dx)) / denom
+                step = dxdx / denom
+            elif dgdg > 0:  # nonpositive curvature: the BB step would be negative or infinite
+                step = (dxdx / dgdg) ** 0.5
             del dx, dg
             step = min(max(step, 1e-14), 1e14)
         gg = float(np.dot(g, g)) if stop.armijo else 0.0

@@ -163,11 +163,15 @@ def _check_len(dom: GridDomain, v: np.ndarray):
         raise ValueError(f"field has {v.shape[0] if v.ndim == 1 else v.shape} values, domain has {dom.n_interior} interior nodes")
 
 
-def _lattice_coords(lo: int, hi: int, dim: int, h: float) -> np.ndarray:
-    axes = [np.arange(lo, hi + 1, dtype=np.int64)] * dim
+def _lattice(m: int, width: int, dim: int, shape: str):
+    """Integer indices k of the sampled box, -width <= k_i <= m + 1 + width, and which are interior,
+    decided exactly in integers: 1 <= k_i <= m (box), sum (2 k_i - m - 1)^2 < (m + 1)^2 (ball)."""
+    axes = [np.arange(-width, m + 2 + width, dtype=np.int64)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     k = np.stack([a.ravel() for a in mesh], axis=1)
-    return k * h
+    if shape == "box":
+        return k, np.all((k >= 1) & (k <= m), axis=1)
+    return k, np.sum((2 * k - m - 1) ** 2, axis=1) < (m + 1) ** 2
 
 
 def _slab_bounds(n: int) -> list:
@@ -252,13 +256,8 @@ def build_grid(
 
     h = box_length / (m + 1)
     width = int(np.floor(collar_factor * box_length / h + 1e-9))
-    coords = _lattice_coords(-width, m + 1 + width, n, h)
-
-    if shape == "box":
-        inside = np.all((coords > 0.0) & (coords < box_length), axis=1)
-    else:
-        center = np.full(n, box_length / 2.0)
-        inside = np.linalg.norm(coords - center, axis=1) < box_length / 2.0
+    k, inside = _lattice(m, width, n, shape)
+    coords = k * h
     interior = coords[inside]
     collar = coords[~inside]
 

@@ -15,6 +15,7 @@ from nehari_frac.constants import (
     Descent,
     StopRule,
     descend,
+    descent_steps,
     first_lowest,
     random_positive_starts,
 )
@@ -568,6 +569,28 @@ def test_descend_lockstep_runs_equal_single_start_runs():
         assert (runs[k].value, runs[k].stop_reason, runs[k].iterations) == (run.value, run.stop_reason, run.iterations)
         assert np.array_equal(runs[k].x, run.x) and np.array_equal(runs[k].grad, run.grad)
         assert len(accepted[k]) == len(alone) and all(map(np.array_equal, accepted[k], alone))
+
+
+def test_step_after_nonpositive_curvature_is_the_difference_ratio():
+    """An accepted step with dx.dg <= 0 sets the next step to |dx| / |dg|;
+    keeping the last step there froze it at 1/max(1, |g0|) on the N+ branch.
+    Positive curvature gives the BB1 step dx.dx / dx.dg, and dg = 0 keeps
+    the last step."""
+    x0, g0 = np.zeros(2), np.array([0.5, 0.0])
+    run = descent_steps((x0, 1.0, g0), StopRule(max_iter=5, flat_tol=-np.inf))
+    x1 = next(run)
+    assert np.array_equal(x1, x0 - g0)  # first step 1/max(1, |g0|) = 1
+    g1 = np.array([1.0, 0.3])
+    dx, dg = x1 - x0, g1 - g0
+    assert np.dot(dx, dg) < 0
+    x2 = run.send((x1, 0.5, g1))
+    step = np.linalg.norm(dx) / np.linalg.norm(dg)
+    assert step != 1.0 and np.allclose(x2, x1 - step * g1, rtol=1e-15, atol=0)
+    g2 = g1 + 2.0 * (x2 - x1)  # dg = 2 dx: the BB1 step is 1/2
+    x3 = run.send((x2, 0.25, g2))
+    assert np.allclose(x3, x2 - 0.5 * g2, rtol=1e-15, atol=0)
+    x4 = run.send((x3, 0.125, g2))  # dg = 0
+    assert np.allclose(x4, x3 - 0.5 * g2, rtol=1e-15, atol=0)
 
 
 def test_compute_S_nonconvergence_attaches_iterate(monkeypatch):

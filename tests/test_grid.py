@@ -330,6 +330,49 @@ def test_ball_shape_subset_of_box():
     assert np.all(np.linalg.norm(ball.interior - c, axis=1) < 0.5)
 
 
+def _ball_count(m: int) -> int:
+    """Lattice nodes 1 <= k_1, k_2 <= m strictly inside the inscribed disc,
+    counted row by row with integer square roots: |2 k_2 - m - 1| <= t."""
+    count = 0
+    for k1 in range(1, m + 1):
+        t = math.isqrt((m + 1) ** 2 - (2 * k1 - m - 1) ** 2 - 1)
+        count += (m + 1 + t) // 2 - (m + 1 - t + 1) // 2 + 1
+    return count
+
+
+def test_membership_counts_are_exact():
+    """Interior membership is decided on integer indices, so the count is m^2
+    (box) or the integer disc count (ball) at every m and L.  Deciding it on
+    the float coordinates k h, h = L / (m + 1), took in the node on x = L
+    (box, L = 1: m = 48, 97, ...) or nodes on the circle (ball: m = 33, ...)."""
+    for m in range(2, 401):
+        for shape, want in (("box", m * m), ("ball", _ball_count(m))):
+            k, inside = grid._lattice(m, 1, 2, shape)
+            assert int(inside.sum()) == want, (m, shape)
+            lo, hi = int(k[inside].min()), int(k[inside].max())
+            for length in (1.0, 0.1, 2.7):
+                h = length / (m + 1)
+                assert lo * h > 0.0 and hi * h < length, (m, shape, length)
+    assert _ball_count(33) == 889
+
+
+@pytest.mark.parametrize("n, m, p_exp, shape", [
+    (2, 48, 2.0, "box"), (2, 97, 2.0, "box"), (2, 48, 3.0, "box"), (1, 97, 3.0, "box"),
+    (2, 33, 2.0, "ball"), (2, 97, 2.0, "ball"), (2, 33, 3.0, "ball"),
+])
+def test_full_builds_where_float_membership_failed(n, m, p_exp, shape):
+    """At L = 1 these m put a boundary node inside under the float test: the
+    p = 2 build then failed in ravel_multi_index, and the p = 3 box at m = 48
+    held 2,401 nodes instead of 2,304."""
+    p = nf.ModelParams(n=n, p=p_exp, s=0.4 if p_exp == 2.0 else 0.1, q=1.8, alpha=2.0, beta=2.0)
+    dom = nf.build_grid(n, m, 1.0, 1.0, p, shape=shape)
+    assert dom.n_interior == (m ** n if shape == "box" else _ball_count(m))
+    assert dom.interior.min() > 0.0 and dom.interior.max() < 1.0
+    assert dom.interior.shape[0] + dom.collar.shape[0] == (m + 2 + 2 * (m + 1)) ** n
+    ones = np.ones(dom.n_interior)
+    assert np.allclose(plap_gradient(dom, ones), dom.collar_w, rtol=1e-12)
+
+
 def test_seminorm_zero_and_single_node():
     p = nf.ModelParams(n=1, p=2.0, s=0.3, q=1.5, alpha=2.0, beta=2.0)
     dom = nf.build_grid(1, 2, 1.0, 1.0, p)

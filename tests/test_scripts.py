@@ -56,14 +56,27 @@ def test_bench_pairs_summary_on_synthetic_runs():
         "parent_q1_q3": [2.75, 4.25], "change_q1_q3": [1.75, 3.0], "parent_iqr": 1.5,
         "change_wins": "3/4", "change_over_parent": 2.25 / 3.5,
         "median_pair_ratio": (0.5 + 2.0 / 3.0) / 2,  # of the pair ratios 1/2, 9/8, 2/3, 1/2
+        "sign_test_p": 0.625,  # 3 wins, 1 loss: 2 (1 + 4) / 16
     }
+    # rss: pair 1 tied, three losses, so the test runs on 3 pairs: 2 / 8
     assert p3["metrics"]["peak_rss_mb"]["change_wins"] == "0/4"
+    assert p3["metrics"]["peak_rss_mb"]["sign_test_p"] == 0.25
     assert list(summary["quad_scan seed 1"]["metrics"]) == ["wall_s"]
+
+
+def test_sign_test_exact_values():
+    """Two-sided binomial tails at 1/2: 10 of 10 gives 2/1024, 9 of 10 gives
+    22/1024, 8 of 10 gives 112/1024; a balanced split and no pairs give 1."""
+    sign_test = _bench_pairs().sign_test
+    assert sign_test(10, 0) == sign_test(0, 10) == 2 / 1024
+    assert sign_test(9, 1) == 22 / 1024 and sign_test(8, 2) == 112 / 1024
+    assert sign_test(5, 5) == sign_test(0, 0) == sign_test(2, 1) == 1.0
 
 
 def test_bench_pairs_summary_reproduces_a_committed_record():
     """The p3_solve summary of BENCH_pr15.json, rebuilt from its own runs;
-    the record predates the indicative label and the median pair ratio."""
+    the record predates the indicative label, the median pair ratio and the
+    sign test."""
     record = json.loads((ROOT / "BENCH_pr15.json").read_text())
     want = record["summary"]["p3_solve seed 1"]
     runs = [r for r in record["runs"] if r["workload"] == "p3_solve"]
@@ -72,7 +85,7 @@ def test_bench_pairs_summary_reproduces_a_committed_record():
     got = summary["p3_solve seed 1"]
     assert got.pop("indicative") is (want["pairs"] < 10)
     for entry in got["metrics"].values():
-        del entry["median_pair_ratio"]
+        del entry["median_pair_ratio"], entry["sign_test_p"]
     assert summary == {"p3_solve seed 1": want}
 
 
