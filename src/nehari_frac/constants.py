@@ -90,7 +90,7 @@ def descent_steps(start, stop: StopRule, on_accept=None):
     test of stop.  on_accept(evaluation) is called for the start and for each
     accepted point.  The step is 1/max(1, |g0|) at first, then dx.dx / dx.dg
     (BB1) where the curvature dx.dg is positive and |dx| / |dg| where it is
-    not (a nonconvex branch; keeping the last step there froze it).
+    not, as on much of a nonconvex branch, so that the step keeps adapting.
     """
     x, val, g = start[:3]
     if on_accept is not None:

@@ -168,25 +168,26 @@ def test_negative_seed_and_unfit_bubble_name_the_key(tmp_path, capsys):
     assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method", ["lattice", "quadrature"])
-def test_bubble_that_misses_every_node_exits_2(tmp_path, capsys, monkeypatch, method):
+def test_bubble_that_misses_every_node_exits_2(tmp_path, capsys, monkeypatch):
     """At m = 6 the nearest node lies 0.101 from the centre, beyond the
     support radius theta * delta = 0.02: a user error naming eps, found next
-    to the "does not fit" check, before any quotient solve or norm scan."""
+    to the "does not fit" check, before any quotient solve or norm scan, for
+    both scan methods."""
     def not_reached(*args, **kwargs):
         raise AssertionError("reached a solve or scan")
 
     monkeypatch.setattr("nehari_frac.constants.compute_S_coupled", not_reached)
     monkeypatch.setattr(bubbles, "norm_estimate_scan", not_reached)
-    doc = json.loads(DESK.read_text())
-    doc["grid"]["m"] = 6
-    doc["bubble_scan"].update(delta=0.01, eps_list=[0.005, 0.0025], method=method)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    assert main(["bubble-scan", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: the bubble at eps = 0.005 is zero on every interior node")
-    assert "Traceback" not in err
+    for method in ("lattice", "quadrature"):
+        doc = json.loads(DESK.read_text())
+        doc["grid"]["m"] = 6
+        doc["bubble_scan"].update(delta=0.01, eps_list=[0.005, 0.0025], method=method)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        assert main(["bubble-scan", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the bubble at eps = 0.005 is zero on every interior node")
+        assert "Traceback" not in err
 
 
 def test_constants_at_m48(tmp_path):
