@@ -18,7 +18,6 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--sigma-frac", type=float, default=1e-3,
                     help="combined weight as a fraction of the discrete Lambda_1")
-    ap.add_argument("--starts", type=int, default=4)
     args = ap.parse_args()
 
     params0 = nf.ModelParams(n=2, p=2.0, s=0.4, q=1.8, alpha=5 / 3, beta=5 / 3)
@@ -35,8 +34,7 @@ def main():
     print(f"S_d={s_d:.6f}  S_ab_d={s_ab:.6f}  ratio err={limits.ratio_error:.2e}")
     print(f"Lambda_1={lam1:.4g}  sigma={sigma:.4g}  lam=mu={lam:.6f}")
 
-    opts = nf.SolveOptions(seed=args.seed, n_starts=args.starts)
-    plus, minus = nf.solve_two(params, dom, opts, constants=limits, s_ab_minimizer=pair_min)
+    plus, minus = nf.solve_two(params, dom, args.seed, constants=limits, s_ab_minimizer=pair_min)
     print(f"\nJ+ = {plus.energy:.6e}   ({plus.iterations} iters, residual {plus.residual:.2e})")
     print(f"J- = {minus.energy:.6f}   ({minus.iterations} iters, residual {minus.residual:.2e})")
     print(f"chain: {plus.energy:.3e} < 0 < {limits.d0_bound:.4f} <= {minus.energy:.4f} < {limits.c_infty:.4f}")

@@ -54,7 +54,6 @@ from .bubbles import (
 )
 from .solver import (
     SolutionReport,
-    SolveOptions,
     minimize_on_branch,
     semitrivial_tmax_check,
     solve_scalar_sublinear,

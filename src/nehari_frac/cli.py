@@ -157,11 +157,9 @@ def cmd_solve(cfg: RunConfig, dom, seed: int, args, out: _Outputs):
     params = cfg.params
     if params.lam <= 0 or params.mu <= 0:
         raise ConfigError("parameters must be positive: solve needs lambda > 0 and mu > 0")
-    # the solve block holds max_iter and n_starts; every default lives in SolveOptions
-    opts = solver.SolveOptions(seed=seed, **(cfg.solve or {}))
     s_d, _, s_ab_d, pair_min = consts.compute_S_coupled(dom, params, seed=seed, tol=_quotient_tol(cfg))
     limits = consts.thresholds(params, dom.volume, s_d, s_ab_d)
-    plus, minus = solver.solve_two(params, dom, opts, constants=limits, s_ab_minimizer=pair_min)
+    plus, minus = solver.solve_two(params, dom, seed, constants=limits, s_ab_minimizer=pair_min)
 
     for tag, rep in (("plus", plus), ("minus", minus)):
         payload = rep.to_dict()

@@ -42,7 +42,6 @@ BLOCKS = {
     "grid": {"n": int, "m": int, "box_length": float, "collar_factor": float, "shape": ("box", "ball")},
     "tolerances": {"quotient_flat": float},
     "project": {"u": str, "v": str},
-    "solve": {"n_starts": int, "max_iter": int},
     "bubble_scan": {"delta": float, "theta": float, "eps_list": list, "lambda": float, "mu": float,
                     "method": ("lattice", "quadrature"), "s_d": float, "s_ab_d": float},
     "curves": {"u": str, "v": str, "seeded": bool, "t_lo": float, "t_hi": float, "samples": int},
@@ -51,8 +50,6 @@ TOP_KEYS = set(BLOCKS) | {"seeds"}
 # value ranges, checked after the kinds: (block, key) -> (test, description)
 RANGES = {
     ("tolerances", "quotient_flat"): (lambda v: v >= 0, "at least 0"),
-    ("solve", "n_starts"): (lambda v: v >= 1, "at least 1"),
-    ("solve", "max_iter"): (lambda v: v >= 0, "at least 0"),
     ("bubble_scan", "theta"): (lambda v: v > 1, "above 1"),
     ("bubble_scan", "eps_list"): (len, "a non-empty list"),
     ("bubble_scan", "lambda"): (lambda v: v >= 0, "at least 0"),
@@ -114,7 +111,6 @@ class RunConfig:
     seeds: tuple
     tolerances: dict
     project: Optional[dict]
-    solve: Optional[dict]
     bubble_scan: Optional[dict]
     curves: Optional[dict]
     raw: dict = field(repr=False)
@@ -194,7 +190,6 @@ def load_config(path) -> RunConfig:
         seeds=tuple(seeds),
         tolerances=dict(raw.get("tolerances", {})),
         project=raw.get("project"),
-        solve=raw.get("solve"),
         bubble_scan=raw.get("bubble_scan"),
         curves=raw.get("curves"),
         raw=raw,

@@ -13,9 +13,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .energy import component_powers, ray_triple, triple_gradients
 from .errors import ConvergenceError
-from .grid import Field, FieldPair, GridDomain, as_values, plap_gradient
+from .grid import Field, FieldPair, GridDomain, as_values, plap_gradient, signed_pow
 from .params import ModelParams
 
 QUOTIENT_FLAT_TOL = 1e-6
@@ -287,12 +286,12 @@ def compute_S_alpha_beta(
     """
     n = dom.n_interior
 
-    def denominator(a, kernels):  # D/2 = cell sum |u|^alpha |v|^beta
-        u, v, kernels = a[:, :n], a[:, n:], (kernels[:, :n], kernels[:, n:])
-        powers = component_powers(params, u, v)
-        dD = triple_gradients(params, dom, u, v, kernels, powers)[2]
-        dD *= 0.5
-        return ray_triple(params, dom, u, v, kernels, powers).D / 2.0, dD
+    def denominator(a, kernels):  # D/2 = cell sum |u|^alpha |v|^beta of a >= 0
+        u, v = a[:, :n], a[:, n:]
+        au, bv = signed_pow(u, params.alpha - 1.0), signed_pow(v, params.beta - 1.0)
+        grad = np.concatenate([params.alpha * au * (bv * v), params.beta * (au * u) * bv], axis=-1)
+        grad *= dom.cell
+        return dom.cell * np.sum((au * u) * (bv * v), axis=-1), grad
 
     ratio = (params.alpha / params.beta) ** (1.0 / params.p)
     inits = []

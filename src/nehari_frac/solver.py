@@ -45,13 +45,8 @@ SEMITRIVIAL_TOL = 1e-8           # a component with at most this share of the L^
 STATIONARITY_RTOL = 1e-6         # semitrivial_tmax_check: largest relative gradient of its inputs
 FD_STEP = 1e-7                   # scalar Newton: difference step of the Hessian product, times |u|/|d|
 CG_RTOL = 1e-8                   # scalar Newton: relative residual that stops conjugate gradients
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    max_iter: int = 4000
-    n_starts: int = 4
-    seed: int = 0
+BRANCH_STARTS = 4                # per branch: the bump, then BRANCH_STARTS - 1 seeded random pairs
+BRANCH_MAX_ITER = 4000           # both read at call time, so a test can lower them
 
 
 @dataclass
@@ -83,28 +78,18 @@ class SolutionReport:
         return out
 
 
-def minimize_on_branch(
-    params: ModelParams,
-    dom: GridDomain,
-    branch: str,
-    init: FieldPair,
-    opts: SolveOptions = SolveOptions(),
-) -> SolutionReport:
-    """Projected Barzilai-Borwein descent of J restricted to one Nehari branch.
+def minimize_on_branch(params: ModelParams, dom: GridDomain, branch: str, starts) -> SolutionReport:
+    """Projected Barzilai-Borwein descent of J restricted to one Nehari branch
+    from each raw (2N,) start (u then v), all in one lockstep descend.
 
     Each proposal is replaced by its absolute value, which never raises the
     branch energy, and scaled onto the requested root, so iterates stay
     nonnegative.  Proposals that lose the root are halved by the line search;
-    the run only aborts when the starting state itself cannot be projected.
-    Accepted energies are nonincreasing by construction.
+    a start is dropped only when it cannot itself be projected.  Accepted
+    energies are nonincreasing by construction.  Reports the start
+    constants.first_lowest picks, and raises BranchLostError when no start
+    can be projected.
     """
-    return _solve_branch(params, dom, branch, [np.concatenate([as_values(init.u), as_values(init.v)])], opts)
-
-
-def _solve_branch(params: ModelParams, dom: GridDomain, branch: str, starts, opts: SolveOptions) -> SolutionReport:
-    """minimize_on_branch from each raw (2N,) start, all in one lockstep
-    descend; reports the start constants.first_lowest picks, and raises
-    BranchLostError when no start can be projected."""
     if branch not in (NPLUS, NMINUS):
         raise ValueError(f"unknown branch {branch!r}")
     if params.lam <= 0 or params.mu <= 0:
@@ -129,7 +114,7 @@ def _solve_branch(params: ModelParams, dom: GridDomain, branch: str, starts, opt
         norm_max[k] = max(norm_max[k], evaluation[3] ** (1.0 / params.p))
 
     stop = StopRule(
-        max_iter=opts.max_iter, flat_tol=ENERGY_RTOL, patience=BRANCH_FLAT_PATIENCE,
+        max_iter=BRANCH_MAX_ITER, flat_tol=ENERGY_RTOL, patience=BRANCH_FLAT_PATIENCE,
         grad_rtol=GRAD_RTOL, armijo=ARMIJO,
     )
     runs = descend(starts, stacked_evaluate(dom, finish), stop, on_accept=accepted)
@@ -171,8 +156,7 @@ def _branch_report(params: ModelParams, dom: GridDomain, branch: str, run, norm_
     )
 
 
-def _starts_for_branch(params: ModelParams, dom: GridDomain, branch: str, opts: SolveOptions,
-                       extra=None):
+def _starts_for_branch(params: ModelParams, dom: GridDomain, branch: str, seed: int, extra=None):
     """Deterministic list of raw (2N,) starting vectors (u then v).
 
     The maximum branch leads with the weighted bubble pair and, when
@@ -190,8 +174,8 @@ def _starts_for_branch(params: ModelParams, dom: GridDomain, branch: str, opts: 
         ub = bubble_field(dom, params, eps, delta, BUBBLE_THETA).values
         starts.append(np.concatenate([params.alpha ** (1.0 / params.p) * ub, params.beta ** (1.0 / params.p) * ub]))
     starts.append(np.tile(bump_field(dom), 2))
-    seq = np.random.SeedSequence(opts.seed, spawn_key=(0 if branch == NPLUS else 1,))
-    return starts + random_positive_starts(seq, max(opts.n_starts - 1, 0), 2 * dom.n_interior, 1e-3)
+    seq = np.random.SeedSequence(seed, spawn_key=(0 if branch == NPLUS else 1,))
+    return starts + random_positive_starts(seq, BRANCH_STARTS - 1, 2 * dom.n_interior, 1e-3)
 
 
 def pair_distance(dom: GridDomain, a: FieldPair, b: FieldPair) -> float:
@@ -209,7 +193,7 @@ def pair_distance(dom: GridDomain, a: FieldPair, b: FieldPair) -> float:
 def solve_two(
     params: ModelParams,
     dom: GridDomain,
-    opts: SolveOptions = SolveOptions(),
+    seed: int = 0,
     constants: Optional[ConstantsReport] = None,
     s_ab_minimizer: Optional[FieldPair] = None,
 ):
@@ -219,13 +203,13 @@ def solve_two(
     map filled: energy signs, distinctness, semitriviality and, when the
     thresholds of constants.thresholds are supplied (at these weights and
     this domain's volume), the energy floor -C_0 sigma and the d0 / c_infty
-    comparisons.  Passing the coupled-quotient minimizer adds it to the
-    maximum-branch starts.
+    comparisons.  seed seeds the random starts; passing the coupled-quotient
+    minimizer adds it to the maximum-branch starts.
     """
     if constants is not None and (constants.lam, constants.mu, constants.volume) != (params.lam, params.mu, dom.volume):
         raise ValueError("the thresholds were evaluated at other weights or on another domain")
 
-    plus, minus = (_solve_branch(params, dom, b, _starts_for_branch(params, dom, b, opts, s_ab_minimizer), opts)
+    plus, minus = (minimize_on_branch(params, dom, b, _starts_for_branch(params, dom, b, seed, s_ab_minimizer))
                    for b in (NPLUS, NMINUS))
     dist = pair_distance(dom, plus.pair, minus.pair)
     checks = {

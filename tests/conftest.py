@@ -195,14 +195,14 @@ def bisection_branch_root(triple, params, branch):
 
 
 def branch_round(params, dom, branch):
-    """The evaluate callback of the lockstep branch descent (solve_two,
-    minimize_on_branch): raws in, one evaluation or None per raw out.  The
+    """The evaluate callback of the lockstep branch descent
+    (minimize_on_branch): raws in, one evaluation or None per raw out.  The
     solve it comes from has no start (it raises BranchLostError)."""
     made = []
     build = solver.stacked_evaluate
     with mock.patch.object(solver, "stacked_evaluate", lambda *args: made.append(build(*args)) or made[-1]), \
             pytest.raises(BranchLostError):
-        solver._solve_branch(params, dom, branch, [], solver.SolveOptions())
+        solver.minimize_on_branch(params, dom, branch, [])
     return made[0]
 
 

@@ -10,10 +10,13 @@ The PASS lines are printed outside pytest's capture so they appear live.
 import json
 import time
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import nehari_frac as nf
+from nehari_frac import solver
 from nehari_frac.cli import main as cli_main
 
 from conftest import (
@@ -59,9 +62,9 @@ def acc_solutions(acc_dom, acc_constants, acc_weights):
     _, dom = acc_dom
     s_d, _, s_ab, pair_min = acc_constants
     params, _, _ = acc_weights
-    opts = nf.SolveOptions(seed=7, n_starts=4, max_iter=3000)
     limits = nf.thresholds(params, dom.volume, s_d, s_ab)
-    return nf.solve_two(params, dom, opts, constants=limits, s_ab_minimizer=pair_min)
+    with mock.patch.object(solver, "BRANCH_MAX_ITER", 3000):
+        return nf.solve_two(params, dom, 7, constants=limits, s_ab_minimizer=pair_min)
 
 
 def test_criterion_1_gradient_consistency(acc_dom, capsys):
@@ -309,13 +312,14 @@ def test_criterion_9_curve_shapes(acc_dom, tmp_path, capsys):
            f"Psi unimodal {unimodal}, argmax within one step {in_step}, phi' sign changes {flips}")
 
 
-def test_criterion_10_determinism(tmp_path, capsys):
+def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "BRANCH_STARTS", 2)
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 500)
     config = {
         "params": {"n": 2, "p": 2.0, "s": 0.4, "q": 1.8,
                    "alpha": 5 / 3, "beta": 5 / 3, "lambda": 3.56, "mu": 3.56},
         "grid": {"n": 2, "m": 6, "box_length": 1.0, "collar_factor": 1.0},
         "seeds": [11],
-        "solve": {"n_starts": 2, "max_iter": 500},
         "bubble_scan": {"delta": 0.25, "theta": 2.0, "eps_list": [0.0625, 0.03125],
                         "lambda": 6.0, "mu": 6.0, "method": "lattice"},
         "curves": {"seeded": True, "samples": 500},

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nehari_frac as nf
-from nehari_frac import bubbles
+from nehari_frac import bubbles, solver
 from nehari_frac.cli import BUBBLE_HEADER, main, verify_output_dir
 from nehari_frac.config import load_config
 from nehari_frac.errors import ConfigError
@@ -43,8 +43,9 @@ def write_config(tmp_path, extra=None, name="cfg.json", **overrides):
 # ---------------------------------------------------------------------------
 
 def test_unknown_top_level_key(tmp_path):
-    # "constants" was an accepted block that no command read
-    for key in ("grids", "constants"):
+    # "constants" was an accepted block that no command read; the solve
+    # block's keys became solver.BRANCH_STARTS and solver.BRANCH_MAX_ITER
+    for key in ("grids", "constants", "solve"):
         path = write_config(tmp_path, extra={key: {}})
         with pytest.raises(ConfigError, match=f"unknown top-level key '{key}'"):
             load_config(path)
@@ -54,7 +55,9 @@ def test_unknown_key_is_line_anchored(tmp_path):
     # root_rel, manifold_rel, classify_deadband and center were accepted keys
     # that nothing read; tolerances.max_iter and .n_starts duplicated solve.*;
     # the solver tolerances are code constants, project.curves and its sampling
-    # keys duplicated the curves command, and the pair budget replaced max_pairs
+    # keys duplicated the curves command, and the pair budget replaced max_pairs;
+    # solve.n_starts and .max_iter became solver constants, and with them the
+    # solve block went, so its keys are reported as that unknown block
     cases = (
         ("grid", "shap", "box"),
         ("tolerances", "root_rel", 1e-12),
@@ -73,6 +76,8 @@ def test_unknown_key_is_line_anchored(tmp_path):
         ("solve", "bubble_delta_frac", 0.25),
         ("solve", "bubble_eps_frac", 0.25),
         ("solve", "theta", 2.0),
+        ("solve", "n_starts", 4),
+        ("solve", "max_iter", 4000),
         ("project", "curves", True),
         ("project", "t_lo", 0.1),
         ("project", "t_hi", 10.0),
@@ -81,7 +86,8 @@ def test_unknown_key_is_line_anchored(tmp_path):
     )
     for block, key, value in cases:
         path = write_config(tmp_path, **{block: {key: value}})
-        with pytest.raises(ConfigError, match=rf"cfg\.json:\d+: unknown key '{key}'"):
+        unknown = "top-level key 'solve'" if block == "solve" else f"key '{key}'"
+        with pytest.raises(ConfigError, match=rf"cfg\.json:\d+: unknown {unknown}"):
             load_config(path)
 
 
@@ -92,8 +98,6 @@ MALFORMED = [
     ("bubble_scan", "method", "foo", "bubble-scan", "method"),
     ("bubble_scan", "eps_list", ["a"], "bubble-scan", "eps_list"),
     ("bubble_scan", "delta", "x", "bubble-scan", "delta"),
-    ("solve", "n_starts", "x", "solve", "n_starts"),
-    ("solve", "n_starts", True, "solve", "n_starts"),
     ("grid", "shape", "disk", "constants", "shape"),
     ("grid", "m", 12.5, "constants", "m"),
     ("grid", "m", 1, "constants", "grid"),               # rejected by build_grid
@@ -132,8 +136,6 @@ def test_malformed_value_exits_2_line_anchored(tmp_path, capsys, block, key, val
 
 
 OUT_OF_RANGE = [
-    ("solve", "n_starts", 0, "solve", "at least 1"),
-    ("solve", "max_iter", -1, "solve", "at least 0"),
     ("tolerances", "quotient_flat", -1e-06, "constants", "at least 0"),
     ("bubble_scan", "theta", 1.0, "bubble-scan", "above 1"),
     ("bubble_scan", "eps_list", [], "bubble-scan", "a non-empty list"),
@@ -222,7 +224,7 @@ def test_readme_config_table_matches_config():
     expected = {(block, key): describe_kind(kind) for block, table in BLOCKS.items() for key, kind in table.items()}
     expected[("", "seeds")] = "a list of one integer"
     assert {(block, key): kind for block, key, kind in rows} == expected
-    assert len(rows) == len(expected) == 33
+    assert len(rows) == len(expected) == 31
     assert TOP_KEYS == set(BLOCKS) | {"seeds"}
 
 
@@ -284,8 +286,10 @@ def test_solve_zero_weights_exit_2(tmp_path, capsys):
     assert "parameters must be positive" in capsys.readouterr().err
 
 
-def test_solve_writes_reports_and_manifest(tmp_path):
-    cfg = write_config(tmp_path, extra={"solve": {"n_starts": 2, "max_iter": 600}})
+def test_solve_writes_reports_and_manifest(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "BRANCH_STARTS", 2)
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 600)
+    cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     plus = json.loads((out / "solution_plus.json").read_text())
@@ -483,6 +487,17 @@ def test_seed_override_changes_output(tmp_path):
     assert (out1 / "curves.csv").read_bytes() != (out2 / "curves.csv").read_bytes()
 
 
+def test_solve_reports_the_branch_budget(tmp_path, monkeypatch):
+    """solver.BRANCH_MAX_ITER, read at call time, caps each branch descent."""
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 1)
+    out = tmp_path / "out"
+    # the exit status does not read `converged` yet (ROADMAP item 2)
+    assert main(["solve", "--config", str(write_config(tmp_path)), "--out", str(out), "--quiet"]) == 0
+    for tag in ("plus", "minus"):
+        report = json.loads((out / f"solution_{tag}.json").read_text())
+        assert (report["stop_reason"], report["converged"], report["iterations"]) == ("budget", False, 1)
+
+
 def test_verify_detects_tampering(tmp_path):
     cfg = write_config(tmp_path, extra={"curves": {"seeded": True, "samples": 100}})
     out = tmp_path / "t"
@@ -494,9 +509,10 @@ def test_verify_detects_tampering(tmp_path):
     assert not verify_output_dir(out)
 
 
-def test_manifest_lists_exactly_the_files_each_command_writes(tmp_path):
+def test_manifest_lists_exactly_the_files_each_command_writes(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "BRANCH_STARTS", 2)
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 600)
     cfg = write_config(tmp_path, extra={
-        "solve": {"n_starts": 2, "max_iter": 600},
         "curves": {"seeded": True, "samples": 100},
         "bubble_scan": {"delta": 0.25, "theta": 2.0, "eps_list": [0.0625, 0.03125],
                         "s_d": 8.8347, "s_ab_d": 17.6693},

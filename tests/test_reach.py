@@ -29,7 +29,6 @@ UNREACHED = {
     "solver.solve_scalar_sublinear.<locals>.hess": SCALAR_TAIL,
     "solver._newton_cg": SCALAR_TAIL,
     "solver.semitrivial_tmax_check": SCALAR_TAIL,
-    "solver.minimize_on_branch": "perfbench traces it (perfbench/layers.py)",
     "grid.GridDomain.n_pairs": "perfbench's grid.pairs metric reads it",
     "cli.verify_output_dir": "perfbench re-checks each run's manifest with it",
     "config.describe_kind": "names the expected type in the ConfigError for a mistyped key",

@@ -21,6 +21,11 @@ from conftest import (
 CRIT = nf.ModelParams(**DESK)
 
 
+def one_start(pair):
+    """The start list of minimize_on_branch from one pair: its raw (2N,) vector."""
+    return [np.concatenate([pair.u.values, pair.v.values])]
+
+
 @pytest.fixture(scope="module")
 def setup12():
     params0 = nf.ModelParams(**DESK)
@@ -32,11 +37,12 @@ def setup12():
     return params0.with_weights(lam, lam), dom, s_d, s_ab
 
 
-def test_minimize_on_branch_nplus(setup12):
+def test_minimize_on_branch_nplus(setup12, monkeypatch):
     params, dom, _, _ = setup12
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 1500)
     rng = np.random.default_rng(1)
     init = random_pair(dom, rng, positive=True)
-    rep = nf.minimize_on_branch(params, dom, NPLUS, init, nf.SolveOptions(seed=1, max_iter=1500))
+    rep = nf.minimize_on_branch(params, dom, NPLUS, one_start(init))
     assert rep.branch == NPLUS
     assert rep.energy < 0                      # minimum branch level is negative
     assert rep.classification == NPLUS
@@ -45,11 +51,12 @@ def test_minimize_on_branch_nplus(setup12):
     assert abs(constraint) <= 1e-8 * nf.pair_norm(dom, rep.pair) ** params.p
 
 
-def test_minimize_on_branch_nminus_above_d0(setup12):
+def test_minimize_on_branch_nminus_above_d0(setup12, monkeypatch):
     params, dom, s_d, _ = setup12
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 1500)
     rng = np.random.default_rng(2)
     init = random_pair(dom, rng, positive=True)
-    rep = nf.minimize_on_branch(params, dom, NMINUS, init, nf.SolveOptions(seed=2, max_iter=1500))
+    rep = nf.minimize_on_branch(params, dom, NMINUS, one_start(init))
     assert rep.branch == NMINUS
     assert rep.classification == NMINUS
     d0 = nf.d0_bound(params, s_d, dom.volume, params.lam, params.mu)
@@ -58,41 +65,40 @@ def test_minimize_on_branch_nminus_above_d0(setup12):
 
 
 def test_lockstep_branch_starts_match_single_start_runs(setup12, monkeypatch):
-    """solve_two descends from all starts of a branch in lockstep, with one
-    stacked kernel pass per round; each start's Descent equals, bit for bit,
-    the Descent from that start alone, and the reported start's report
-    equals minimize_on_branch from it alone.  The zero pair, inserted as
+    """minimize_on_branch descends from all starts of a branch in lockstep,
+    with one stacked kernel pass per round; each start's Descent equals, bit
+    for bit, the Descent from that start alone, and the reported start's
+    report equals the report from it alone.  The zero pair, inserted as
     start 1, cannot be projected."""
     params, dom, _, _ = setup12
-    opts = nf.SolveOptions(max_iter=50)
-    n = dom.n_interior
-    as_pair = lambda x: nf.FieldPair(nf.Field(x[:n]), nf.Field(x[n:]))
-    starts = solver._starts_for_branch(params, dom, NPLUS, opts)
-    starts.insert(1, np.zeros(2 * n))
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 50)
+    starts = solver._starts_for_branch(params, dom, NPLUS, 0)
+    starts.insert(1, np.zeros(2 * dom.n_interior))
     made = []
     descend = solver.descend
     monkeypatch.setattr(solver, "descend", lambda *args, **kwargs: made.append(descend(*args, **kwargs)) or made[-1])
-    report = solver._solve_branch(params, dom, NPLUS, starts, opts)
+    report = nf.minimize_on_branch(params, dom, NPLUS, starts)
     runs = made[-1]
     assert runs[1] is None
     with pytest.raises(BranchLostError):
-        nf.minimize_on_branch(params, dom, NPLUS, as_pair(starts[1]), opts)
+        nf.minimize_on_branch(params, dom, NPLUS, [starts[1]])
     for k, run in enumerate(runs):
         if run is not None:
-            solver._solve_branch(params, dom, NPLUS, [starts[k]], opts)
+            nf.minimize_on_branch(params, dom, NPLUS, [starts[k]])
             [alone] = made[-1]
             assert run.x.tobytes() == alone.x.tobytes() and run.grad.tobytes() == alone.grad.tobytes()
             assert (run.value, run.stop_reason, run.iterations) == (alone.value, alone.stop_reason, alone.iterations)
     k = report.seed_index
-    alone = nf.minimize_on_branch(params, dom, NPLUS, as_pair(starts[k]), opts)
+    alone = nf.minimize_on_branch(params, dom, NPLUS, [starts[k]])
     assert report.to_dict() == {**alone.to_dict(), "seed_index": k}  # field hashes included
     assert [run.stop_reason for run in runs if run is not None] == [FLAT, LINE_SEARCH_EXHAUSTED] + [BUDGET] * 2
 
 
-def test_minimize_on_branch_reports_budget_stop(setup12):
+def test_minimize_on_branch_reports_budget_stop(setup12, monkeypatch):
     params, dom, _, _ = setup12
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 1)
     init = random_pair(dom, np.random.default_rng(5), positive=True)
-    rep = nf.minimize_on_branch(params, dom, NPLUS, init, nf.SolveOptions(max_iter=1))
+    rep = nf.minimize_on_branch(params, dom, NPLUS, one_start(init))
     assert rep.stop_reason == BUDGET
     assert rep.converged is False
     assert rep.iterations == 1
@@ -100,10 +106,11 @@ def test_minimize_on_branch_reports_budget_stop(setup12):
     assert d["stop_reason"] == BUDGET and d["converged"] is False
 
 
-def test_minimize_on_branch_converged_matches_stop_reason(setup12):
+def test_minimize_on_branch_converged_matches_stop_reason(setup12, monkeypatch):
     params, dom, _, _ = setup12
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 1500)
     init = random_pair(dom, np.random.default_rng(6), positive=True)
-    rep = nf.minimize_on_branch(params, dom, NMINUS, init, nf.SolveOptions(max_iter=1500))
+    rep = nf.minimize_on_branch(params, dom, NMINUS, one_start(init))
     assert rep.converged == (rep.stop_reason in CONVERGED_STOPS)
     assert np.all(rep.pair.u.values >= 0) and np.all(rep.pair.v.values >= 0)
 
@@ -114,15 +121,15 @@ def test_minus_starts_carry_the_bubble(shape, monkeypatch):
     is L/2 exactly, so it fits every box and ball: the minimum-branch starts
     always carry the weighted bubble, and an error building it propagates."""
     params = nf.ModelParams(**DESK, lam=1.0, mu=1.0)
-    opts = nf.SolveOptions(n_starts=2)
+    monkeypatch.setattr(solver, "BRANCH_STARTS", 2)
     p = params.p
     for length in (0.1, 1.0 / 3.0, 1.0, 2.7, 1e3):
         dom = nf.build_grid(2, 6, length, 1.0, params, shape=shape)
-        starts = solver._starts_for_branch(params, dom, NMINUS, opts)
+        starts = solver._starts_for_branch(params, dom, NMINUS, 0)
         delta = solver.BUBBLE_DELTA_FRAC * length
         ub = nf.bubble_field(dom, params, solver.BUBBLE_EPS_FRAC * delta, delta, solver.BUBBLE_THETA).values
         assert ub.any()
-        assert len(starts) == 1 + opts.n_starts
+        assert len(starts) == 1 + solver.BRANCH_STARTS
         assert np.array_equal(starts[0][:dom.n_interior], params.alpha ** (1.0 / p) * ub)
         assert np.array_equal(starts[0][dom.n_interior:], params.beta ** (1.0 / p) * ub)
 
@@ -131,14 +138,14 @@ def test_minus_starts_carry_the_bubble(shape, monkeypatch):
 
     monkeypatch.setattr(solver, "bubble_field", unfitting)
     with pytest.raises(SupportError, match="does not fit"):
-        solver._starts_for_branch(params, dom, NMINUS, opts)
+        solver._starts_for_branch(params, dom, NMINUS, 0)
 
 
 def test_minimize_on_branch_rejects_zero_weights(setup12):
     _, dom, _, _ = setup12
     init = random_pair(dom, np.random.default_rng(3), positive=True)
     with pytest.raises(ValueError, match="parameters must be positive"):
-        nf.minimize_on_branch(CRIT, dom, NPLUS, init, nf.SolveOptions())
+        nf.minimize_on_branch(CRIT, dom, NPLUS, one_start(init))
 
 
 def test_branch_lost_at_huge_weights(setup12):
@@ -147,7 +154,7 @@ def test_branch_lost_at_huge_weights(setup12):
     params_big = CRIT.with_weights(1e9, 1e9)
     init = random_pair(dom, np.random.default_rng(4), positive=True)
     with pytest.raises(BranchLostError, match="left the two-root regime"):
-        nf.minimize_on_branch(params_big, dom, NMINUS, init, nf.SolveOptions())
+        nf.minimize_on_branch(params_big, dom, NMINUS, one_start(init))
 
 
 def test_one_root_search_per_branch_trial(setup12, monkeypatch):
@@ -161,10 +168,11 @@ def test_one_root_search_per_branch_trial(setup12, monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(fibering, "_root_newton", counted)
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 0)  # the start alone
     init = random_pair(dom, np.random.default_rng(8), positive=True)
     for branch in (NPLUS, NMINUS):
         calls.clear()
-        rep = nf.minimize_on_branch(params, dom, branch, init, nf.SolveOptions(max_iter=0))  # the start alone
+        rep = nf.minimize_on_branch(params, dom, branch, one_start(init))
         assert rep.iterations == 0
         assert len(calls) == 1
         (lo, hi), = calls
@@ -228,11 +236,12 @@ def test_branch_round_matches_per_row_oracles(case, branch):
     assert found == [True, True, False, False, branch == NPLUS]
 
 
-def test_solve_two_full_chain(setup12):
+def test_solve_two_full_chain(setup12, monkeypatch):
     params, dom, s_d, s_ab = setup12
-    opts = nf.SolveOptions(seed=7, n_starts=3, max_iter=1500)
+    monkeypatch.setattr(solver, "BRANCH_STARTS", 3)
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 1500)
     limits = nf.thresholds(params, dom.volume, s_d, s_ab)
-    plus, minus = nf.solve_two(params, dom, opts, constants=limits)
+    plus, minus = nf.solve_two(params, dom, 7, constants=limits)
     checks = plus.checks
     # the checks read the thresholds record; the floor is -C_0 sigma
     sigma = params.lam ** (params.p / (params.p - params.q)) + params.mu ** (params.p / (params.p - params.q))
@@ -264,7 +273,7 @@ def test_p3_plus_random_starts_converge_in_few_iterations(monkeypatch):
         return branch_runs[-1]
 
     monkeypatch.setattr(solver, "descend", recording)
-    plus, _ = solver.solve_two(params, dom, nf.SolveOptions(seed=7))
+    plus, _ = solver.solve_two(params, dom, 7)
     nplus = branch_runs[0]
     assert len(nplus) == 4 and all(run is not None for run in nplus)
     assert max(run.iterations for run in nplus) <= 60, [run.iterations for run in nplus]
@@ -274,14 +283,14 @@ def test_p3_plus_random_starts_converge_in_few_iterations(monkeypatch):
 def test_solve_two_requires_positive_weights(setup12):
     _, dom, _, _ = setup12
     with pytest.raises(ValueError, match="parameters must be positive"):
-        nf.solve_two(CRIT, dom, nf.SolveOptions())
+        nf.solve_two(CRIT, dom)
 
 
 def test_solve_two_rejects_thresholds_of_other_weights(setup12):
     params, dom, s_d, s_ab = setup12
     for other, volume in ((params.with_weights(params.lam, 2 * params.mu), dom.volume), (params, 2 * dom.volume)):
         with pytest.raises(ValueError, match="other weights or on another domain"):
-            nf.solve_two(params, dom, nf.SolveOptions(), constants=nf.thresholds(other, volume, s_d, s_ab))
+            nf.solve_two(params, dom, constants=nf.thresholds(other, volume, s_d, s_ab))
 
 
 @pytest.mark.parametrize("lead, expected", [(5e-14, 0), (2e-13, 2)])
@@ -299,30 +308,34 @@ def test_solve_two_reports_the_first_start_of_a_tied_minimum(setup12, monkeypatc
         return [run._replace(value=low + rel * abs(low)) for run, rel in zip(runs, (lead, 1e-12, 0.0, 1e-14))]
 
     monkeypatch.setattr(solver, "descend", shifted)
-    plus, minus = nf.solve_two(params, dom, nf.SolveOptions(n_starts=3, max_iter=5))
+    monkeypatch.setattr(solver, "BRANCH_STARTS", 3)
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 5)
+    plus, minus = nf.solve_two(params, dom)
     assert plus.seed_index == minus.seed_index == expected
 
 
-def test_solve_two_swap_symmetry():
+def test_solve_two_swap_symmetry(monkeypatch):
     """With alpha = beta, swapping (lam, mu) swaps the roles of u and v."""
     params0 = nf.ModelParams(**DESK)
     dom = nf.build_grid(2, 8, 1.0, 1.0, params0)
     a = params0.with_weights(2.0, 4.0)
     b = params0.with_weights(4.0, 2.0)
-    opts = nf.SolveOptions(seed=5, n_starts=3, max_iter=1200)
-    plus_a, minus_a = nf.solve_two(a, dom, opts)
-    plus_b, minus_b = nf.solve_two(b, dom, opts)
+    monkeypatch.setattr(solver, "BRANCH_STARTS", 3)
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 1200)
+    plus_a, minus_a = nf.solve_two(a, dom, 5)
+    plus_b, minus_b = nf.solve_two(b, dom, 5)
     for ra, rb in ((plus_a, plus_b), (minus_a, minus_b)):
         assert ra.energy == pytest.approx(rb.energy, rel=1e-5)
         swapped = nf.FieldPair(rb.pair.v, rb.pair.u)
         assert pair_distance(dom, ra.pair, swapped) <= 1e-4
 
 
-def test_cplus_bounds_projected_probes(setup12):
+def test_cplus_bounds_projected_probes(setup12, monkeypatch):
     """The reported minimum-branch level undercuts 50 projected probes."""
     params, dom, _, _ = setup12
-    opts = nf.SolveOptions(seed=11, n_starts=3, max_iter=1500)
-    plus, minus = nf.solve_two(params, dom, opts)
+    monkeypatch.setattr(solver, "BRANCH_STARTS", 3)
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 1500)
+    plus, minus = nf.solve_two(params, dom, 11)
     rng = np.random.default_rng(17)
     for _ in range(50):
         probe = random_pair(dom, rng, positive=True)
@@ -331,9 +344,10 @@ def test_cplus_bounds_projected_probes(setup12):
         assert minus.energy <= nf.phi(rep.triple, params, rep.t2) + 1e-12
 
 
-def test_energy_floor_across_starts(setup12):
+def test_energy_floor_across_starts(setup12, monkeypatch):
     """Every converged critical point obeys the discrete energy floor."""
     params, dom, s_d, _ = setup12
+    monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 800)
     floor = -nf.c0(params, s_d, dom.volume) * (
         params.lam ** (params.p / (params.p - params.q)) + params.mu ** (params.p / (params.p - params.q))
     )
@@ -341,7 +355,7 @@ def test_energy_floor_across_starts(setup12):
     for branch in (NPLUS, NMINUS):
         for k in range(3):
             init = random_pair(dom, rng, positive=True)
-            rep = nf.minimize_on_branch(params, dom, branch, init, nf.SolveOptions(seed=k, max_iter=800))
+            rep = nf.minimize_on_branch(params, dom, branch, one_start(init))
             assert rep.energy >= floor
 
 
