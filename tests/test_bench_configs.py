@@ -12,22 +12,16 @@ from nehari_frac.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
+_spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads  # its dataclasses look their module up there
+_spec.loader.exec_module(workloads)
 
 
-WORKLOADS = _workloads()
-
-
-@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_config_loads_and_builds(tmp_path, name):
     desk = json.loads((ROOT / "configs" / "desk.json").read_text())
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(WORKLOADS.make_config(desk, name), indent=2))
+    path.write_text(json.dumps(workloads.make_config(desk, name), indent=2))
     cfg = load_config(path)
     assert cfg.build_domain().n_interior == cfg.grid["m"] ** cfg.params.n
