@@ -15,7 +15,6 @@ from .grid import (
     GridDomain,
     build_grid,
     lr_norm,
-    pair_norm,
     seminorm_p,
 )
 from .fibering import (

@@ -7,8 +7,9 @@ byte-identical files.  JSON outputs embed the config hash; CSV outputs get a
 sidecar meta JSON; each run writes a manifest with the SHA-256 of every
 file the run wrote, re-checkable with verify_output_dir().
 
-Exit codes: 0 success (for solve: all cross-checks pass), 1 internal or
-numerical failure, 2 user or configuration error.
+Exit codes: 0 success (for solve: all cross-checks pass and neither branch
+stopped at its iteration budget), 1 internal or numerical failure, 2 user or
+configuration error.
 """
 from __future__ import annotations
 
@@ -121,25 +122,14 @@ def _load_pair(dom, u_path, v_path) -> FieldPair:
     return FieldPair(load_field(dom, u_path), load_field(dom, v_path))
 
 
-def _curve_rows(triple, params, report, block):
-    if report.t1 is not None:
-        lo_default = report.t1 / 10.0
-    elif report.t_max:
-        lo_default = report.t_max / 10.0
-    else:
-        lo_default = 0.1
-    if report.t2 is not None:
-        hi_default = 3.0 * report.t2
-    elif report.t_max:
-        hi_default = 10.0 * report.t_max
-    else:
-        hi_default = 10.0
-    t_lo = float(block.get("t_lo", lo_default))
-    t_hi = float(block.get("t_hi", hi_default))
+def _curve_rows(params, report, block):
+    scale = report.t_max or 1.0
+    t_lo = float(block.get("t_lo", scale / 10.0 if report.t1 is None else report.t1 / 10.0))
+    t_hi = float(block.get("t_hi", 10.0 * scale if report.t2 is None else 3.0 * report.t2))
     if not t_lo < t_hi:
         raise ConfigError(f"curves needs t_lo < t_hi, got t_lo = {t_lo!r} and t_hi = {t_hi!r}")
     samples = block.get("samples", 2000)
-    return fibering.sample_curves(triple, params, t_lo, t_hi, samples)
+    return fibering.sample_curves(report.triple, params, t_lo, t_hi, samples)
 
 
 CURVE_HEADER = ("t", "phi", "phi_prime", "phi_second", "psi")
@@ -169,8 +159,11 @@ def cmd_solve(cfg: RunConfig, dom, seed: int, args, out: _Outputs):
         out.field(dom, rep.pair.v, f"solution_{tag}_v.field")
     checks = {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v) for k, v in plus.checks.items()}
     ok = all(v for v in checks.values() if isinstance(v, bool))
-    summary = {"energy_plus": plus.energy, "energy_minus": minus.energy, "checks": checks, "all_checks_pass": ok}
-    return summary, 0 if ok else 1
+    # a branch that ran out of iterations fails the run; line_search_exhausted can be a genuine minimum
+    budget = [tag for tag, rep in (("plus", plus), ("minus", minus)) if rep.stop_reason == consts.BUDGET]
+    summary = {"energy_plus": plus.energy, "energy_minus": minus.energy, "checks": checks, "all_checks_pass": ok,
+               "budget_stops": budget}
+    return summary, 0 if ok and not budget else 1
 
 
 BUBBLE_HEADER = (
@@ -251,7 +244,7 @@ def cmd_curves(cfg: RunConfig, dom, seed: int, args, out: _Outputs):
     else:
         pair = _load_pair(dom, block.get("u"), block.get("v"))
     report = fibering.project(params, dom, pair)
-    rows = _curve_rows(report.triple, params, report, block)
+    rows = _curve_rows(params, report, block)
     out.csv("curves.csv", CURVE_HEADER, rows)
     meta = {"t_max": report.t_max, "t1": report.t1, "t2": report.t2, "outcome": report.outcome}
     return out.json("curves.meta.json", meta), 0

@@ -7,7 +7,7 @@ printed formulas with S replaced by its discrete counterpart.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import NamedTuple, Optional
 
@@ -390,28 +390,16 @@ def d0_bound(params: ModelParams, s_value: float, volume: float, lam: float, mu:
 # Parameter hypothesis flags
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypothesesFlags:
-    dimension_ok: bool       # p^2 s < n
-    small_p_ok: bool         # n < p s/(2-p) when p < 2 (vacuous for p >= 2)
-    q_range_ok: bool         # n(p-1)/(n-ps) <= q < p
-    critical_ok: bool        # alpha + beta = p* within 1e-12 relative
-
-    @property
-    def all_ok(self) -> bool:
-        return self.dimension_ok and self.small_p_ok and self.q_range_ok and self.critical_ok
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "all_ok": self.all_ok}
-
-
-def hypotheses_check(params: ModelParams) -> HypothesesFlags:
+def hypotheses_check(params: ModelParams) -> dict:
+    """The paper's parameter hypotheses as flags, plus all_ok."""
     p, q, s, n = params.p, params.q, params.s, params.n
-    dimension_ok = p * p * s < n
-    small_p_ok = True if p >= 2 else n < p * s / (2.0 - p)
-    q_lower = n * (p - 1.0) / (n - p * s)
-    q_range_ok = q_lower <= q < p
-    return HypothesesFlags(dimension_ok, small_p_ok, q_range_ok, params.critical)
+    flags = {
+        "dimension_ok": p * p * s < n,
+        "small_p_ok": p >= 2 or n < p * s / (2.0 - p),  # vacuous for p >= 2
+        "q_range_ok": n * (p - 1.0) / (n - p * s) <= q < p,
+        "critical_ok": params.critical,  # alpha + beta = p* within 1e-12 relative
+    }
+    return {**flags, "all_ok": all(flags.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +421,11 @@ class ConstantsReport:
     lam: float
     mu: float
     critical_formula_exact: bool
-    hypotheses: HypothesesFlags
+    hypotheses: dict
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update({"lambda": out.pop("lam"), "hypotheses_ok": out.pop("hypotheses").to_dict()})
+        out.update({"lambda": out.pop("lam"), "hypotheses_ok": dict(out.pop("hypotheses"))})
         return out
 
 

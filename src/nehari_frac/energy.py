@@ -5,10 +5,10 @@ J(u, v) = (1/p)||(u,v)||^p - (1/q) sum(lam |u|^q + mu |v|^q)
 
 with lattice sums weighted by the node cell h^n (GridDomain.cell); J itself
 is fibering.phi(ray_triple(...), params, 1).  The first variation is assembled
-once per state as a pair of gradient vectors; pairing a test state is a plain
-dot product with them.  Every function here takes one state (u, v) or a
-stack of states, one per row of two (k, N) arrays, and reduces row by row:
-a descent round is one call.
+once per state as one vector, u then v as in a raw (2N,) state; pairing a
+test state is a plain dot product with it.  Every function here takes one
+state (u, v) or a stack of states, one per row of two (k, N) arrays, and
+reduces row by row: a descent round is one call.
 """
 from __future__ import annotations
 
@@ -61,10 +61,12 @@ def _row_sums(x: np.ndarray):
 
 
 def _inputs(params, dom, u, v, kernels, powers):
-    """(u, v, their kernel rows, their powers), forming what is not passed in."""
+    """(u, v, their kernel rows, their powers), forming what is not passed in;
+    missing kernel rows come from one plap_gradient call over the stacked (u, v)."""
     u, v = as_values(u), as_values(v)
-    return (u, v, kernels if kernels is not None else (plap_gradient(dom, u), plap_gradient(dom, v)),
-            powers if powers is not None else component_powers(params, u, v))
+    if kernels is None:
+        kernels = plap_gradient(dom, np.stack([u, v]).reshape(-1, dom.n_interior)).reshape((2,) + u.shape)
+    return u, v, kernels, powers if powers is not None else component_powers(params, u, v)
 
 
 def ray_triple(params: ModelParams, dom: GridDomain, u, v, kernels=None, powers=None) -> ReducedTriple:
@@ -101,17 +103,13 @@ def triple_gradients(params: ModelParams, dom: GridDomain, u, v, kernels=None, p
     return dP, dB, dD
 
 
-def _halves(g: np.ndarray):
-    return g[..., :g.shape[-1] // 2], g[..., g.shape[-1] // 2:]
-
-
 def gradient_arrays(params: ModelParams, dom: GridDomain, u, v, kernels=None, powers=None, t=1.0):
-    """(dJ/du, dJ/dv) = dP/p - dB/q - dD/(a+b) at t (u, v), as triple_gradients."""
+    """dJ = dP/p - dB/q - dD/(a+b) at t (u, v), u then v, as triple_gradients."""
     dP, dB, dD = triple_gradients(params, dom, u, v, kernels, powers, t)
-    return _halves(dP / params.p - dB / params.q - dD / params.ab)
+    return dP / params.p - dB / params.q - dD / params.ab
 
 
 def constraint_gradient_arrays(params: ModelParams, dom: GridDomain, u, v, kernels=None, powers=None):
     """Gradient of the Nehari constraint Q = P - B - D, as triple_gradients at t = 1."""
     dP, dB, dD = triple_gradients(params, dom, u, v, kernels, powers)
-    return _halves(dP - dB - dD)
+    return dP - dB - dD

@@ -360,8 +360,3 @@ def plap_gradient(dom: GridDomain, u) -> np.ndarray:
             gx[a:b] += c @ ones[a:]
             gx[a:] -= ones[a:b] @ c
     return g.reshape(v.shape)
-
-
-def pair_norm(dom: GridDomain, pair: FieldPair) -> float:
-    """Product-space norm (seminorm_p(u)^p + seminorm_p(v)^p)^(1/p)."""
-    return (seminorm_p(dom, pair.u) ** dom.p + seminorm_p(dom, pair.v) ** dom.p) ** (1.0 / dom.p)

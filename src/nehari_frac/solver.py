@@ -29,7 +29,7 @@ from .constants import (
 from .energy import ReducedTriple, component_powers, constraint_gradient_arrays, gradient_arrays, ray_triple
 from .errors import BranchLostError, ConvergenceError, ZeroPairError
 from .fibering import NMINUS, NPLUS, branch_root, classify_triple, phi, t_max
-from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, pair_norm, plap_gradient, seminorm_p, signed_pow
+from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, plap_gradient, seminorm_p, signed_pow
 from .params import ModelParams
 
 
@@ -105,9 +105,8 @@ def minimize_on_branch(params: ModelParams, dom: GridDomain, branch: str, starts
         roots = [branch_root(ray, params, branch) for ray in rays]
         # the gradient at t a from the kernel rows and powers of a; a row without a root takes t = 1 and is dropped
         t = np.array([1.0 if r is None else r for r in roots])
-        gu, gv = gradient_arrays(params, dom, u, v, kernels, powers, t=t[:, None])
-        return [None if r is None else (r * a[k], phi(ray, params, r), np.concatenate([gu[k], gv[k]]),
-                                        r ** params.p * ray.P)
+        g = gradient_arrays(params, dom, u, v, kernels, powers, t=t[:, None])
+        return [None if r is None else (r * a[k], phi(ray, params, r), g[k].copy(), r ** params.p * ray.P)
                 for k, (r, ray) in enumerate(zip(roots, rays))]
 
     def accepted(k, evaluation):
@@ -134,7 +133,7 @@ def _branch_report(params: ModelParams, dom: GridDomain, branch: str, run, norm_
     kernels = plap_gradient(dom, run.x.reshape(2, n))  # one stacked pass serves both uses below
     powers = component_powers(params, u, v)
     # tangential residual: the gradient minus its part along the constraint gradient
-    q = np.concatenate(constraint_gradient_arrays(params, dom, u, v, kernels, powers))
+    q = constraint_gradient_arrays(params, dom, u, v, kernels, powers)
     qn2 = float(np.dot(q, q))
     coef = float(np.dot(run.grad, q)) / qn2 if qn2 > 0 else 0.0
     pair = FieldPair(Field(u), Field(v))
@@ -179,10 +178,11 @@ def _starts_for_branch(params: ModelParams, dom: GridDomain, branch: str, seed: 
 
 
 def pair_distance(dom: GridDomain, a: FieldPair, b: FieldPair) -> float:
-    """Relative lattice L^p distance between pairs normalized to unit product norm."""
+    """Relative lattice L^p distance between pairs normalized to unit product
+    norm (P^(1/p), P = [u]^p + [v]^p), both norms from one stacked kernel pass."""
     p = dom.p
-    na = pair_norm(dom, a)
-    nb = pair_norm(dom, b)
+    x = np.stack([as_values(a.u), as_values(a.v), as_values(b.u), as_values(b.v)])
+    na, nb = (np.sum(x * plap_gradient(dom, x), axis=-1).reshape(2, 2).sum(axis=-1) ** (1.0 / p)).tolist()
     if na == 0.0 or nb == 0.0:
         return float(na != nb)
     du = as_values(a.u) / na - as_values(b.u) / nb
@@ -341,8 +341,8 @@ def semitrivial_tmax_check(params: ModelParams, dom: GridDomain, u1, w) -> float
     # one component at a time: D = 0, and J's gradient is the scalar problem's
     tu = ray_triple(params, dom, u1, zero, kernels=(ku, zero))
     tw = ray_triple(params, dom, zero, w, kernels=(zero, kw))
-    gu = gradient_arrays(params, dom, u1, zero, kernels=(ku, zero))[0]
-    gw = gradient_arrays(params, dom, zero, w, kernels=(zero, kw))[1]
+    gu = gradient_arrays(params, dom, u1, zero, kernels=(ku, zero))[:dom.n_interior]
+    gw = gradient_arrays(params, dom, zero, w, kernels=(zero, kw))[dom.n_interior:]
     r1 = float(np.linalg.norm(gu)) / (params.lam * cell * float(np.sum(np.abs(u1) ** (q - 1.0))))
     r2 = float(np.linalg.norm(gw)) / (params.mu * cell * float(np.sum(np.abs(w) ** (q - 1.0))))
     if max(r1, r2) > STATIONARITY_RTOL:

@@ -59,9 +59,9 @@ def psi_prime(triple, params, t):
 
 
 def gradient_pair(params, dom, pair):
-    """Gradient vectors (dJ/du, dJ/dv); entry k equals the first variation
+    """Gradient halves (dJ/du, dJ/dv); entry k equals the first variation
     against the k-th canonical basis pair."""
-    return gradient_arrays(params, dom, as_values(pair.u), as_values(pair.v))
+    return np.split(gradient_arrays(params, dom, as_values(pair.u), as_values(pair.v)), 2)
 
 
 def gradient_vector(params, dom, pair):
@@ -288,7 +288,7 @@ def xi_prime(params, dom, z, omega, tol=MANIFOLD_RTOL, denom_floor=1e-8):
         raise DegenerateDirectionError(
             "N0-degenerate direction: the implicit-map denominator is numerically zero"
         )
-    qu, qv = constraint_gradient_arrays(params, dom, as_values(z.u), as_values(z.v))
+    qu, qv = np.split(constraint_gradient_arrays(params, dom, as_values(z.u), as_values(z.v)), 2)
     numer = float(np.dot(qu, as_values(omega.u)) + np.dot(qv, as_values(omega.v)))
     return numer / denom
 

@@ -487,12 +487,15 @@ def test_seed_override_changes_output(tmp_path):
     assert (out1 / "curves.csv").read_bytes() != (out2 / "curves.csv").read_bytes()
 
 
-def test_solve_reports_the_branch_budget(tmp_path, monkeypatch):
-    """solver.BRANCH_MAX_ITER, read at call time, caps each branch descent."""
+def test_solve_reports_the_branch_budget(tmp_path, monkeypatch, capsys):
+    """solver.BRANCH_MAX_ITER, read at call time, caps each branch descent;
+    a solve whose reported branch stopped at its budget exits 1 and its
+    summary names the branch."""
     monkeypatch.setattr(solver, "BRANCH_MAX_ITER", 1)
     out = tmp_path / "out"
-    # the exit status does not read `converged` yet (ROADMAP item 2)
-    assert main(["solve", "--config", str(write_config(tmp_path)), "--out", str(out), "--quiet"]) == 0
+    assert main(["solve", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["budget_stops"] == ["plus", "minus"] and summary["all_checks_pass"]
     for tag in ("plus", "minus"):
         report = json.loads((out / f"solution_{tag}.json").read_text())
         assert (report["stop_reason"], report["converged"], report["iterations"]) == ("budget", False, 1)

@@ -183,17 +183,17 @@ def test_ratio_predicted_properties():
 
 def test_hypotheses_check_cases():
     good = nf.hypotheses_check(nf.ModelParams(n=2, p=2.0, s=0.4, q=1.8, alpha=5 / 3, beta=5 / 3))
-    assert good.to_dict() == {
+    assert good == {
         "dimension_ok": True, "small_p_ok": True, "q_range_ok": True,
         "critical_ok": True, "all_ok": True,
     }
     bad_dim = nf.hypotheses_check(nf.ModelParams(n=1, p=2.0, s=0.4, q=1.5, alpha=4.0, beta=4.0))
-    assert not bad_dim.dimension_ok
+    assert not bad_dim["dimension_ok"]
     # q below the threshold n(p-1)/(n-ps) = 5/3
     low_q = nf.hypotheses_check(nf.ModelParams(n=2, p=2.0, s=0.4, q=1.5, alpha=5 / 3, beta=5 / 3))
-    assert not low_q.q_range_ok
+    assert not low_q["q_range_ok"]
     small_p = nf.hypotheses_check(nf.ModelParams(n=1, p=1.5, s=0.3, q=1.2, alpha=2.0, beta=2.5))
-    assert small_p.small_p_ok == (1 < 1.5 * 0.3 / 0.5)
+    assert small_p["small_p_ok"] == (1 < 1.5 * 0.3 / 0.5)
 
 
 # ---------------------------------------------------------------------------

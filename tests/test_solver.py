@@ -48,7 +48,7 @@ def test_minimize_on_branch_nplus(setup12, monkeypatch):
     assert rep.classification == NPLUS
     assert np.isfinite(rep.iterate_norm_max)
     constraint = nehari_constraint(params, dom, rep.pair)
-    assert abs(constraint) <= 1e-8 * nf.pair_norm(dom, rep.pair) ** params.p
+    assert abs(constraint) <= 1e-8 * nf.reduce_pair(params, dom, rep.pair).P
 
 
 def test_minimize_on_branch_nminus_above_d0(setup12, monkeypatch):
@@ -227,7 +227,7 @@ def test_branch_round_matches_per_row_oracles(case, branch):
         xo = t * a
         ray = ray_triple(params, dom, xo[:n], xo[n:])
         dP, dB, dD = triple_gradients(params, dom, xo[:n], xo[n:])
-        g = np.concatenate(nf.energy.gradient_arrays(params, dom, xo[:n], xo[n:]))
+        g = nf.energy.gradient_arrays(params, dom, xo[:n], xo[n:])
         assert np.max(np.abs(x - xo)) <= 1e-13 * np.max(xo)
         assert abs(value - nf.phi(ray, params, 1.0)) <= 1e-13 * (ray.P / p + ray.B / q + ray.D / ab)
         scale = np.max(np.abs(dP)) / p + np.max(np.abs(dB)) / q + np.max(np.abs(dD)) / ab
@@ -328,6 +328,35 @@ def test_solve_two_swap_symmetry(monkeypatch):
         assert ra.energy == pytest.approx(rb.energy, rel=1e-5)
         swapped = nf.FieldPair(rb.pair.v, rb.pair.u)
         assert pair_distance(dom, ra.pair, swapped) <= 1e-4
+
+
+def test_pair_distance_identities(params, dom):
+    """A pair lies at distance 0 from any positive multiple of itself, and the
+    distance is symmetric in its two arguments."""
+    rng = np.random.default_rng(5)
+    a, b = random_pair(dom, rng), random_pair(dom, rng)
+    scaled = nf.FieldPair(nf.Field(2.7 * a.u.values), nf.Field(2.7 * a.v.values))
+    assert pair_distance(dom, a, scaled) <= 1e-13
+    assert pair_distance(dom, a, b) > 0.1
+    assert pair_distance(dom, a, b) == pytest.approx(pair_distance(dom, b, a), rel=1e-14)
+
+
+def test_each_reduction_makes_one_kernel_pass(params, dom, monkeypatch):
+    """reduce_pair puts (u, v) through plap_gradient as one stack of two rows,
+    pair_distance both pairs as one stack of four, and sup_energy_scan each
+    eps's bubble pair as one stack of two."""
+    rng = np.random.default_rng(6)
+    a, b = random_pair(dom, rng), random_pair(dom, rng)
+    limits = nf.thresholds(params, dom.volume, 8.83, 17.67)
+    calls = record_plap_calls(monkeypatch)
+    nf.reduce_pair(params, dom, a)
+    assert calls == [(2, 0)]
+    calls.clear()
+    pair_distance(dom, a, b)
+    assert calls == [(4, 0)]
+    calls.clear()
+    nf.sup_energy_scan(dom, params, 0.25, 2.0, [0.0625, 0.03125, 0.015625], limits)
+    assert calls == [(2, 0)] * 3
 
 
 def test_cplus_bounds_projected_probes(setup12, monkeypatch):
