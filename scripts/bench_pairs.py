@@ -17,8 +17,10 @@ metric of BENCHMARK.json, the medians and quartiles (linear interpolation)
 of both sides, the parent's IQR, the pairs the change wins, the
 change/parent ratio of the medians, the median of the per-pair
 change/parent ratios and the exact two-sided sign-test p-value of the wins
-over the pairs that are not tied; a series of fewer than ten pairs is
-marked "indicative".  A --traced workload gets one --trace 1 run per side.
+over the pairs that are not tied, whether the gain rule is met (at least
+9/10 wins and a median gain above the parent IQR) and whether the change
+median is within the metric's end_to_end bound; a series of fewer than ten
+pairs is marked "indicative".  A --traced workload gets one --trace 1 run per side.
 """
 from __future__ import annotations
 
@@ -76,9 +78,16 @@ def sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n)
 
 
-def summarize(runs: list, metrics: dict) -> dict:
+def summarize(runs: list, metrics: dict, bounds: dict = None) -> dict:
     """Per "<workload> seed <seed>": pairs, ops, correctness and, for each metric
-    name -> "lower" | "higher" present in every run, the pair statistics."""
+    name -> "lower" | "higher" present in every run, the pair statistics.
+
+    gain_rule_met: the change wins at least 9/10 of the pairs (ties count for
+    neither side) and its median differs from the parent's by more than the
+    parent IQR in the better direction.  within_bound (for a metric with a
+    relative bound in bounds): the change median is no worse than the
+    parent's by more than that bound."""
+    bounds = bounds or {}
     summary = {}
     for key in dict.fromkeys((r["workload"], r["seed"]) for r in runs):
         group = [r for r in runs if (r["workload"], r["seed"]) == key]
@@ -103,17 +112,22 @@ def summarize(runs: list, metrics: dict) -> dict:
             wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(value["parent"], value["change"]))
             ties = sum(c == p for p, c in zip(value["parent"], value["change"]))
             median = {s: statistics.median(value[s]) for s in side}
+            gain = median["parent"] - median["change"] if better == "lower" else median["change"] - median["parent"]
+            iqr = q["parent"][1] - q["parent"][0]
             entry["metrics"][name] = {
                 "parent_median": median["parent"],
                 "change_median": median["change"],
                 "parent_q1_q3": q["parent"],
                 "change_q1_q3": q["change"],
-                "parent_iqr": q["parent"][1] - q["parent"][0],
+                "parent_iqr": iqr,
                 "change_wins": f"{wins}/{len(pairs)}",
                 "change_over_parent": median["change"] / median["parent"],
                 "median_pair_ratio": statistics.median(c / p for p, c in zip(value["parent"], value["change"])),
                 "sign_test_p": sign_test(wins, len(pairs) - wins - ties),
+                "gain_rule_met": 10 * wins >= 9 * len(pairs) and gain > iqr,
             }
+            if name in bounds:
+                entry["metrics"][name]["within_bound"] = -gain <= bounds[name] * median["parent"]
         summary[f"{key[0]} seed {key[1]}"] = entry
     return summary
 
@@ -136,6 +150,7 @@ def main(argv=None) -> int:
     commits = {"parent": git("rev-parse", args.parent + "^{commit}"), "change": git("rev-parse", args.change + "^{commit}")}
     bench = json.loads(Path("BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
     seconds = bench["run_seconds"]
     runs, traced, failed, env = [], [], [], {}
     out = {
@@ -160,7 +175,7 @@ def main(argv=None) -> int:
                 (failed if "exit_code" in fields else traced if trace else runs).append(record)
                 wall = fields["result"].get("metrics", {}).get("wall_s") if "result" in fields else fields["exit_code"]
                 print(f"{workload} pair {pair} {side}: {json.dumps(wall)}", file=sys.stderr)
-                out["hardware"], out["summary"] = hardware(env), summarize(runs, metrics)
+                out["hardware"], out["summary"] = hardware(env), summarize(runs, metrics, bounds)
                 Path(f"BENCH_{args.tag}.json").write_text(json.dumps(out, indent=2) + "\n")
     return 0 if not failed else 1
 

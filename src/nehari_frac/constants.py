@@ -86,7 +86,8 @@ def descent_steps(start, stop: StopRule, on_accept=None):
     point that cannot be placed; start is one.  Every trial is evaluated in
     full, so an accepted trial already carries its gradient.  Each proposal
     x - s g is halved up to 60 times until its value passes the acceptance
-    test of stop.  on_accept(evaluation) is called for the start and for each
+    test of stop; a proposal equal to the previous one is not evaluated again.
+    on_accept(evaluation) is called for the start and for each
     accepted point.  The step is 1/max(1, |g0|) at first, then dx.dx / dx.dg
     (BB1) where the curvature dx.dg is positive and |dx| / |dg| where it is
     not, as on much of a nonconvex branch, so that the step keeps adapting.
@@ -115,8 +116,12 @@ def descent_steps(start, stop: StopRule, on_accept=None):
             step = min(max(step, 1e-14), 1e14)
         gg = float(np.dot(g, g)) if stop.armijo else 0.0
         s = step
+        last = None  # the previous proposal: a repeat (s g below the spacing of x) reuses its evaluation
         for _ in range(_BACKTRACKS):
-            trial = yield x - s * g
+            proposal = x - s * g
+            if last is None or not np.array_equal(proposal, last):
+                trial = yield proposal
+                last = proposal
             if trial is not None and trial[1] <= val - stop.armijo * s * gg:
                 break
             s *= 0.5

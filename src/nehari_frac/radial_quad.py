@@ -12,12 +12,14 @@ hypergeometric value F(nu, 1/2; 1; 1 - e) with nu = (2 + ps)/2 and the exact
 squared relative gap e = ((r - rho)/(r + rho))^2, by numpy alone: its Gauss
 series in 1 - e for e > 1/2, the two series of the connection formula DLMF
 15.8.4 for e <= 1/2, and 2 E(1 - e)/(pi e) with E from the AGM at ps = 1,
-where those series have a pole.  Phi is homogeneous of degree -(n + ps), so
-below the diagonal one kernel row serves every outer node.  The planar
-integrand is assembled over blocks of outer nodes sized by grid.SLAB_ELEMENTS,
-so its temporaries stay in cache and its peak memory does not grow with the
-outer grid.  Values count each unordered point pair once (half the ordered
-double integral).
+where those series have a pole.  Phi is homogeneous of degree -(n + ps) and
+the planar integrand is symmetric in (r, rho), so the interior is two sweeps
+below the diagonal, rho = r t, and each needs one unit kernel row Phi(1, t)
+for every outer node; no kernel is evaluated per point above the diagonal.
+The sweeps are assembled over blocks of outer nodes sized by
+grid.SLAB_ELEMENTS, so their temporaries stay in cache and the peak memory
+does not grow with the outer grid.  Values count each unordered point pair
+once (half the ordered double integral).
 """
 from __future__ import annotations
 
@@ -31,7 +33,11 @@ from .params import ModelParams
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _SERIES_TERMS = 50  # per Gauss series, each at |z| <= 1/2
 GAGLIARDO_PER_DECADE = 12  # gagliardo_pow_quad: outer panels per decade of r
-GAP_PER_DECADE = 6         # gagliardo_pow_quad: panels per decade of its unit gap rule
+GAP_PER_DECADE = 6         # gagliardo_pow_quad: panels per decade of its one-ended unit rule
+# gagliardo_pow_quad: panels per decade of its two-ended unit rule, the fewest at which that sweep
+# of the desk bubble (delta = 0.25, theta = 2) lies within 1e-6 of a 4x-refined rule at every eps
+# from delta/4 to delta/128 (8: 6.3e-7 at delta/4 down to 6.7e-10; 6: 3.3e-6 at delta/4)
+TWO_ENDED_PER_DECADE = 8
 TAIL_FACTOR = 64.0         # gagliardo_pow_quad: explicit exterior tail up to this times the support
 
 
@@ -140,6 +146,49 @@ def lr_power_quad(
     return sphere_surface(params.n) * float(np.sum(w * vals * r ** (params.n - 1)))
 
 
+def unit_rule(per_decade: int, two_ended: bool):
+    """Nodes t = rho / r in (0, 1) and weights of a below-diagonal sweep.
+
+    Gauss-Legendre panels geometric in the gap g = 1 - t from 1e-10 up to
+    g = 1 (one-ended: coarse toward the origin t -> 0), or up to g = 1/2 and
+    mirrored, geometric in t from 1e-10 (two-ended).  For t >= 1/2 the gap
+    1 - t is exact in floating point, so the unit kernel row sees the gap of
+    its node.
+    """
+    if not two_ended:
+        g, w = _panels(_radial_edges(1e-10, 1.0, per_decade))
+        return 1.0 - g, w
+    h, w = _panels(_radial_edges(1e-10, 0.5, per_decade))
+    return np.concatenate([1.0 - h, h]), np.concatenate([w, w])
+
+
+def below_sweeps(params: ModelParams, func, r_nodes, r_weights, rules) -> np.ndarray:
+    """One below-diagonal sweep per unit rule (t, w) of rules:
+    the sum over the outer nodes r of r_weights r^(n-1-ps) sum_k w_k
+    Phi(1, t_k) t_k^(n-1) |u(r) - u(r t_k)|^p, each an approximation of the
+    planar integral over rho < r (Phi is homogeneous of degree -(n + ps)).
+
+    One unit kernel row per rule; func runs on the rules' joint nodes in
+    blocks of max(1, grid.SLAB_ELEMENTS // G) outer nodes, G all their nodes,
+    so every temporary stays in cache; only the summation order depends on the
+    block size.
+    """
+    n, p, ps = params.n, params.p, params.p * params.s
+    t = np.concatenate([rule[0] for rule in rules])
+    rows = [w * angular_kernel(n, ps, 1.0, tk) * tk ** (n - 1) for tk, w in rules]
+    cuts = np.cumsum([row.size for row in rows])[:-1]
+    u_nodes = np.asarray(func(r_nodes), dtype=np.float64)
+    coef = r_weights * r_nodes ** (n - 1 - ps)
+    block = max(1, grid.SLAB_ELEMENTS // t.size)
+    out = np.zeros(len(rules))
+    for a in range(0, r_nodes.size, block):
+        r = r_nodes[a:a + block, None]
+        du = np.abs(u_nodes[a:a + block, None] - np.asarray(func(r * t), dtype=np.float64)) ** p
+        for k, (part, row) in enumerate(zip(np.split(du, cuts, axis=1), rows)):
+            out[k] += coef[a:a + block] @ (part @ row)
+    return out
+
+
 def gagliardo_pow_quad(
     params: ModelParams,
     func,
@@ -150,12 +199,12 @@ def gagliardo_pow_quad(
     """Continuum Gagliardo seminorm^p of a radial function supported in
     [0, support_r] (unordered-pair convention, unit kernel constant).
 
-    The inner integral is split at the diagonal for each outer node and uses
-    a geometric grid in the radial gap, where the integrand behaves like
-    gap^(p - 1 - ps), and one unit-gap kernel row below the diagonal.  The
-    interior sum runs over blocks of max(1, grid.SLAB_ELEMENTS // (2 G))
-    outer nodes, G the gap nodes; only its summation order depends on the
-    block size.  The exterior contribution integrates the kernel tail
+    The planar integrand is symmetric in (r, rho), so the interior is two
+    below-diagonal sweeps rho = r (1 - g) (below_sweeps), each an estimate of
+    the half below the diagonal: one on the one-ended unit rule with
+    GAP_PER_DECADE panels per decade, one on the two-ended rule with
+    TWO_ENDED_PER_DECADE, which also resolves the core near the origin when
+    r >> core_scale.  The exterior contribution integrates the kernel tail
     explicitly up to TAIL_FACTOR * support_r, in one (R, T) kernel call,
     plus an asymptotic remainder.
     """
@@ -167,24 +216,8 @@ def gagliardo_pow_quad(
     edges = _radial_edges(r_min, support_r, GAGLIARDO_PER_DECADE, breakpoints)
     r_nodes, r_weights = _panels(edges)
     u_nodes = np.asarray(func(r_nodes), dtype=np.float64)
-
-    # one unit gap rule g, scaled onto (0, r) and (r, support_r) of every outer node
-    gap, gw = _panels(_radial_edges(1e-10, 1.0, GAP_PER_DECADE))
-    # below the diagonal rho = r (1 - g), and Phi is homogeneous of degree -(n + ps)
-    below = angular_kernel(n, ps, 1.0, 1.0 - gap)
-    # blocks of outer nodes whose (B, 2, G) arrays fit the slab budget, so every sweep stays in cache
-    block = max(1, grid.SLAB_ELEMENTS // (2 * gap.size))
-    interior = 0.0
-    for a in range(0, r_nodes.size, block):
-        r = r_nodes[a:a + block, None, None]
-        span = np.concatenate([-r, support_r - r], axis=1)  # signed, (B, 2, 1)
-        rho = r + span * gap  # (B, 2, G)
-        du = np.abs(u_nodes[a:a + block, None, None] - np.asarray(func(rho), dtype=np.float64)) ** p
-        phi = np.empty(rho.shape)
-        phi[:, 0] = r[:, 0] ** -(n + ps) * below
-        phi[:, 1] = angular_kernel(n, ps, r[:, 0], rho[:, 1])
-        weight = r_weights[a:a + block, None, None] * np.abs(span) * gw
-        interior += float(np.sum(weight * du * phi * (r * rho) ** (n - 1)))
+    rules = (unit_rule(GAP_PER_DECADE, False), unit_rule(TWO_ENDED_PER_DECADE, True))
+    interior = float(np.sum(below_sweeps(params, func, r_nodes, r_weights, rules)))
 
     # exterior: |u(r) - 0|^p against the kernel mass beyond the support
     r_out = TAIL_FACTOR * support_r

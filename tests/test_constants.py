@@ -514,8 +514,23 @@ def test_descend_reports_line_search_exhaustion():
     [run] = descend([x0], _each(rising), StopRule(max_iter=50, flat_tol=1e-12))
     assert run.stop_reason == LINE_SEARCH_EXHAUSTED
     assert run.iterations == 0
-    assert next(calls) == 61  # the start and 60 rejected proposals
+    assert next(calls) == 55  # the start and 54 rejected proposals; the last 6 repeat the 54th
     assert np.array_equal(run.x, x0)
+
+
+def test_descend_evaluates_a_repeated_proposal_once():
+    """Where every s g lies below the spacing of x, all 60 proposals equal x:
+    the first is evaluated and the rest reuse it, with the same Descent."""
+    calls = itertools.count()
+
+    def raised(x):  # the start has value 1, every proposal 2
+        return x, 1.0 + min(next(calls), 1), np.array([1e-20, -1e-20])
+
+    x0 = np.array([1.0, -2.0])
+    [run] = descend([x0], _each(raised), StopRule(max_iter=50, flat_tol=1e-12))
+    assert (run.stop_reason, run.iterations, run.value) == (LINE_SEARCH_EXHAUSTED, 0, 1.0)
+    assert np.array_equal(run.x, x0)
+    assert next(calls) == 2  # the start and one proposal (61 when every proposal was evaluated)
 
 
 def test_descend_stops_on_gradient_and_budget():

@@ -45,7 +45,8 @@ def test_bench_pairs_summary_on_synthetic_runs():
     runs.append(_run("quad_scan", 1, "parent", 1.0, 86.0))
     runs.append(_run("quad_scan", 1, "change", 0.5, 86.0))
     del runs[-1]["result"]["metrics"]["peak_rss_mb"]
-    summary = _bench_pairs().summarize(runs, {"wall_s": "lower", "peak_rss_mb": "lower", "setup_s": "lower"})
+    summary = _bench_pairs().summarize(runs, {"wall_s": "lower", "peak_rss_mb": "lower", "setup_s": "lower"},
+                                       {"wall_s": 0.25, "peak_rss_mb": 0.01})
     assert list(summary) == ["p3_solve seed 1", "quad_scan seed 1"]
     p3 = summary["p3_solve seed 1"]
     assert p3["change_commit"] == "c" * 40 and p3["pairs"] == 4 and p3["indicative"] is True
@@ -57,11 +58,19 @@ def test_bench_pairs_summary_on_synthetic_runs():
         "change_wins": "3/4", "change_over_parent": 2.25 / 3.5,
         "median_pair_ratio": (0.5 + 2.0 / 3.0) / 2,  # of the pair ratios 1/2, 9/8, 2/3, 1/2
         "sign_test_p": 0.625,  # 3 wins, 1 loss: 2 (1 + 4) / 16
+        "gain_rule_met": False,  # 3/4 wins, and the median gain 1.25 is inside the IQR 1.5
+        "within_bound": True,
     }
     # rss: pair 1 tied, three losses, so the test runs on 3 pairs: 2 / 8
     assert p3["metrics"]["peak_rss_mb"]["change_wins"] == "0/4"
     assert p3["metrics"]["peak_rss_mb"]["sign_test_p"] == 0.25
-    assert list(summary["quad_scan seed 1"]["metrics"]) == ["wall_s"]
+    # the change median 41 is 2.5% above the parent's 40, outside a 1% bound
+    assert p3["metrics"]["peak_rss_mb"]["gain_rule_met"] is False
+    assert p3["metrics"]["peak_rss_mb"]["within_bound"] is False
+    quad = summary["quad_scan seed 1"]["metrics"]
+    assert list(quad) == ["wall_s"]
+    # one win of one pair, the median gain 0.5 above the parent IQR 0
+    assert quad["wall_s"]["gain_rule_met"] is True and quad["wall_s"]["within_bound"] is True
 
 
 def test_sign_test_exact_values():
@@ -75,8 +84,8 @@ def test_sign_test_exact_values():
 
 def test_bench_pairs_summary_reproduces_a_committed_record():
     """The p3_solve summary of BENCH_pr15.json, rebuilt from its own runs;
-    the record predates the indicative label, the median pair ratio and the
-    sign test."""
+    the record predates the indicative label, the median pair ratio, the
+    sign test and the gain and bound verdicts."""
     record = json.loads((ROOT / "BENCH_pr15.json").read_text())
     want = record["summary"]["p3_solve seed 1"]
     runs = [r for r in record["runs"] if r["workload"] == "p3_solve"]
@@ -85,7 +94,7 @@ def test_bench_pairs_summary_reproduces_a_committed_record():
     got = summary["p3_solve seed 1"]
     assert got.pop("indicative") is (want["pairs"] < 10)
     for entry in got["metrics"].values():
-        del entry["median_pair_ratio"], entry["sign_test_p"]
+        del entry["median_pair_ratio"], entry["sign_test_p"], entry["gain_rule_met"]
     assert summary == {"p3_solve seed 1": want}
 
 
