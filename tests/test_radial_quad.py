@@ -196,15 +196,15 @@ def test_gagliardo_vectorised_assembly_against_per_node_loop(n, p, s):
     assert gagliardo_pow_quad(*args) == pytest.approx(_gagliardo_per_node(*args), rel=1e-12)
 
 
-# G = 610 + 1580 nodes of the two unit rules; 11 outer nodes per block: the
-# 420 outer nodes of these cases leave a ragged last block of 2
-@pytest.mark.parametrize("budget", [1, 2190 * 11])
+# G = 610 + 1580 nodes of the two unit rules; 13420 // G = 6 outer nodes per
+# block: the 430 outer nodes of these cases leave a ragged last block of 4
+@pytest.mark.parametrize("budget", [1, 13420])
 @pytest.mark.parametrize("n,p,s", [(1, 2.0, 0.4), (2, 2.0, 0.4), (2, 3.0, 0.1), (3, 1.5, 0.6)])
 def test_gagliardo_blocked_assembly_against_per_node_loop(monkeypatch, n, p, s, budget):
     # one outer node per block, and blocks that do not divide the outer grid
     params = nf.ModelParams(n=n, p=p, s=s, q=1.2, alpha=p, beta=p)
-    args = (params, bump, 1.0, 0.5, (0.3,))
-    outer = _panels(_radial_edges(0.5e-3, 1.0, 12, (0.3,)))[0].size
+    args = (params, bump, 1.0, 0.5, (0.3, 0.7))
+    outer = _panels(_radial_edges(0.5e-3, 1.0, 12, (0.3, 0.7)))[0].size
     block = max(1, budget // 2190)
     assert block == 1 or outer % block not in (0, 1)
     monkeypatch.setattr(grid, "SLAB_ELEMENTS", budget)
