@@ -17,10 +17,10 @@ metric of BENCHMARK.json, the medians and quartiles (linear interpolation)
 of both sides, the parent's IQR, the pairs the change wins, the
 change/parent ratio of the medians, the median of the per-pair
 change/parent ratios and the exact two-sided sign-test p-value of the wins
-over the pairs that are not tied, whether the gain rule is met (at least
-9/10 wins and a median gain above the parent IQR) and whether the change
-median is within the metric's end_to_end bound; a series of fewer than ten
-pairs is marked "indicative".  A --traced workload gets one --trace 1 run per side.
+over the pairs that are not tied, whether the gain rule is met and whether
+the change median is within the metric's end_to_end bound (see summarize);
+a series of fewer than ten pairs is marked "indicative".  A --traced
+workload gets one --trace 1 run per side.
 """
 from __future__ import annotations
 
@@ -78,16 +78,17 @@ def sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n)
 
 
-def summarize(runs: list, metrics: dict, bounds: dict = None) -> dict:
+def summarize(runs: list, metrics: dict, bounds: dict) -> dict:
     """Per "<workload> seed <seed>": pairs, ops, correctness and, for each metric
     name -> "lower" | "higher" present in every run, the pair statistics.
 
-    gain_rule_met: the change wins at least 9/10 of the pairs (ties count for
+    gain_rule_met: at least ten pairs, no larger share of failed operations
+    than the parent's, the change wins at least 9/10 of the pairs (ties count for
     neither side) and its median differs from the parent's by more than the
     parent IQR in the better direction.  within_bound (for a metric with a
     relative bound in bounds): the change median is no worse than the
-    parent's by more than that bound."""
-    bounds = bounds or {}
+    parent's by more than that bound; "unresolved" when the parent IQR is
+    wider than the bound, unless every change run beats every parent run."""
     summary = {}
     for key in dict.fromkeys((r["workload"], r["seed"]) for r in runs):
         group = [r for r in runs if (r["workload"], r["seed"]) == key]
@@ -104,6 +105,8 @@ def summarize(runs: list, metrics: dict, bounds: dict = None) -> dict:
             "all_correct": all(r["result"]["correct"] for r in group),
             "metrics": {},
         }
+        failed, attempted = entry["failed_ops"], entry["attempted_ops"]
+        no_more_failures = failed["change"] * attempted["parent"] <= failed["parent"] * attempted["change"]
         for name, better in metrics.items():
             if not all(name in r["result"]["metrics"] for r in group):
                 continue
@@ -114,6 +117,8 @@ def summarize(runs: list, metrics: dict, bounds: dict = None) -> dict:
             median = {s: statistics.median(value[s]) for s in side}
             gain = median["parent"] - median["change"] if better == "lower" else median["change"] - median["parent"]
             iqr = q["parent"][1] - q["parent"][0]
+            beats_all = (max(value["change"]) < min(value["parent"]) if better == "lower"
+                         else min(value["change"]) > max(value["parent"]))
             entry["metrics"][name] = {
                 "parent_median": median["parent"],
                 "change_median": median["change"],
@@ -124,10 +129,12 @@ def summarize(runs: list, metrics: dict, bounds: dict = None) -> dict:
                 "change_over_parent": median["change"] / median["parent"],
                 "median_pair_ratio": statistics.median(c / p for p, c in zip(value["parent"], value["change"])),
                 "sign_test_p": sign_test(wins, len(pairs) - wins - ties),
-                "gain_rule_met": 10 * wins >= 9 * len(pairs) and gain > iqr,
+                "gain_rule_met": len(pairs) >= 10 and no_more_failures and 10 * wins >= 9 * len(pairs) and gain > iqr,
             }
             if name in bounds:
-                entry["metrics"][name]["within_bound"] = -gain <= bounds[name] * median["parent"]
+                limit = bounds[name] * median["parent"]
+                entry["metrics"][name]["within_bound"] = (
+                    "unresolved" if iqr > limit and not beats_all else -gain <= limit)
         summary[f"{key[0]} seed {key[1]}"] = entry
     return summary
 

@@ -29,9 +29,9 @@ from .params import ModelParams
 # A p != 2 weight slab holds as many rows as fit SLAB_ELEMENTS float64 weights, at least
 # one (256 kB; 2^14 gave slower passes at m = 28 and 40, 2^16 no faster one at m = 20-40).
 # It also sizes radial_quad's blocks of SLAB_ELEMENTS // G outer nodes, 14 at the G = 2,190 nodes
-# of its two unit rules. Desk quadrature bubble-scan with the earlier (B, 2, 610) blocks,
-# in-process medians of 9-15 runs on a 2-core Xeon (2 MiB L2 per core): 2^13 0.69 s, 2^14 0.40-0.49 s, 2^15 0.36-0.49 s, 2^16 0.38-0.41 s, 2^17 0.45 s;
-# the unblocked assembly 0.63 s.
+# of its joint unit rule. The six desk-bubble gagliardo_pow_quad calls of a quadrature scan
+# (eps = delta/4 ... delta/128), in-process medians of 11 runs on a 2-core Xeon (2 MiB L2 per core,
+# one BLAS thread): 2^13 0.140 s, 2^14 0.124 s, 2^15 0.122 s, 2^16 0.217 s, 2^17 0.224 s.
 # Building peaks at the stored slabs plus SLAB_TEMP_BYTES per weight of one slab (two float64
 # temporaries and a bool mask; tracemalloc: 13-16 B) and may use half the physical memory.
 SLAB_ELEMENTS = 2 ** 15

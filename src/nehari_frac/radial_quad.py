@@ -14,8 +14,9 @@ series in 1 - e for e > 1/2, the two series of the connection formula DLMF
 15.8.4 for e <= 1/2, and 2 E(1 - e)/(pi e) with E from the AGM at ps = 1,
 where those series have a pole.  Phi is homogeneous of degree -(n + ps) and
 the planar integrand is symmetric in (r, rho), so the interior is two sweeps
-below the diagonal, rho = r t, and each needs one unit kernel row Phi(1, t)
-for every outer node; no kernel is evaluated per point above the diagonal.
+below the diagonal, rho = r t, that read one unit kernel row Phi(1, t) over
+their joint rule for every outer node; no kernel is evaluated per point
+above the diagonal.
 The sweeps are assembled over blocks of outer nodes sized by
 grid.SLAB_ELEMENTS, so their temporaries stay in cache and the peak memory
 does not grow with the outer grid.  Values count each unordered point pair
@@ -162,31 +163,27 @@ def unit_rule(per_decade: int, two_ended: bool):
     return np.concatenate([1.0 - h, h]), np.concatenate([w, w])
 
 
-def below_sweeps(params: ModelParams, func, r_nodes, r_weights, rules) -> np.ndarray:
-    """One below-diagonal sweep per unit rule (t, w) of rules:
-    the sum over the outer nodes r of r_weights r^(n-1-ps) sum_k w_k
-    Phi(1, t_k) t_k^(n-1) |u(r) - u(r t_k)|^p, each an approximation of the
-    planar integral over rho < r (Phi is homogeneous of degree -(n + ps)).
+def below_sweeps(params: ModelParams, func, r_nodes, r_weights, u_nodes, t, w) -> float:
+    """The below-diagonal sum over the outer nodes r of r_weights
+    r^(n-1-ps) sum_k w_k Phi(1, t_k) t_k^(n-1) |u(r) - u(r t_k)|^p, with
+    u_nodes = func(r_nodes) and the unit rule (t, w), one or more sweeps
+    joined; a sweep approximates the planar integral over rho < r (Phi is
+    homogeneous of degree -(n + ps)).
 
-    One unit kernel row per rule; func runs on the rules' joint nodes in
-    blocks of max(1, grid.SLAB_ELEMENTS // G) outer nodes, G all their nodes,
-    so every temporary stays in cache; only the summation order depends on the
-    block size.
+    One unit kernel row; func runs on r t in blocks of
+    max(1, grid.SLAB_ELEMENTS // t.size) outer nodes, so every temporary
+    stays in cache; only the summation order depends on the block size.
     """
     n, p, ps = params.n, params.p, params.p * params.s
-    t = np.concatenate([rule[0] for rule in rules])
-    rows = [w * angular_kernel(n, ps, 1.0, tk) * tk ** (n - 1) for tk, w in rules]
-    cuts = np.cumsum([row.size for row in rows])[:-1]
-    u_nodes = np.asarray(func(r_nodes), dtype=np.float64)
+    row = w * angular_kernel(n, ps, 1.0, t) * t ** (n - 1)
     coef = r_weights * r_nodes ** (n - 1 - ps)
     block = max(1, grid.SLAB_ELEMENTS // t.size)
-    out = np.zeros(len(rules))
+    total = 0.0
     for a in range(0, r_nodes.size, block):
         r = r_nodes[a:a + block, None]
         du = np.abs(u_nodes[a:a + block, None] - np.asarray(func(r * t), dtype=np.float64)) ** p
-        for k, (part, row) in enumerate(zip(np.split(du, cuts, axis=1), rows)):
-            out[k] += coef[a:a + block] @ (part @ row)
-    return out
+        total += coef[a:a + block] @ (du @ row)
+    return float(total)
 
 
 def gagliardo_pow_quad(
@@ -200,11 +197,11 @@ def gagliardo_pow_quad(
     [0, support_r] (unordered-pair convention, unit kernel constant).
 
     The planar integrand is symmetric in (r, rho), so the interior is two
-    below-diagonal sweeps rho = r (1 - g) (below_sweeps), each an estimate of
-    the half below the diagonal: one on the one-ended unit rule with
-    GAP_PER_DECADE panels per decade, one on the two-ended rule with
-    TWO_ENDED_PER_DECADE, which also resolves the core near the origin when
-    r >> core_scale.  The exterior contribution integrates the kernel tail
+    below-diagonal sweeps rho = r (1 - g), each an estimate of the half below
+    the diagonal: one on the one-ended unit rule with GAP_PER_DECADE panels
+    per decade, one on the two-ended rule with TWO_ENDED_PER_DECADE, which
+    also resolves the core near the origin when r >> core_scale; below_sweeps
+    takes both rules joined, so one unit kernel row serves them.  The exterior contribution integrates the kernel tail
     explicitly up to TAIL_FACTOR * support_r, in one (R, T) kernel call,
     plus an asymptotic remainder.
     """
@@ -216,8 +213,9 @@ def gagliardo_pow_quad(
     edges = _radial_edges(r_min, support_r, GAGLIARDO_PER_DECADE, breakpoints)
     r_nodes, r_weights = _panels(edges)
     u_nodes = np.asarray(func(r_nodes), dtype=np.float64)
-    rules = (unit_rule(GAP_PER_DECADE, False), unit_rule(TWO_ENDED_PER_DECADE, True))
-    interior = float(np.sum(below_sweeps(params, func, r_nodes, r_weights, rules)))
+    t, w = (np.concatenate(part) for part in zip(unit_rule(GAP_PER_DECADE, False),
+                                                 unit_rule(TWO_ENDED_PER_DECADE, True)))
+    interior = below_sweeps(params, func, r_nodes, r_weights, u_nodes, t, w)
 
     # exterior: |u(r) - 0|^p against the kernel mass beyond the support
     r_out = TAIL_FACTOR * support_r

@@ -211,9 +211,9 @@ def test_gagliardo_blocked_assembly_against_per_node_loop(monkeypatch, n, p, s, 
     calls = []
     monkeypatch.setattr(radial_quad, "angular_kernel", lambda *a: calls.append(a) or angular_kernel(*a))
     assert gagliardo_pow_quad(*args) == pytest.approx(_gagliardo_per_node(*args), rel=1e-12)
-    # two unit rows and the exterior tail, whatever the block
-    assert [np.shape(c[2]) for c in calls] == [(), (), (outer, 1)]
-    assert [np.size(c[3]) for c in calls[:2]] == [610, 1580]
+    # the joint unit row of both rules and the exterior tail, whatever the block
+    assert [np.shape(c[2]) for c in calls] == [(), (outer, 1)]
+    assert np.size(calls[0][3]) == 610 + 1580
 
 
 def _sweep_error(eps, two_ended):
@@ -223,8 +223,11 @@ def _sweep_error(eps, two_ended):
     bub = make_bubble(params, eps, 0.25, 2.0)
     r_nodes, r_weights = _panels(_radial_edges(eps * 1e-3, 0.5, radial_quad.GAGLIARDO_PER_DECADE, (0.25,)))
     per_decade = radial_quad.TWO_ENDED_PER_DECADE if two_ended else radial_quad.GAP_PER_DECADE
-    rules = [radial_quad.unit_rule(per_decade, two_ended), radial_quad.unit_rule(4 * per_decade, two_ended)]
-    got, ref = radial_quad.below_sweeps(params, lambda r: bubble_value(bub, r), r_nodes, r_weights, rules)
+    func = lambda r: bubble_value(bub, r)
+    u_nodes = func(r_nodes)
+    got, ref = (radial_quad.below_sweeps(params, func, r_nodes, r_weights, u_nodes,
+                                         *radial_quad.unit_rule(k * per_decade, two_ended))
+                for k in (1, 4))
     return (got - ref) / ref
 
 

@@ -58,8 +58,8 @@ def test_bench_pairs_summary_on_synthetic_runs():
         "change_wins": "3/4", "change_over_parent": 2.25 / 3.5,
         "median_pair_ratio": (0.5 + 2.0 / 3.0) / 2,  # of the pair ratios 1/2, 9/8, 2/3, 1/2
         "sign_test_p": 0.625,  # 3 wins, 1 loss: 2 (1 + 4) / 16
-        "gain_rule_met": False,  # 3/4 wins, and the median gain 1.25 is inside the IQR 1.5
-        "within_bound": True,
+        "gain_rule_met": False,  # 4 pairs, 3/4 wins, and the median gain 1.25 is inside the IQR 1.5
+        "within_bound": "unresolved",  # the IQR 1.5 is wider than 0.25 * 3.5, and 4.5 > 2
     }
     # rss: pair 1 tied, three losses, so the test runs on 3 pairs: 2 / 8
     assert p3["metrics"]["peak_rss_mb"]["change_wins"] == "0/4"
@@ -69,8 +69,34 @@ def test_bench_pairs_summary_on_synthetic_runs():
     assert p3["metrics"]["peak_rss_mb"]["within_bound"] is False
     quad = summary["quad_scan seed 1"]["metrics"]
     assert list(quad) == ["wall_s"]
-    # one win of one pair, the median gain 0.5 above the parent IQR 0
-    assert quad["wall_s"]["gain_rule_met"] is True and quad["wall_s"]["within_bound"] is True
+    # one win of one pair, the median gain 0.5 above the parent IQR 0, but fewer than ten pairs
+    assert quad["wall_s"]["gain_rule_met"] is False and quad["wall_s"]["within_bound"] is True
+
+
+def test_bench_pairs_verdicts_on_ten_pairs():
+    """Ten pairs, the change winning nine: the gain rule holds, but not on
+    nine pairs nor with a larger share of failed operations; a parent IQR
+    wider than the bound leaves the bound verdict unresolved unless every
+    change run beats every parent run."""
+    walls = {"parent": [10.0 + k for k in range(10)], "change": [4.0 + k for k in range(9)] + [20.0]}
+    rss = {"parent": [40.0 + k for k in range(10)], "change": [30.0] * 10}
+
+    def summary(pairs, change_failed=0):
+        runs = [_run("quad_scan", k + 1, side, walls[side][k], rss[side][k],
+                     failed=change_failed if (side, k) == ("change", 0) else 0)
+                for k in range(pairs) for side in walls]
+        metrics = {"wall_s": "lower", "peak_rss_mb": "lower"}
+        return _bench_pairs().summarize(runs, metrics, {"wall_s": 0.25, "peak_rss_mb": 0.1})["quad_scan seed 1"]
+
+    ten = summary(10)
+    # medians 14.5 and 8.5, parent IQR 16.75 - 12.25 = 4.5 < 6, 9/10 wins
+    assert ten["metrics"]["wall_s"]["change_wins"] == "9/10" and ten["metrics"]["wall_s"]["gain_rule_met"] is True
+    # the IQR 4.5 is wider than 0.25 * 14.5, and the change's 20.0 is above the parent's 10.0
+    assert ten["metrics"]["wall_s"]["within_bound"] == "unresolved"
+    # the IQR 4.5 is wider than 0.1 * 44.5, but every change run (30) is below every parent run
+    assert ten["metrics"]["peak_rss_mb"]["within_bound"] is True
+    assert summary(9)["metrics"]["wall_s"]["gain_rule_met"] is False
+    assert summary(10, change_failed=1)["metrics"]["wall_s"]["gain_rule_met"] is False
 
 
 def test_sign_test_exact_values():
@@ -90,11 +116,13 @@ def test_bench_pairs_summary_reproduces_a_committed_record():
     want = record["summary"]["p3_solve seed 1"]
     runs = [r for r in record["runs"] if r["workload"] == "p3_solve"]
     metrics = {name: "lower" for name in want["metrics"]}
-    summary = _bench_pairs().summarize(runs, metrics)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    summary = _bench_pairs().summarize(runs, metrics, bounds)
     got = summary["p3_solve seed 1"]
     assert got.pop("indicative") is (want["pairs"] < 10)
     for entry in got["metrics"].values():
-        del entry["median_pair_ratio"], entry["sign_test_p"], entry["gain_rule_met"]
+        del entry["median_pair_ratio"], entry["sign_test_p"], entry["gain_rule_met"], entry["within_bound"]
     assert summary == {"p3_solve seed 1": want}
 
 
