@@ -24,7 +24,7 @@ import numpy as np
 from .bubbles import bubble_field
 from .constants import (
     CONVERGED_STOPS, ConstantsReport, StopRule, bump_field, descend, first_lowest, random_positive_starts,
-    stacked_evaluate,
+    slab_workers, stacked_evaluate,
 )
 from .energy import ReducedTriple, component_powers, constraint_gradient_arrays, gradient_arrays, ray_triple
 from .errors import BranchLostError, ConvergenceError, ZeroPairError
@@ -95,7 +95,6 @@ def minimize_on_branch(params: ModelParams, dom: GridDomain, branch: str, starts
     if params.lam <= 0 or params.mu <= 0:
         raise ValueError("parameters must be positive")
     n = dom.n_interior
-    norm_max = [0.0] * len(starts)  # per start: max norm over accepted points
 
     def finish(a, kernels):
         u, v, kernels = a[:, :n], a[:, n:], (kernels[:, :n], kernels[:, n:])
@@ -106,28 +105,26 @@ def minimize_on_branch(params: ModelParams, dom: GridDomain, branch: str, starts
         # the gradient at t a from the kernel rows and powers of a; a row without a root takes t = 1 and is dropped
         t = np.array([1.0 if r is None else r for r in roots])
         g = gradient_arrays(params, dom, u, v, kernels, powers, t=t[:, None])
-        return [None if r is None else (r * a[k], phi(ray, params, r), g[k].copy(), r ** params.p * ray.P)
+        # the 4th entry, the norm P^(1/p) of the placed point, makes the run's peak its iterate_norm_max
+        return [None if r is None else
+                (r * a[k], phi(ray, params, r), g[k].copy(), (r ** params.p * ray.P) ** (1.0 / params.p))
                 for k, (r, ray) in enumerate(zip(roots, rays))]
-
-    def accepted(k, evaluation):
-        norm_max[k] = max(norm_max[k], evaluation[3] ** (1.0 / params.p))
 
     stop = StopRule(
         max_iter=BRANCH_MAX_ITER, flat_tol=ENERGY_RTOL, patience=BRANCH_FLAT_PATIENCE,
         grad_rtol=GRAD_RTOL, armijo=ARMIJO,
     )
-    runs = descend(starts, stacked_evaluate(dom, finish), stop, on_accept=accepted)
+    runs = descend(starts, stacked_evaluate(dom, finish), stop, slab_workers(dom))
     k = first_lowest(runs)
     if k is None:
         raise BranchLostError(
             f"left the two-root regime: the {branch} root does not exist at any "
             "starting state; use smaller lambda and mu"
         )
-    return _branch_report(params, dom, branch, runs[k], norm_max[k], k)
+    return _branch_report(params, dom, branch, runs[k], k)
 
 
-def _branch_report(params: ModelParams, dom: GridDomain, branch: str, run, norm_max: float,
-                   seed_index: int) -> SolutionReport:
+def _branch_report(params: ModelParams, dom: GridDomain, branch: str, run, seed_index: int) -> SolutionReport:
     n = dom.n_interior
     u, v = run.x[:n], run.x[n:]
     kernels = plap_gradient(dom, run.x.reshape(2, n))  # one stacked pass serves both uses below
@@ -149,7 +146,7 @@ def _branch_report(params: ModelParams, dom: GridDomain, branch: str, run, norm_
         stop_reason=run.stop_reason,
         semitrivial=semitrivial,
         classification=classify_triple(ray_triple(params, dom, u, v, kernels, powers), params),
-        iterate_norm_max=norm_max,
+        iterate_norm_max=run.peak,
         pair=pair,
         seed_index=seed_index,
     )

@@ -218,6 +218,15 @@ def quotient_round(solve, dom, params):
     return made[0]
 
 
+def assert_same_runs(runs, others):
+    """Equal lists of Descent or None: arrays bit for bit, the rest equal."""
+    assert [run is None for run in runs] == [run is None for run in others]
+    for run, other in zip(runs, others):
+        if run is not None:
+            assert run.x.tobytes() == other.x.tobytes() and run.grad.tobytes() == other.grad.tobytes()
+            assert (run.value, *run[3:]) == (other.value, *other[3:])
+
+
 # ---------------------------------------------------------------------------
 # Second-derivative forms and the implicit map
 # ---------------------------------------------------------------------------

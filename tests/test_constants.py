@@ -24,7 +24,7 @@ from nehari_frac.energy import ray_triple
 from nehari_frac.grid import lr_norm
 
 from conftest import (
-    DESK, coupled_quotient, holder_bound_check, quotient_round, random_pair, rayleigh_quotient, young_bound_check,
+    DESK, assert_same_runs, coupled_quotient, holder_bound_check, quotient_round, random_pair, rayleigh_quotient, young_bound_check,
 )
 
 mp.mp.dps = 50
@@ -215,16 +215,24 @@ def test_compute_S_descent_is_monotone_and_beats_probes(monkeypatch):
     dom = nf.build_grid(1, 8, 1.0, 1.0, params)
     real, runs = constants.descent_steps, []
 
-    def recording(start, stop, on_accept=None):
-        run = []
-        runs.append(run)
-        return real(start, stop, on_accept=lambda evaluation: run.append(evaluation[1]))
+    def recording(start, stop):
+        """descent_steps, keeping the start's value and then each trial value
+        not above the last one kept."""
+        kept, run, evaluation = [start[1]], real(start, stop), None
+        try:
+            while True:
+                evaluation = yield run.send(evaluation)
+                if evaluation is not None and evaluation[1] <= kept[-1]:
+                    kept.append(evaluation[1])
+        except StopIteration as done:
+            runs.append((kept, done.value))
+            return done.value
 
     monkeypatch.setattr(constants, "descent_steps", recording)
     s_d, s_min = nf.compute_S(dom, params, seed=3, restarts=4)
     assert len(runs) == 4
-    for run in runs:
-        assert all(b <= a + 1e-15 for a, b in zip(run, run[1:]))
+    for kept, run in runs:  # each run accepted exactly the trials that did not raise its value
+        assert (len(kept) - 1, kept[-1]) == (run.iterations, run.value)
     assert np.all(s_min.values >= 0)
     assert s_d == pytest.approx(rayleigh_quotient(dom, params, s_min), rel=1e-12)
     rng = np.random.default_rng(123)
@@ -316,11 +324,11 @@ def test_compute_S_coupled_back_solve_over_budget_is_a_candidate(dom12, monkeypa
     restarts = 2
     real, calls = constants.descent_steps, []
 
-    def budget_on_back_solve(start, stop, on_accept=None):
+    def budget_on_back_solve(start, stop):
         calls.append(start)
         if len(calls) == 2 * restarts + 2:  # after restarts scalar and restarts + 1 pair starts
             return _stopped(constants.Descent(*start, BUDGET, stop.max_iter))
-        return real(start, stop, on_accept=on_accept)
+        return real(start, stop)
 
     monkeypatch.setattr(constants, "descent_steps", budget_on_back_solve)
     s_d, s_min, _, _ = nf.compute_S_coupled(dom12, CRIT, seed=0, restarts=restarts)
@@ -536,15 +544,30 @@ def test_descend_evaluates_a_repeated_proposal_once():
 def test_descend_stops_on_gradient_and_budget():
     x0 = np.array([3.0, 4.0])
     stop = StopRule(max_iter=50, flat_tol=-np.inf, grad_rtol=1e-8, armijo=1e-4)
-    accepted = []
-    [run] = descend([x0], _each(_square), stop, on_accept=lambda k, evaluation: accepted.append(evaluation[1]))
+    [run] = descend([x0], _each(_square), stop)
     assert run.stop_reason == GRAD_TOL
-    # the start and every accepted point, in order
-    assert len(accepted) == run.iterations + 1
-    assert (accepted[0], accepted[-1]) == (_square(x0)[1], run.value)
     assert np.linalg.norm(run.grad) <= 1e-8 * 10.0
     [run] = descend([x0], _each(_square), StopRule(max_iter=0, flat_tol=1e-12))
     assert (run.stop_reason, run.iterations) == (BUDGET, 0)
+
+
+def test_descent_peak_is_the_largest_size_of_the_start_and_accepted_points():
+    """An evaluation's 4th entry is a size, and a run's peak is its largest
+    over the start and the accepted points: the start's where the sizes
+    fall, the last accepted point's where they rise, never a rejected
+    trial's, and 0 where evaluations carry none."""
+    x0 = np.array([3.0, 4.0])
+    stop = StopRule(max_iter=50, flat_tol=-np.inf, grad_rtol=1e-8, armijo=1e-4)
+    [falling] = descend([x0], _each(lambda x: (*_square(x), _square(x)[1])), stop)
+    assert falling.iterations > 1 and falling.peak == _square(x0)[1]
+    [rising] = descend([x0], _each(lambda x: (*_square(x), -_square(x)[1])), stop)
+    assert rising.peak == -rising.value
+    calls = itertools.count()
+    rejected = _each(lambda x: (x, (value := float(next(calls))), 2.0 * x, 10.0 + value))  # values 0, 1, 2, ...
+    [run] = descend([x0], rejected, stop)
+    assert (run.stop_reason, run.peak) == (LINE_SEARCH_EXHAUSTED, 10.0)
+    [run] = descend([x0], _each(_square), stop)
+    assert run.peak == 0.0
 
 
 def _bowl_or_wall(x):
@@ -565,25 +588,25 @@ def test_descend_lockstep_runs_equal_single_start_runs():
     whose own evaluation is None gets None and no trial."""
     inits = [np.array(x) for x in ([1.0, 1.0, 1.0], [np.nan, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])]
     stop = StopRule(max_iter=8, flat_tol=-np.inf, grad_rtol=1e-10, armijo=1e-4)
-    batches, accepted = [], {}
+    batches = []
 
     def evaluate(raws):
         batches.append(len(raws))
-        return [_bowl_or_wall(x) for x in raws]
+        return [_sized_bowl_or_wall(x) for x in raws]
 
-    runs = descend(inits, evaluate, stop, on_accept=lambda k, ev: accepted.setdefault(k, []).append(ev[0]))
+    runs = descend(inits, evaluate, stop)
     assert batches[0] == 4 and max(batches[1:]) == 3
-    assert runs[1] is None and 1 not in accepted
+    assert runs[1] is None
     assert [run.stop_reason for run in runs if run is not None] == [BUDGET, GRAD_TOL, LINE_SEARCH_EXHAUSTED]
     for k, x0 in enumerate(inits):
-        alone = []
-        [run] = descend([x0], _each(_bowl_or_wall), stop, on_accept=lambda j, ev: alone.append(ev[0]))
-        if run is None:
-            assert runs[k] is None
-            continue
-        assert (runs[k].value, runs[k].stop_reason, runs[k].iterations) == (run.value, run.stop_reason, run.iterations)
-        assert np.array_equal(runs[k].x, run.x) and np.array_equal(runs[k].grad, run.grad)
-        assert len(accepted[k]) == len(alone) and all(map(np.array_equal, accepted[k], alone))
+        [run] = descend([x0], _each(_sized_bowl_or_wall), stop)
+        assert_same_runs([runs[k]], [run])
+
+
+def _sized_bowl_or_wall(x):
+    """_bowl_or_wall with the largest |x_i| as the evaluation's size."""
+    evaluation = _bowl_or_wall(x)
+    return evaluation and (*evaluation, float(np.max(np.abs(x))))
 
 
 def test_step_after_nonpositive_curvature_is_the_difference_ratio():

@@ -192,8 +192,8 @@ ROUND_PARAMS = {
 def test_branch_round_matches_per_row_oracles(case, branch):
     """One evaluation of a round's stack equals, row by row, the single-state
     reduction at the bisection oracle's root t: the point t |a|, its energy,
-    its gradient (from a kernel pass at t |a|) and its P, each to 1e-13
-    relative to the size of its terms.  The rows: a pair whose D the weights
+    its gradient (from a kernel pass at t |a|) and its norm P^(1/p), each to
+    1e-13 relative to the size of its terms.  The rows: a pair whose D the weights
     put at half Psi(t_max), that pair times 3 with random signs, the zero
     state, the bump pair (above the threshold, no root) and a pair with a
     zero component (a root on the minimum branch only).  The evaluations
@@ -222,7 +222,7 @@ def test_branch_round_matches_per_row_oracles(case, branch):
         assert (evaluation is None) == (t is None)
         if t is None:
             continue
-        x, value, grad, P = evaluation
+        x, value, grad, norm = evaluation
         assert x.base is None and grad.base is None
         xo = t * a
         ray = ray_triple(params, dom, xo[:n], xo[n:])
@@ -232,7 +232,7 @@ def test_branch_round_matches_per_row_oracles(case, branch):
         assert abs(value - nf.phi(ray, params, 1.0)) <= 1e-13 * (ray.P / p + ray.B / q + ray.D / ab)
         scale = np.max(np.abs(dP)) / p + np.max(np.abs(dB)) / q + np.max(np.abs(dD)) / ab
         assert np.max(np.abs(grad - g)) <= 1e-13 * scale
-        assert abs(P - ray.P) <= 1e-13 * ray.P
+        assert abs(norm - ray.P ** (1.0 / p)) <= 1e-13 * ray.P ** (1.0 / p)
     assert found == [True, True, False, False, branch == NPLUS]
 
 
