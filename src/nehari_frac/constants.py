@@ -23,7 +23,8 @@ QUOTIENT_FLAT_TOL = 1e-6
 QUOTIENT_RESTARTS = 10
 QUOTIENT_MAX_ITER = 4000        # read at call time, so a test can lower it
 TIE_RTOL = 1e-13                # runs ending this close (relative) to the lowest reached the same minimum
-WORKERS = len(os.sched_getaffinity(0))  # usable cores, read at call time: see slab_workers
+# usable cores (1 where the platform cannot tell), read at call time: see slab_workers
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _FLAT_PATIENCE = 4
 
 
@@ -189,11 +190,10 @@ def descend(inits, evaluate, stop: StopRule, workers: int = 1) -> list:
         results[::w] = _lockstep(inits[::w], evaluate, stop)
         for i, (pid, read) in enumerate(forked, 1):
             with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            try:
-                out = pickle.loads(data)
-            except Exception:
-                raise ChildProcessError(f"descent worker {i} ended without its runs") from None
+                try:
+                    out = pickle.load(pipe)
+                except Exception:
+                    raise ChildProcessError(f"descent worker {i} ended without its runs") from None
             if isinstance(out, BaseException):
                 raise out
             results[i::w] = out
