@@ -14,7 +14,8 @@ exits non-zero is kept under "failed_runs" with its exit code and the tail
 of its stderr.  The record is rewritten after every run, so a series cut
 short keeps every run made.  The summary gives, per workload and end-to-end
 metric of BENCHMARK.json, the medians and quartiles (linear interpolation)
-of both sides, the parent's IQR, the pairs the change wins, the
+of both sides, the parent's IQR and its relative spread (IQR over median, the
+series' own noise floor), the pairs the change wins, the
 change/parent ratio of the medians, the median of the per-pair
 change/parent ratios and the exact two-sided sign-test p-value of the wins
 over the pairs that are not tied, whether the gain rule is met and whether
@@ -82,6 +83,9 @@ def summarize(runs: list, metrics: dict, bounds: dict) -> dict:
     """Per "<workload> seed <seed>": pairs, ops, correctness and, for each metric
     name -> "lower" | "higher" present in every run, the pair statistics.
 
+    parent_relative_spread: the parent IQR over the parent median, so that an
+    A/A series (--parent P --change P) states its own noise floor per metric.
+
     gain_rule_met: at least ten pairs, no larger share of failed operations
     than the parent's, the change wins at least 9/10 of the pairs (ties count for
     neither side) and its median differs from the parent's by more than the
@@ -125,6 +129,7 @@ def summarize(runs: list, metrics: dict, bounds: dict) -> dict:
                 "parent_q1_q3": q["parent"],
                 "change_q1_q3": q["change"],
                 "parent_iqr": iqr,
+                "parent_relative_spread": iqr / median["parent"],
                 "change_wins": f"{wins}/{len(pairs)}",
                 "change_over_parent": median["change"] / median["parent"],
                 "median_pair_ratio": statistics.median(c / p for p, c in zip(value["parent"], value["change"])),

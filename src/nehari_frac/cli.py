@@ -203,14 +203,11 @@ def cmd_bubble_scan(cfg: RunConfig, dom, seed: int, args, out: _Outputs):
     limits = consts.thresholds(params.with_weights(lam, mu), dom.volume, s_d, s_ab_d)
     sup = bubbles.sup_energy_scan(dom, params, delta, theta, eps_list, limits)
 
-    sup_by_eps = {r.eps: r for r in sup}
-    rows = []
-    for nr in norm.rows:
-        sr = sup_by_eps[nr.eps]
-        rows.append((
-            nr.eps, nr.seminorm_p_pow, nr.lpstar_pow, nr.excess, nr.deficit,
-            sr.t_star, sr.sup_full, sr.q_regime, sr.c_infty, sr.below_c_infty,
-        ))
+    rows = [
+        (nr.eps, nr.seminorm_p_pow, nr.lpstar_pow, nr.excess, nr.deficit,
+         sr.t_star, sr.sup_full, sr.q_regime, sr.c_infty, sr.below_c_infty)
+        for nr, sr in zip(norm.rows, sup, strict=True)  # both scans walk sorted(eps_list, reverse=True)
+    ]
     out.csv("bubble_scan.csv", BUBBLE_HEADER, rows)
     meta = {
         "method": norm.method,

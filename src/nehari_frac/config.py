@@ -2,7 +2,8 @@
 
 A single JSON file drives every CLI command.  A run is configured by its
 problem (`params`), its grid, its seed and the inputs of each command; the
-solver tolerances are module constants (`constants`, `solver`), not keys.
+solver tolerances are module constants (`constants`, `solver`), not keys,
+except the flat tolerance of the quotient descents (`tolerances.quotient_flat`).
 Each block has one table mapping every accepted key to its accepted type or
 choices: unknown keys and values of the wrong type are rejected, naming the
 offending line when it can be located in the source text.  The model

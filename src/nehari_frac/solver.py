@@ -26,10 +26,12 @@ from .constants import (
     CONVERGED_STOPS, ConstantsReport, StopRule, bump_field, descend, first_lowest, random_positive_starts,
     slab_workers, stacked_evaluate,
 )
-from .energy import ReducedTriple, component_powers, constraint_gradient_arrays, gradient_arrays, ray_triple
+from .energy import (
+    ReducedTriple, component_powers, constraint_gradient_arrays, gradient_arrays, ray_triple, triple_gradients,
+)
 from .errors import BranchLostError, ConvergenceError, ZeroPairError
 from .fibering import NMINUS, NPLUS, branch_root, classify_triple, phi, t_max
-from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, plap_gradient, seminorm_p, signed_pow
+from .grid import Field, FieldPair, GridDomain, as_values, lr_norm, plap_gradient
 from .params import ModelParams
 
 
@@ -259,26 +261,28 @@ def _newton_cg(hess, g: np.ndarray) -> np.ndarray:
 
 
 def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float):
-    """Minimize (1/p)[u]^p - (lam/q) sum|u|^q; returns (Field, energy).
+    """Minimize J(u, 0) = (1/p)[u]^p - (lam/q) sum|u|^q; returns (Field, energy).
 
-    Damped Newton steps from the smooth bump at its ray minimum
-    (fibering.branch_root, D = 0), each solved by conjugate gradients on a
-    forward difference of plap_gradient: one route at every p, ending where
+    Its value, u-gradient and ray coefficients (P, B, 0) are energy's at (u, 0)
+    with the weights (lam, 0).  Damped Newton steps from the smooth bump at its
+    ray minimum (fibering.branch_root, D = 0), each solved by conjugate gradients
+    on a forward difference of plap_gradient: one route at every p, ending where
     the identity [u]^p = lam sum|u|^q holds to near machine precision.
     """
     if lam <= 0:
         raise ValueError("the scalar sublinear problem needs lam > 0")
-    p, q = params.p, params.q
-    cell = dom.cell
+    q, cell = params.q, dom.cell
+    face, zero = params.with_weights(lam, 0.0), np.zeros(dom.n_interior)
 
     def evaluate(x):
         k = plap_gradient(dom, x)
-        value = float(np.dot(x, k)) / p - (lam / q) * cell * float(np.sum(np.abs(x) ** q))
-        return x, k, value, k - lam * cell * signed_pow(x, q - 1.0)
+        kernels, powers = (k, zero), component_powers(face, x, zero)
+        ray = ray_triple(face, dom, x, zero, kernels, powers)
+        return k, ray, phi(ray, face, 1.0), gradient_arrays(face, dom, x, zero, kernels, powers)[:x.size]
 
     w0 = bump_field(dom)
-    t = branch_root(ReducedTriple(seminorm_p(dom, w0) ** p, lam * cell * float(np.sum(w0 ** q)), 0.0), params, NPLUS)
-    u, k, val, g = evaluate(t * w0)
+    u = branch_root(evaluate(w0)[1], face, NPLUS) * w0
+    k, ray, val, g = evaluate(u)
     scale0 = max(float(np.linalg.norm(g)), lam * cell * float(np.sum(np.abs(u) ** (q - 1.0))), 1e-300)
 
     for _ in range(60):
@@ -294,13 +298,13 @@ def solve_scalar_sublinear(params: ModelParams, dom: GridDomain, lam: float):
         d = _newton_cg(hess, g)
         # near the minimum an energy difference below the rounding of the
         # energy's two terms has no sign; the gradient norm decides there
-        noise = 1e-13 * (abs(val) + 2.0 * (lam / q) * cell * float(np.sum(np.abs(u) ** q)))
+        noise = 1e-13 * (abs(val) + 2.0 * ray.B / q)
         for s in 0.5 ** np.arange(40.0):
             trial = u + s * d
             if np.all(trial != 0.0):
-                _, tk, tval, tg = evaluate(trial)
+                tk, tray, tval, tg = evaluate(trial)
                 if tval < val or (tval <= val + noise and float(np.linalg.norm(tg)) < gn):
-                    u, k, val, g = trial, tk, tval, tg
+                    u, k, ray, val, g = trial, tk, tray, tval, tg
                     break
         else:
             break
@@ -326,26 +330,23 @@ def semitrivial_tmax_check(params: ModelParams, dom: GridDomain, u1, w) -> float
     """
     if params.lam <= 0 or params.mu <= 0:
         raise ValueError("semitrivial check needs lam > 0 and mu > 0")
-    p, q = params.p, params.q
-    ab = params.ab
-    cell = dom.cell
+    p, q, ab = params.p, params.q, params.ab
+    cell, n = dom.cell, dom.n_interior
     u1, w = as_values(u1), as_values(w)
     for name, x in (("u1", u1), ("w", w)):
         if not x.any():
             raise ZeroPairError(f"semitrivial check: {name} is the zero field, which has no fibering")
-    zero = np.zeros(dom.n_interior)
-    ku, kw = plap_gradient(dom, np.stack([u1, w]))
-    # one component at a time: D = 0, and J's gradient is the scalar problem's
-    tu = ray_triple(params, dom, u1, zero, kernels=(ku, zero))
-    tw = ray_triple(params, dom, zero, w, kernels=(zero, kw))
-    gu = gradient_arrays(params, dom, u1, zero, kernels=(ku, zero))[:dom.n_interior]
-    gw = gradient_arrays(params, dom, zero, w, kernels=(zero, kw))[dom.n_interior:]
-    r1 = float(np.linalg.norm(gu)) / (params.lam * cell * float(np.sum(np.abs(u1) ** (q - 1.0))))
-    r2 = float(np.linalg.norm(gw)) / (params.mu * cell * float(np.sum(np.abs(w) ** (q - 1.0))))
+    kernels = plap_gradient(dom, np.stack([u1, w]))
+    powers = component_powers(params, u1, w)
+    # no coupling gradient on either face: J's gradient is dP/p - dB/q's u half at (u1, 0), its v half at (0, w)
+    dP, dB, _ = triple_gradients(params, dom, u1, w, kernels, powers)
+    g = dP / p - dB / q
+    r1 = float(np.linalg.norm(g[:n])) / (params.lam * cell * float(np.sum(np.abs(u1) ** (q - 1.0))))
+    r2 = float(np.linalg.norm(g[n:])) / (params.mu * cell * float(np.sum(np.abs(w) ** (q - 1.0))))
     if max(r1, r2) > STATIONARITY_RTOL:
         raise ConvergenceError(
             f"inputs are not stationary enough (relative gradients {r1:.3e}, {r2:.3e})"
         )
-    tm = t_max(ReducedTriple(tu.P + tw.P, tu.B + tw.B, 0.0), params)
+    tm = t_max(ray_triple(params, dom, u1, w, kernels, powers), params)  # reads P and B, each the faces' sum
     predicted = ((ab - q) / (ab - p)) ** (1.0 / (p - q))
     return abs(tm - predicted) / predicted

@@ -55,6 +55,7 @@ def test_bench_pairs_summary_on_synthetic_runs():
     assert p3["metrics"]["wall_s"] == {
         "parent_median": 3.5, "change_median": 2.25,
         "parent_q1_q3": [2.75, 4.25], "change_q1_q3": [1.75, 3.0], "parent_iqr": 1.5,
+        "parent_relative_spread": 1.5 / 3.5,
         "change_wins": "3/4", "change_over_parent": 2.25 / 3.5,
         "median_pair_ratio": (0.5 + 2.0 / 3.0) / 2,  # of the pair ratios 1/2, 9/8, 2/3, 1/2
         "sign_test_p": 0.625,  # 3 wins, 1 loss: 2 (1 + 4) / 16
@@ -93,6 +94,9 @@ def test_bench_pairs_verdicts_on_ten_pairs():
     assert ten["metrics"]["wall_s"]["change_wins"] == "9/10" and ten["metrics"]["wall_s"]["gain_rule_met"] is True
     # the IQR 4.5 is wider than 0.25 * 14.5, and the change's 20.0 is above the parent's 10.0
     assert ten["metrics"]["wall_s"]["within_bound"] == "unresolved"
+    # each metric states its own floor: the parent IQR over the parent median
+    assert ten["metrics"]["wall_s"]["parent_relative_spread"] == 4.5 / 14.5
+    assert ten["metrics"]["peak_rss_mb"]["parent_relative_spread"] == 4.5 / 44.5
     # the IQR 4.5 is wider than 0.1 * 44.5, but every change run (30) is below every parent run
     assert ten["metrics"]["peak_rss_mb"]["within_bound"] is True
     assert summary(9)["metrics"]["wall_s"]["gain_rule_met"] is False
@@ -111,7 +115,7 @@ def test_sign_test_exact_values():
 def test_bench_pairs_summary_reproduces_a_committed_record():
     """The p3_solve summary of BENCH_pr15.json, rebuilt from its own runs;
     the record predates the indicative label, the median pair ratio, the
-    sign test and the gain and bound verdicts."""
+    sign test, the gain and bound verdicts and the relative spread."""
     record = json.loads((ROOT / "BENCH_pr15.json").read_text())
     want = record["summary"]["p3_solve seed 1"]
     runs = [r for r in record["runs"] if r["workload"] == "p3_solve"]
@@ -123,6 +127,7 @@ def test_bench_pairs_summary_reproduces_a_committed_record():
     assert got.pop("indicative") is (want["pairs"] < 10)
     for entry in got["metrics"].values():
         del entry["median_pair_ratio"], entry["sign_test_p"], entry["gain_rule_met"], entry["within_bound"]
+        del entry["parent_relative_spread"]
     assert summary == {"p3_solve seed 1": want}
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from nehari_frac import fibering, solver
 from nehari_frac.cli import main as cli_main
 from nehari_frac.constants import BUDGET, CONVERGED_STOPS, FLAT, LINE_SEARCH_EXHAUSTED
 from nehari_frac.constants import bump_field
-from nehari_frac.energy import ray_triple, triple_gradients
+from nehari_frac.energy import ReducedTriple, gradient_arrays, ray_triple, triple_gradients
 from nehari_frac.errors import BranchLostError, ConvergenceError, SupportError, ZeroPairError
 from nehari_frac.fibering import NMINUS, NPLUS
 from nehari_frac.solver import pair_distance
@@ -495,6 +496,41 @@ def test_semitrivial_tmax_check_makes_one_stacked_pass(params, dom12, monkeypatc
     calls = record_plap_calls(monkeypatch)
     assert nf.semitrivial_tmax_check(params, dom12, u1, w) == expected
     assert calls == [(2, 0)]
+
+
+def _zero_padded_semitrivial(params, dom, u1, w):
+    """The oracle of semitrivial_tmax_check: the relative gradients and the
+    deviation from the reductions at (u1, 0) and (0, w), one face at a time."""
+    n, q = dom.n_interior, params.q
+    zero = np.zeros(n)
+    tu, tw = ray_triple(params, dom, u1, zero), ray_triple(params, dom, zero, w)
+    gu = gradient_arrays(params, dom, u1, zero)[:n]
+    gw = gradient_arrays(params, dom, zero, w)[n:]
+    r1 = float(np.linalg.norm(gu)) / (params.lam * dom.cell * float(np.sum(np.abs(u1) ** (q - 1.0))))
+    r2 = float(np.linalg.norm(gw)) / (params.mu * dom.cell * float(np.sum(np.abs(w) ** (q - 1.0))))
+    tm = fibering.t_max(ReducedTriple(tu.P + tw.P, tu.B + tw.B, 0.0), params)
+    predicted = ((params.ab - q) / (params.ab - params.p)) ** (1.0 / (params.p - q))
+    return r1, r2, abs(tm - predicted) / predicted
+
+
+@pytest.mark.parametrize("shape", [{}, {"p": 3.0, "s": 0.1, "q": 2.5, "alpha": 30 / 17, "beta": 30 / 17}],
+                         ids=["desk", "p3"])
+def test_semitrivial_tmax_check_against_zero_padded_reductions(shape):
+    """One reduction of (u1, w) gives what the reductions of the two faces
+    give: the deviation to 1e-13 on the scalar solutions, and the relative
+    gradients of the stationarity test on random fields."""
+    params = nf.ModelParams(**{**DESK, **shape}, lam=0.7, mu=0.4)
+    dom = nf.build_grid(2, 12, 1.0, 1.0, params)
+    u1, _ = nf.solve_scalar_sublinear(params, dom, params.lam)
+    w, _ = nf.solve_scalar_sublinear(params, dom, params.mu)
+    r1, r2, want = _zero_padded_semitrivial(params, dom, u1.values, w.values)
+    assert max(r1, r2) <= solver.STATIONARITY_RTOL
+    assert abs(nf.semitrivial_tmax_check(params, dom, u1, w) - want) <= 1e-13
+    rng = np.random.default_rng(5)
+    x, y = (np.abs(rng.standard_normal(dom.n_interior)) for _ in range(2))
+    r1, r2, _ = _zero_padded_semitrivial(params, dom, x, y)
+    with pytest.raises(ConvergenceError, match=re.escape(f"(relative gradients {r1:.3e}, {r2:.3e})")):
+        nf.semitrivial_tmax_check(params, dom, x, y)
 
 
 def test_semitrivial_tmax_rejects_ray_projected_fields(params, dom12):

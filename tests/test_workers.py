@@ -6,6 +6,7 @@ import json
 import os
 import select
 import signal
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,37 @@ def test_p3_runs_do_not_depend_on_the_worker_count(monkeypatch):
         assert found[workers][1] == reports
         for these, those in zip(found[workers][0], runs, strict=True):
             assert_same_runs(these, those)
+
+
+def test_forked_descents_with_a_live_thread(monkeypatch):
+    """compute_S_coupled at p = 3 (m = 6) forks two workers while a Python
+    thread waits on an Event, and every start's run equals its one-worker run
+    bit for bit.  From Python 3.12 a fork with live threads warns
+    (DeprecationWarning), which pyproject's filterwarnings turns into a
+    failure of this test: the risk of ROADMAP item 23."""
+    params = nf.ModelParams(**{**DESK, **P3}).with_weights(3.56, 3.56)
+    dom = nf.build_grid(2, 6, 1.0, 1.0, params)
+    made = []
+    monkeypatch.setattr(constants, "descend", lambda *a, real=descend: made.append(real(*a)) or made[-1])
+    found = {}
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    try:
+        for workers in (1, 2):
+            monkeypatch.setattr(constants, "WORKERS", workers)
+            if workers == 2:
+                waiter.start()
+            made.clear()
+            found[workers] = nf.compute_S_coupled(dom, params, seed=7)[0], list(made)
+            assert waiter.is_alive() is (workers == 2)
+    finally:
+        release.set()
+    waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    _assert_no_child()
+    assert found[2][0] == found[1][0]
+    for these, those in zip(found[2][1], found[1][1], strict=True):
+        assert_same_runs(these, those)
 
 
 def test_p3_solve_writes_the_same_bytes_with_one_worker(tmp_path, monkeypatch):
